@@ -61,9 +61,6 @@ class TotalColoring:
     def restrict_edges(self) -> EdgeColoring:
         return EdgeColoring(edge_color=dict(self.edge_color))
 
-    def restrict_vertices(self) -> VertexColoring:
-        return VertexColoring(vertex_color=self.vertex_color)
-
 
 def total_coloring(g: Graph, vertex_colors: Iterable[int], edge_colors: Mapping[Edge, int] | Iterable[int]) -> TotalColoring:
     """Build a TotalColoring for g, validating the domain exactly."""

@@ -177,12 +177,13 @@ class TheoremCheckRecord:
         return cls(**json.loads(text))
 
 
-def _leaf_stats(g: Graph) -> tuple[int, int]:
-    """(l, q) with the n = 1 convention l = 0, q = 1."""
+def _leaf_stats(g: Graph):
+    """(l, q, max_leaf_exact(g)) with the n = 1 convention l = 0, q = 1 and
+    no tree."""
     if g.n == 1:
-        return 0, 1
+        return 0, 1, None
     ml = max_leaf_exact(g)
-    return ml.leaf_count, ml.internal_count
+    return ml.leaf_count, ml.internal_count, ml
 
 
 def check_all(g: Graph) -> TheoremCheckRecord:
@@ -200,18 +201,25 @@ def check_all_detailed(g: Graph):
     d = diameter(g)
     delta = max_degree(g)
     verdicts: dict[str, str] = {}
-    try:
-        l, q = _leaf_stats(g)
-        rep_tmc = tmc_exact(g)
-        rep_mc = mc_exact(g)
-        rep_mvc = mvc_exact(g)
-    except SolverRangeError:
+    # every guard fires before any exponential work: tmc_exact and mc_exact
+    # refuse non-complete graphs past max_exact_n(), and mvc_exact refuses
+    # before it enumerates
+    skipped = n > max_exact_n() and not g.is_complete()
+    if not skipped:
+        try:
+            rep_mvc = mvc_exact(g)
+        except SolverRangeError:
+            skipped = True
+    if skipped:
         verdicts = {k: SKIPPED for k in CHECK_KEYS}
         return TheoremCheckRecord(
             graph6=to_graph6(g), n=n, m=m, l=None, diameter=d, max_degree=delta,
             tmc=None, mc=None, mvc=None, condition_flags=None, verdicts=verdicts,
             elapsed_ms=(time.perf_counter() - t0) * 1000.0,
         ), {}
+    l, q, ml = _leaf_stats(g)
+    rep_tmc = tmc_exact(g, ml)
+    rep_mc = mc_exact(g)
     tmc, mc, mvc = rep_tmc.value, rep_mc.value, rep_mvc.value
     identity = m - n + 2 + l
 
@@ -348,8 +356,8 @@ def survey_random(n: int, p: float, trials: int, seed: int) -> SurveyRecord:
             rec.identity_confirmed += 1
             rec.mc_identity_confirmed += 1
         elif n <= limit:
-            l, _ = _leaf_stats(g)
-            if tmc_exact(g).value == g.m - g.n + 2 + l:
+            l, _, ml = _leaf_stats(g)
+            if tmc_exact(g, ml).value == g.m - g.n + 2 + l:
                 rec.identity_confirmed += 1
             else:
                 rec.identity_refuted += 1

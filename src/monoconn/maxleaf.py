@@ -49,14 +49,15 @@ def _tree_result(g: Graph, tree_edges: list[tuple[int, int]], exact: bool) -> Sp
     )
 
 
-def _tree_from_cds(g: Graph, cds_mask: int) -> list[tuple[int, int]]:
-    """Spanning tree whose internal vertices lie inside the dominating set.
+def _tree_from_cds(g: Graph, cds_mask: int, span_mask: int) -> list[tuple[int, int]]:
+    """Spanning tree of G[span] whose internal vertices lie inside
+    ``cds_mask``, a connected set dominating the span.
 
     BFS-spans the set from its smallest vertex (smallest-index tie-breaks),
-    then attaches every outside vertex to its smallest neighbour in the set.
+    then attaches every other vertex of the span to its smallest neighbour
+    in the set.
     """
-    inside = _bits(cds_mask)
-    root = inside[0]
+    root = (cds_mask & -cds_mask).bit_length() - 1
     tree: list[tuple[int, int]] = []
     seen = 1 << root
     frontier = [root]
@@ -68,10 +69,9 @@ def _tree_from_cds(g: Graph, cds_mask: int) -> list[tuple[int, int]]:
                 tree.append((u, v) if u < v else (v, u))
                 nxt.append(v)
         frontier = nxt
-    for v in range(g.n):
-        if not (cds_mask >> v) & 1:
-            w = _bits(g.adj[v] & cds_mask)[0]
-            tree.append((v, w) if v < w else (w, v))
+    for v in _bits(span_mask & ~cds_mask):
+        w = _bits(g.adj[v] & cds_mask)[0]
+        tree.append((v, w) if v < w else (w, v))
     return tree
 
 
@@ -146,7 +146,7 @@ def max_leaf_exact(g: Graph) -> SpanningTreeResult:
     if g.n == 2:
         return _tree_result(g, [(0, 1)], exact=True)
     cds = minimum_connected_dominating_set(g)
-    tree = _tree_from_cds(g, cds)
+    tree = _tree_from_cds(g, cds, (1 << g.n) - 1)
     return _tree_result(g, tree, exact=True)
 
 

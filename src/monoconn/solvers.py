@@ -1,7 +1,7 @@
 """Exact tmc / mc / mvc solvers with optimality certificates.
 
-Correctness contract for the tmc engine
----------------------------------------
+Correctness contract for the tree-system engine
+-----------------------------------------------
 Call a family of subtrees of G a *covering tree system* when the trees are
 pairwise edge-disjoint, their internal-vertex sets are pairwise disjoint,
 every tree has at least two edges, and every non-adjacent vertex pair of G
@@ -22,13 +22,42 @@ lies together in some tree.  Its waste is the sum over trees of
 
 Hence tmc(G) = m + n - W*, where W* is the minimum waste over covering tree
 systems, and by (ii) the minimum is already attained among *simple* systems
-(pairwise sharing at most one vertex), which is the space the branch-and-
-bound searches.  The same argument without vertex colors gives
-mc(G) = m - min over edge-disjoint covering tree families of sum(edges - 1).
+(pairwise sharing at most one vertex).  The same argument without vertex
+colors gives mc(G) = m - min over edge-disjoint covering tree families of
+sum(edges - 1), with no internal-vertex constraint.  For mc, simplicity
+needs no lemma: if trees on vertex sets S and S' share k >= 2 vertices,
+their union is connected, and a spanning tree of it uses only their edges,
+covers every pair either covered and has waste
+|S| + |S'| - k - 2 = (|S| - 2) + (|S'| - 2) - (k - 2).  Merging never raises
+the waste and lowers the tree count, so an optimal family with the fewest
+trees is simple.
 
-The independent oracle tmc_naive maximizes the color count directly over set
-partitions of the m + n items and exists to validate this reformulation on
-small inputs.
+Search space.  A tree's waste depends only on its vertex set S (mc: |S| - 2)
+or on S and its internal set I (tmc: |S| - 2 + |I|), so the branch-and-bound
+runs over vertex-set candidates rather than trees:
+
+- mc: connected S holding a non-adjacent pair, at most 2^n of them;
+- tmc: (S, I) with I connected and S made of I and a set L of at least two
+  vertices of N(I) - I.  A tree's internal set is connected and dominates
+  its leaves, so every tree of a system is such a pair, and every pair is
+  realised by a tree of no more waste: a BFS tree of G[I] with each vertex
+  of L hung on a neighbour in I has its internal set inside I.
+
+Trees covering no non-adjacent pair only add waste and are never
+candidates.  Each candidate carries its whole induced edge set E(G[S]), and
+picked candidates need pairwise disjoint edge sets (and, for tmc, disjoint
+sets I).  Two sets sharing at most one vertex share no induced edge, so
+every simple system lies in this space; trees chosen inside the G[S_i] are
+edge-disjoint, so every point of it is a valid system.  The edge test thus
+subsumes a separate simple-system check: the space sits between the simple
+systems and all systems, whose minima agree (for mc by the merge above, for
+tmc by (ii)).  At the optimum each realised tree has internal set exactly I:
+a smaller internal set I' would make (S, I') a cheaper compatible candidate.
+
+The independent oracles tmc_naive and mc_naive maximize the color count
+directly over set partitions and validate the reformulation on small
+inputs; the test suite also checks the vertex-set search against an
+independent subtree-enumeration search on larger graphs.
 """
 
 from __future__ import annotations
@@ -45,8 +74,8 @@ from .coloring import (
     verify_mvc,
     verify_tmc,
 )
-from .graphs import Graph, _bits, diameter, is_connected
-from .maxleaf import max_leaf_exact
+from .graphs import Graph, _bits, _reach, diameter, is_connected
+from .maxleaf import SpanningTreeResult, _tree_from_cds, max_leaf_exact
 
 Edge = tuple[int, int]
 
@@ -63,9 +92,12 @@ class SolverRangeError(RuntimeError):
 def max_exact_n() -> int:
     """Exact-solver size guard; override with MONO_MAX_EXACT_N."""
     env = os.environ.get("MONO_MAX_EXACT_N")
-    if env:
+    if not env:
+        return DEFAULT_MAX_EXACT_N
+    try:
         return int(env)
-    return DEFAULT_MAX_EXACT_N
+    except ValueError:
+        raise ValueError(f"MONO_MAX_EXACT_N must be an integer, got {env!r}") from None
 
 
 @dataclass(frozen=True)
@@ -172,83 +204,65 @@ class SolverReport:
 
 
 # ---------------------------------------------------------------------------
-# Useful-subtree enumeration
+# Vertex-set candidates and the cover search
 # ---------------------------------------------------------------------------
 
-def _useful_subtrees(
-    g: Graph, pair_bits: Sequence[int], cap: int, count_internal: bool
+def _candidates(
+    g: Graph, pairs: Sequence[Edge], cap: int, total: bool
 ) -> list[tuple[int, int, int, int, int]]:
-    """All subtrees with >= 2 edges, waste <= cap, containing a non-adjacent
-    pair, as (waste, emask, imask, vmask, cover) tuples.
+    """Every candidate of waste <= cap as a (waste, emask, imask, vmask,
+    cover) tuple, sorted.
 
-    Waste is edges-1+internals when ``count_internal`` else edges-1.  Trees
-    are enumerated once each: roots are minimum tree vertices, and at every
-    expansion step taking the i-th frontier edge permanently bans the earlier
-    ones (each target tree forces the minimum-index frontier choice, so it is
-    generated along exactly one branch).
+    vmask is a connected vertex set S holding a non-adjacent pair, emask its
+    induced edge set E(G[S]) and cover the pairs inside S.  For mc, waste is
+    |S| - 2 and imask is 0.  For tmc, imask is a connected set I, S adds
+    to I a set L of at least two vertices of N(I) - I, and waste is
+    |S| - 2 + |I|.
     """
-    n = g.n
-    edges = g.edges
-    incident: list[list[int]] = [[] for _ in range(n)]
-    for i, (u, v) in enumerate(edges):
-        incident[u].append(i)
-        incident[v].append(i)
-    out: list[tuple[int, int, int, int, int]] = []
-    cover_cache: dict[int, int] = {}
-
-    def cover_of(vmask: int) -> int:
-        c = cover_cache.get(vmask)
-        if c is None:
-            c = 0
-            for j, pb in enumerate(pair_bits):
-                if vmask & pb == pb:
-                    c |= 1 << j
-            cover_cache[vmask] = c
-        return c
-
-    deg = [0] * n
-
-    def grow(r: int, vmask: int, emask: int, nedge: int, ninternal: int, banned: int) -> None:
-        if nedge >= 2:
-            waste = nedge - 1 + (ninternal if count_internal else 0)
-            cov = cover_of(vmask)
-            if cov and waste <= cap:
-                imask = 0
-                if count_internal:
-                    for v in _bits(vmask):
-                        if deg[v] >= 2:
-                            imask |= 1 << v
-                out.append((waste, emask, imask, vmask, cov))
-        # frontier: non-banned edges leaving vmask toward vertices >= r
-        frontier: list[tuple[int, int, int]] = []
-        mm = vmask
-        while mm:
-            b = mm & -mm
-            u = b.bit_length() - 1
-            mm ^= b
-            for i in incident[u]:
-                if (banned >> i) & 1 or (emask >> i) & 1:
-                    continue
-                a, c = edges[i]
-                x = c if a == u else a
-                if x >= r and not (vmask >> x) & 1:
-                    frontier.append((i, u, x))
-        frontier.sort()
-        newly_banned = banned
-        for i, u, x in frontier:
-            # waste after adding: edges+1-1 (+ internals), monotone in growth
-            ni = ninternal + (1 if deg[u] == 1 else 0)
-            w_next = nedge + (ni if count_internal else 0)
-            if w_next <= cap:
-                deg[u] += 1
-                deg[x] += 1
-                grow(r, vmask | (1 << x), emask | (1 << i), nedge + 1, ni, newly_banned)
-                deg[u] -= 1
-                deg[x] -= 1
-            newly_banned |= 1 << i
-
-    for r in range(n):
-        grow(r, 1 << r, 0, 0, 0, 0)
+    n, adj = g.n, g.adj
+    edge_bit = [[0] * n for _ in range(n)]
+    pair_bit = [[0] * n for _ in range(n)]
+    for i, (u, v) in enumerate(g.edges):
+        edge_bit[u][v] = 1 << i
+    for j, (u, v) in enumerate(pairs):
+        pair_bit[u][v] = 1 << j
+    # induced edges and covered pairs of every set, from the set without its
+    # lowest vertex
+    emask = [0] * (1 << n)
+    cover = [0] * (1 << n)
+    for s in range(1, 1 << n):
+        low = s & -s
+        v = low.bit_length() - 1
+        e, c = emask[s ^ low], cover[s ^ low]
+        row_e, row_c = edge_bit[v], pair_bit[v]
+        for u in _bits(s ^ low):
+            e |= row_e[u]
+            c |= row_c[u]
+        emask[s], cover[s] = e, c
+    out = []
+    for s in range(1, 1 << n):  # S for mc, I for tmc
+        size = s.bit_count()
+        if total:
+            if 2 * size > cap:
+                continue
+        elif not cover[s] or size - 2 > cap:
+            continue
+        if _reach(adj, (s & -s).bit_length() - 1, s) != s:
+            continue
+        if not total:
+            out.append((size - 2, emask[s], 0, s, cover[s]))
+            continue
+        around = 0
+        for v in _bits(s):
+            around |= adj[v]
+        around &= ~s
+        leaves = around
+        while leaves:
+            waste = 2 * size + leaves.bit_count() - 2
+            vmask = s | leaves
+            if waste <= cap and leaves & (leaves - 1) and cover[vmask]:
+                out.append((waste, emask[vmask], s, vmask, cover[vmask]))
+            leaves = (leaves - 1) & around
     out.sort()
     return out
 
@@ -265,19 +279,14 @@ def _count_lb_table(npairs: int, offset: int) -> list[int]:
     return need
 
 
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
-
-
 def _solve_cover(
     cands: list[tuple[int, int, int, int, int]],
     npairs: int,
     ub_waste: int,
-    use_internal_disjoint: bool,
-    use_simple: bool,
     count_offset: int,
 ) -> tuple[int, list[int] | None, int]:
-    """Branch-and-bound minimum-waste cover.
+    """Branch-and-bound minimum-waste cover by candidates with pairwise
+    disjoint edge masks and internal masks.
 
     Returns (best_waste, chosen candidate indices or None when nothing beat
     the incumbent upper bound, nodes explored).
@@ -301,7 +310,7 @@ def _solve_cover(
     best_pick: list[int] | None = None
     nodes = 0
 
-    def bb(covered: int, used_e: int, used_i: int, waste: int, vsets: list[int], pick: list[int]) -> None:
+    def bb(covered: int, used_e: int, used_i: int, waste: int, pick: list[int]) -> None:
         nonlocal best, best_pick, nodes
         nodes += 1
         unc = allp & ~covered
@@ -310,7 +319,7 @@ def _solve_cover(
                 best = waste
                 best_pick = pick.copy()
             return
-        lb = need[_popcount(unc)]
+        lb = need[unc.bit_count()]
         cc = unc
         while cc:
             b = cc & -cc
@@ -322,38 +331,39 @@ def _solve_cover(
             return
         j = (unc & -unc).bit_length() - 1
         for ci in by_pair[j]:
-            w, em, im, vm, cov = cands[ci]
+            w, em, im, _, cov = cands[ci]
             if waste + w >= best:
                 break
-            if em & used_e:
+            if em & used_e or im & used_i:
                 continue
-            if use_internal_disjoint and (im & used_i):
-                continue
-            if use_simple and any(_popcount(vm & pv) >= 2 for pv in vsets):
-                continue
-            vsets.append(vm)
             pick.append(ci)
-            bb(covered | cov, used_e | em, used_i | im, waste + w, vsets, pick)
+            bb(covered | cov, used_e | em, used_i | im, waste + w, pick)
             pick.pop()
-            vsets.pop()
 
-    bb(0, 0, 0, 0, [], [])
+    bb(0, 0, 0, 0, [])
     return best, best_pick, nodes
 
 
-def _bfs_spanning_tree(g: Graph) -> list[Edge]:
-    seen = 1
-    frontier = [0]
-    tree: list[Edge] = []
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in _bits(g.adj[u] & ~seen):
-                seen |= 1 << v
-                tree.append((u, v) if u < v else (v, u))
-                nxt.append(v)
-        frontier = nxt
-    return tree
+def _solve_tree_system(
+    g: Graph, total: bool, incumbent: Sequence[Edge], ub0: int
+) -> tuple[int, TreeSystem, int]:
+    """(minimum waste, witness system, nodes explored) for a connected
+    non-complete graph, starting from the spanning tree ``incumbent`` of
+    waste ``ub0``.  Each picked set S is realised as a BFS tree of G[I]
+    with every other vertex of S hung on its smallest neighbour in I (for
+    mc, I = S)."""
+    pairs = g.nonadjacent_pairs()
+    cands = _candidates(g, pairs, ub0 - 1, total)
+    # a tree of waste w spans at most w + 1 (tmc) or w + 2 (mc) vertices
+    best, pick, nodes = _solve_cover(cands, len(pairs), ub0, 1 if total else 2)
+    if pick is None:
+        trees = [_system_tree_from_edges(incumbent)]
+    else:
+        trees = []
+        for ci in pick:
+            _, _, inner, span, _ = cands[ci]
+            trees.append(_system_tree_from_edges(_tree_from_cds(g, inner or span, span)))
+    return best, TreeSystem(trees=tuple(sorted(trees, key=lambda t: t.edges))), nodes
 
 
 def _system_tree_from_edges(edges: Sequence[Edge]) -> SystemTree:
@@ -409,12 +419,13 @@ def _guard_exact(g: Graph, solver: str) -> None:
         )
 
 
-def tmc_exact(g: Graph) -> SolverReport:
+def tmc_exact(g: Graph, max_leaf: SpanningTreeResult | None = None) -> SolverReport:
     """Total monochromatic connection number with witness coloring.
 
-    Minimum-waste search over simple covering tree systems, seeded with the
-    single maximum-leaf spanning tree (waste n - 2 + q(G), the generic lower
-    bound m - n + 2 + l(G) on the value).
+    Minimum-waste search over covering systems of (S, I) candidates, seeded
+    with the single maximum-leaf spanning tree (waste n - 2 + q(G), the
+    generic lower bound m - n + 2 + l(G) on the value).  ``max_leaf`` is
+    max_leaf_exact(g) when the caller already has it.
     """
     if not is_connected(g):
         raise ValueError("disconnected")
@@ -428,41 +439,23 @@ def tmc_exact(g: Graph) -> SolverReport:
             witness_system=TreeSystem(trees=()),
         )
     _guard_exact(g, "tmc_exact")
-    ml = max_leaf_exact(g)
-    q = ml.internal_count
-    ub0 = g.n - 2 + q  # waste of the spanning-tree incumbent
-    pairs = g.nonadjacent_pairs()
-    pair_bits = [(1 << u) | (1 << v) for u, v in pairs]
-    cands = _useful_subtrees(g, pair_bits, cap=ub0 - 1, count_internal=True)
-    best, pick, nodes = _solve_cover(
-        cands, len(pairs), ub0,
-        use_internal_disjoint=True, use_simple=True, count_offset=1,
-    )
-    if pick is None:
-        system = TreeSystem(trees=(_system_tree_from_edges(ml.tree),))
-    else:
-        trees = []
-        for ci in pick:
-            _, emask, _, _, _ = cands[ci]
-            trees.append(_system_tree_from_edges([g.edges[i] for i in _bits(emask)]))
-        system = TreeSystem(trees=tuple(sorted(trees, key=lambda t: t.edges)))
-    value = g.m + g.n - best
-    report = SolverReport(
-        value=value,
+    ml = max_leaf if max_leaf is not None else max_leaf_exact(g)
+    best, system, nodes = _solve_tree_system(g, True, ml.tree, g.n - 2 + ml.internal_count)
+    return SolverReport(
+        value=g.m + g.n - best,
         witness=_coloring_from_system(g, system),
         nodes_explored=nodes,
         method="tree_system",
         bounds_used={"value_lower": g.m - g.n + 2 + ml.leaf_count, "value_upper": g.m + g.n},
         witness_system=system,
     )
-    return report
 
 
 def mc_exact(g: Graph) -> SolverReport:
     """Monochromatic connection number (edge colorings) with witness.
 
-    Same covering search without vertex bookkeeping: trees only need to be
-    edge-disjoint and waste counts edges - 1 per tree.
+    The same search over vertex sets S of waste |S| - 2, without internal
+    vertices, seeded with a BFS spanning tree (waste n - 2).
     """
     if not is_connected(g):
         raise ValueError("disconnected")
@@ -476,31 +469,15 @@ def mc_exact(g: Graph) -> SolverReport:
             bounds_used={"value_lower": g.m, "value_upper": g.m},
         )
     _guard_exact(g, "mc_exact")
-    span = _bfs_spanning_tree(g)
-    ub0 = g.n - 2
-    pairs = g.nonadjacent_pairs()
-    pair_bits = [(1 << u) | (1 << v) for u, v in pairs]
-    cands = _useful_subtrees(g, pair_bits, cap=ub0 - 1, count_internal=False)
-    best, pick, nodes = _solve_cover(
-        cands, len(pairs), ub0,
-        use_internal_disjoint=False, use_simple=False, count_offset=2,
-    )
-    if pick is None:
-        trees = [_system_tree_from_edges(span)]
-    else:
-        trees = []
-        for ci in pick:
-            _, emask, _, _, _ = cands[ci]
-            trees.append(_system_tree_from_edges([g.edges[i] for i in _bits(emask)]))
-        trees.sort(key=lambda t: t.edges)
-    value = g.m - best
+    full = (1 << g.n) - 1
+    best, system, nodes = _solve_tree_system(g, False, _tree_from_cds(g, full, full), g.n - 2)
     return SolverReport(
-        value=value,
-        witness=_edge_coloring_from_trees(g, trees),
+        value=g.m - best,
+        witness=_edge_coloring_from_trees(g, system.trees),
         nodes_explored=nodes,
         method="tree_system",
         bounds_used={"value_lower": g.m - g.n + 2, "value_upper": g.m},
-        witness_system=TreeSystem(trees=tuple(trees)),
+        witness_system=system,
     )
 
 
@@ -778,10 +755,6 @@ def bounds(g: Graph, mc: int | None = None, mvc: int | None = None) -> dict[str,
         "mvc_upper": g.n - d + 2,
         "sum_bound": (mc + mvc) if (mc is not None and mvc is not None) else None,
     }
-
-
-def witness_color_count(report: SolverReport) -> int:
-    return report.witness.color_count
 
 
 def reverify(g: Graph, report: SolverReport) -> bool:

@@ -4,14 +4,16 @@ Everything here recomputes results by a route different from the library
 implementation it checks: spanning trees by edge-subset enumeration instead
 of dominating-set search, path existence by explicit DFS instead of
 component closure, connectivity thresholds by vertex-cut enumeration instead
-of max-flow.
+of max-flow, covering tree systems by subtree enumeration instead of
+vertex-set candidates.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Sequence
 
-from monoconn.graphs import Graph, from_edge_list
+from monoconn.graphs import Graph, _bits, from_edge_list
 
 
 def spanning_trees(g: Graph):
@@ -166,3 +168,192 @@ def petersen() -> Graph:
     spokes = [(i, i + 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     return from_edge_list(10, outer + spokes + inner)
+
+
+# ---------------------------------------------------------------------------
+# Covering tree systems by subtree enumeration
+# ---------------------------------------------------------------------------
+
+def tree_system_reference(g: Graph, total: bool) -> int:
+    """tmc (``total``) or mc of a connected graph by minimum-waste search over
+    enumerated subtrees: edge-disjoint trees, and for tmc internal-disjoint
+    and pairwise sharing at most one vertex.  The incumbent is a spanning
+    tree with the fewest internal vertices (tmc) or any spanning tree (mc)."""
+    top = g.m + g.n if total else g.m
+    if g.is_complete():
+        return top
+    ub0 = g.n - 2 + (min_internal_oracle(g) if total else 0)
+    pairs = g.nonadjacent_pairs()
+    pair_bits = [(1 << u) | (1 << v) for u, v in pairs]
+    cands = _useful_subtrees(g, pair_bits, cap=ub0 - 1, count_internal=total)
+    best, _, _ = _solve_cover(
+        cands, len(pairs), ub0,
+        use_internal_disjoint=total, use_simple=total, count_offset=1 if total else 2,
+    )
+    return top - best
+
+
+def _useful_subtrees(
+    g: Graph, pair_bits: Sequence[int], cap: int, count_internal: bool
+) -> list[tuple[int, int, int, int, int]]:
+    """All subtrees with >= 2 edges, waste <= cap, containing a non-adjacent
+    pair, as (waste, emask, imask, vmask, cover) tuples.
+
+    Waste is edges-1+internals when ``count_internal`` else edges-1.  Trees
+    are enumerated once each: roots are minimum tree vertices, and at every
+    expansion step taking the i-th frontier edge permanently bans the earlier
+    ones (each target tree forces the minimum-index frontier choice, so it is
+    generated along exactly one branch).
+    """
+    n = g.n
+    edges = g.edges
+    incident: list[list[int]] = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(edges):
+        incident[u].append(i)
+        incident[v].append(i)
+    out: list[tuple[int, int, int, int, int]] = []
+    cover_cache: dict[int, int] = {}
+
+    def cover_of(vmask: int) -> int:
+        c = cover_cache.get(vmask)
+        if c is None:
+            c = 0
+            for j, pb in enumerate(pair_bits):
+                if vmask & pb == pb:
+                    c |= 1 << j
+            cover_cache[vmask] = c
+        return c
+
+    deg = [0] * n
+
+    def grow(r: int, vmask: int, emask: int, nedge: int, ninternal: int, banned: int) -> None:
+        if nedge >= 2:
+            waste = nedge - 1 + (ninternal if count_internal else 0)
+            cov = cover_of(vmask)
+            if cov and waste <= cap:
+                imask = 0
+                if count_internal:
+                    for v in _bits(vmask):
+                        if deg[v] >= 2:
+                            imask |= 1 << v
+                out.append((waste, emask, imask, vmask, cov))
+        # frontier: non-banned edges leaving vmask toward vertices >= r
+        frontier: list[tuple[int, int, int]] = []
+        mm = vmask
+        while mm:
+            b = mm & -mm
+            u = b.bit_length() - 1
+            mm ^= b
+            for i in incident[u]:
+                if (banned >> i) & 1 or (emask >> i) & 1:
+                    continue
+                a, c = edges[i]
+                x = c if a == u else a
+                if x >= r and not (vmask >> x) & 1:
+                    frontier.append((i, u, x))
+        frontier.sort()
+        newly_banned = banned
+        for i, u, x in frontier:
+            # waste after adding: edges+1-1 (+ internals), monotone in growth
+            ni = ninternal + (1 if deg[u] == 1 else 0)
+            w_next = nedge + (ni if count_internal else 0)
+            if w_next <= cap:
+                deg[u] += 1
+                deg[x] += 1
+                grow(r, vmask | (1 << x), emask | (1 << i), nedge + 1, ni, newly_banned)
+                deg[u] -= 1
+                deg[x] -= 1
+            newly_banned |= 1 << i
+
+    for r in range(n):
+        grow(r, 1 << r, 0, 0, 0, 0)
+    out.sort()
+    return out
+
+
+def _count_lb_table(npairs: int, offset: int) -> list[int]:
+    """need[u] = least total waste whose trees can cover u pairs
+    (one tree of waste w spans at most w+offset vertices)."""
+    need = [0] * (npairs + 1)
+    for u in range(1, npairs + 1):
+        b = 1
+        while (b + offset) * (b + offset - 1) // 2 < u:
+            b += 1
+        need[u] = b
+    return need
+
+
+def _popcount(x: int) -> int:
+    return bin(x).count("1")
+
+
+def _solve_cover(
+    cands: list[tuple[int, int, int, int, int]],
+    npairs: int,
+    ub_waste: int,
+    use_internal_disjoint: bool,
+    use_simple: bool,
+    count_offset: int,
+) -> tuple[int, list[int] | None, int]:
+    """Branch-and-bound minimum-waste cover.
+
+    Returns (best_waste, chosen candidate indices or None when nothing beat
+    the incumbent upper bound, nodes explored).
+    """
+    allp = (1 << npairs) - 1
+    by_pair: list[list[int]] = [[] for _ in range(npairs)]
+    for ci, (_, _, _, _, cov) in enumerate(cands):
+        cc = cov
+        while cc:
+            b = cc & -cc
+            by_pair[b.bit_length() - 1].append(ci)
+            cc ^= b
+    min_w = [
+        (cands[lst[0]][0] if lst else None) for lst in by_pair
+    ]
+    if any(w is None for w in min_w):
+        # some pair cannot be covered within the cap: incumbent is optimal
+        return ub_waste, None, 0
+    need = _count_lb_table(npairs, count_offset)
+    best = ub_waste
+    best_pick: list[int] | None = None
+    nodes = 0
+
+    def bb(covered: int, used_e: int, used_i: int, waste: int, vsets: list[int], pick: list[int]) -> None:
+        nonlocal best, best_pick, nodes
+        nodes += 1
+        unc = allp & ~covered
+        if not unc:
+            if waste < best:
+                best = waste
+                best_pick = pick.copy()
+            return
+        lb = need[_popcount(unc)]
+        cc = unc
+        while cc:
+            b = cc & -cc
+            w = min_w[b.bit_length() - 1]
+            if w > lb:
+                lb = w
+            cc ^= b
+        if waste + lb >= best:
+            return
+        j = (unc & -unc).bit_length() - 1
+        for ci in by_pair[j]:
+            w, em, im, vm, cov = cands[ci]
+            if waste + w >= best:
+                break
+            if em & used_e:
+                continue
+            if use_internal_disjoint and (im & used_i):
+                continue
+            if use_simple and any(_popcount(vm & pv) >= 2 for pv in vsets):
+                continue
+            vsets.append(vm)
+            pick.append(ci)
+            bb(covered | cov, used_e | em, used_i | im, waste + w, vsets, pick)
+            pick.pop()
+            vsets.pop()
+
+    bb(0, 0, 0, 0, [], [])
+    return best, best_pick, nodes

@@ -54,6 +54,12 @@ class TestCompute:
         code, _, err = run_cli(capsys, "compute", "/nonexistent/path.g6")
         assert code == 2
 
+    def test_bad_guard_setting_named(self, capsys, monkeypatch):
+        monkeypatch.setenv("MONO_MAX_EXACT_N", "abc")
+        code, _, err = run_cli(capsys, "compute", "Dhc", "--literal")
+        assert code == 2
+        assert "MONO_MAX_EXACT_N" in err and "'abc'" in err
+
 
 class TestConstructVerify:
     def test_construct_wheel_then_verify(self, tmp_path, capsys):

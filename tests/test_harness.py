@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -112,6 +113,18 @@ class TestCheckAll:
         rec = check_all(cycle_graph(11))
         assert set(rec.verdicts.values()) == {SKIPPED}
         assert rec.tmc is None
+
+    def test_out_of_range_skipped_before_exponential_work(self):
+        t0 = time.perf_counter()
+        rec = check_all(cycle_graph(40))
+        assert time.perf_counter() - t0 < 1.0
+        assert set(rec.verdicts.values()) == {SKIPPED}
+        assert rec.l is None
+
+    def test_complete_graph_past_guard_keeps_shortcut(self):
+        rec = check_all(complete_graph(11))
+        assert rec.tmc == 55 + 11 and rec.mc == 55 and rec.mvc == 11
+        assert SKIPPED not in rec.verdicts.values()
 
     def test_trivial_graph(self):
         rec = check_all(complete_graph(1))

@@ -27,7 +27,7 @@ from monoconn.solvers import (
     tmc_naive,
 )
 from conftest import random_connected
-from oracles import mvc_brute
+from oracles import mvc_brute, tree_system_reference
 
 
 class TestTmcExact:
@@ -252,6 +252,22 @@ class TestRelations:
                 if not is_connected(h):
                     continue
                 assert tmc_g >= (g.m - h.m) + tmc_exact(h).value
+
+
+class TestTreeSystemReference:
+    def test_vertex_set_search_matches_subtree_search_n7(self):
+        # validates the vertex-set reduction beyond the naive oracles' reach,
+        # on sparse to dense graphs
+        for seed in range(100):
+            g = random_connected(7, seed + 71, p=0.3 + 0.1 * (seed % 6))
+            assert tmc_exact(g).value == tree_system_reference(g, total=True), g.edges
+            assert mc_exact(g).value == tree_system_reference(g, total=False), g.edges
+
+    def test_precomputed_max_leaf_changes_nothing(self):
+        for seed in range(10):
+            g = random_connected(6, seed + 73)
+            a, b = tmc_exact(g), tmc_exact(g, max_leaf_exact(g))
+            assert a.value == b.value and a.witness == b.witness
 
 
 class TestBounds:
