@@ -58,7 +58,6 @@ from .harness import (
     TheoremCheckRecord,
     builtin_corpus,
     check_all,
-    check_corpus,
     diameter2_size_bound,
     hunt_tmc_le_mc,
     hunt_tmc_le_mvc,

@@ -234,15 +234,15 @@ def format_edgelist(g: Graph) -> str:
 
 def _reach(adj: Sequence[int], start: int, allowed: int) -> int:
     """Bitmask of vertices reachable from start inside the allowed mask."""
-    seen = 1 << start
-    frontier = seen
+    seen = frontier = 1 << start
     while frontier:
         nxt = 0
-        for v in _bits(frontier):
-            nxt |= adj[v]
-        nxt &= allowed & ~seen
-        seen |= nxt
-        frontier = nxt
+        while frontier:
+            b = frontier & -frontier
+            nxt |= adj[b.bit_length() - 1]
+            frontier ^= b
+        frontier = nxt & allowed & ~seen
+        seen |= frontier
     return seen
 
 
@@ -307,67 +307,78 @@ def has_cut_vertex(g: Graph) -> bool:
     return False
 
 
-def _local_vertex_connectivity(g: Graph, s: int, t: int) -> int:
-    """Maximum number of internally vertex-disjoint s-t paths (s,t non-adjacent).
+def _disjoint_paths(adj: Sequence[int], s: int, t: int, cap: int) -> int:
+    """min(cap, number of internally vertex-disjoint s-t paths), s and t non-adjacent.
 
-    Unit-capacity max-flow on the split digraph: every vertex other than s,t
-    becomes an in/out pair joined by a capacity-1 arc; each edge becomes a pair
-    of directed arcs of effectively infinite capacity.
+    Augmenting paths by BFS in the vertex-split residual graph, where each
+    vertex v other than s and t is an arc v_in -> v_out of capacity 1.  The
+    flow is kept as bitsets: ``nxt[v]``/``prv[v]`` hold the vertices that
+    flow leaves v for / enters v from, and ``used`` the saturated vertices.
     """
-    n = g.n
-    # node ids: out(v) = v, in(v) = v + n ; arcs via capacity dict
-    INF = n * n + 1
-    cap: dict[tuple[int, int], int] = {}
-
-    def add(a: int, b: int, c: int) -> None:
-        cap[(a, b)] = cap.get((a, b), 0) + c
-        cap.setdefault((b, a), 0)
-
-    for v in range(n):
-        if v != s and v != t:
-            add(v + n, v, 1)
-    for u, v in g.edges:
-        add(u, v + n if v not in (s, t) else v, INF)
-        add(v, u + n if u not in (s, t) else u, INF)
-    source, sink = s, t
-    adj_f: dict[int, list[int]] = {}
-    for (a, b) in cap:
-        adj_f.setdefault(a, []).append(b)
-    flow = 0
-    while True:
-        # BFS for an augmenting path
-        parent = {source: source}
-        queue = [source]
-        while queue and sink not in parent:
-            nxt = []
-            for a in queue:
-                for b in adj_f.get(a, ()):
-                    if b not in parent and cap[(a, b)] > 0:
-                        parent[b] = a
-                        nxt.append(b)
-            queue = nxt
-        if sink not in parent:
-            return flow
-        b = sink
-        while b != source:
-            a = parent[b]
-            cap[(a, b)] -= 1
-            cap[(b, a)] += 1
-            b = a
-        flow += 1
+    n = len(adj)
+    nxt, prv, used = [0] * n, [0] * n, 0
+    for flow in range(cap):
+        # layers[k] = (in-states, out-states) first reached in k steps from s_out
+        layers = [(0, 1 << s)]
+        seen_in = seen_out = 1 << s
+        while not (seen_in >> t) & 1:
+            f_in, f_out = layers[-1]
+            new_in, new_out = f_out & used, f_in & ~used
+            for v in _bits(f_out):
+                new_in |= adj[v]
+            for v in _bits(f_in & used):
+                new_out |= prv[v]
+            new_in &= ~seen_in
+            new_out &= ~seen_out
+            if not new_in | new_out:
+                return flow
+            seen_in |= new_in
+            seen_out |= new_out
+            layers.append((new_in, new_out))
+        # walk back from t_in, one layer per arc, pushing one unit along it
+        v, at_in, was_used = t, True, used
+        for f_in, f_out in reversed(layers[:-1]):
+            bit = 1 << v
+            if at_in and was_used & bit and f_out & bit:
+                used ^= bit                    # reverse v_out -> v_in
+            elif at_in:
+                u = (adj[v] & f_out).bit_length() - 1
+                nxt[u] |= bit                  # edge u_out -> v_in
+                prv[v] |= 1 << u
+                v = u
+            elif not was_used & bit:
+                used |= bit                    # split arc v_in -> v_out
+            else:
+                w = (nxt[v] & f_in).bit_length() - 1
+                nxt[v] ^= 1 << w               # cancel flow v -> w
+                prv[w] ^= bit
+                v = w
+            at_in = not at_in
+    return cap
 
 
 def vertex_connectivity(g: Graph) -> int:
-    """Minimum number of vertex deletions that disconnect the graph (n-1 for K_n)."""
-    if g.n <= 1:
-        return 0
-    if not is_connected(g):
+    """Minimum number of vertex deletions that disconnect the graph (n-1 for K_n).
+
+    Esfahanian & Hakimi (1984): for a minimum-degree vertex v, some minimum
+    cut either misses v, and so separates v from a non-neighbour, or contains
+    v, and so separates two non-adjacent neighbours of v.  Only those pairs
+    are flowed, each capped at the best cut so far, which starts at the
+    minimum degree.
+    """
+    n, adj = g.n, g.adj
+    if n <= 1 or not is_connected(g):
         return 0
     if g.is_complete():
-        return g.n - 1
-    return min(
-        _local_vertex_connectivity(g, u, v) for u, v in g.nonadjacent_pairs()
-    )
+        return n - 1
+    degs = g.degrees()
+    best = min(degs)
+    v = degs.index(best)
+    pairs = [(v, w) for w in _bits(((1 << n) - 1) & ~adj[v] & ~(1 << v))]
+    pairs += [(x, y) for x in _bits(adj[v]) for y in _bits(adj[v] & ~adj[x]) if x < y]
+    for s, t in pairs:
+        best = _disjoint_paths(adj, s, t, best)
+    return best
 
 
 @dataclass(frozen=True)
@@ -538,20 +549,7 @@ def connected_labeled_graphs(n: int) -> Iterator[Graph]:
                 u, v = allpairs[i]
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
-        # connectivity by bitset spread
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            mm = frontier
-            while mm:
-                b = mm & -mm
-                nxt |= adj[b.bit_length() - 1]
-                mm ^= b
-            nxt &= ~seen
-            seen |= nxt
-            frontier = nxt
-        if seen != full:
+        if _reach(adj, 0, full) != full:
             continue
         edges = tuple(allpairs[i] for i in range(npairs) if (mask >> i) & 1)
         yield Graph(n=n, edges=edges, adj=tuple(adj))

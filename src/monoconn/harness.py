@@ -21,6 +21,7 @@ from .graphs import (
     Graph,
     GraphConditionSet,
     _bits,
+    _reach,
     complement,
     connected_labeled_graphs,
     diameter,
@@ -83,16 +84,7 @@ def wheel_order(g: Graph) -> int | None:
         return None
     # rim must induce a single cycle: 2-regular and connected
     rim_mask = ((1 << n) - 1) & ~(1 << hub)
-    seen = 1 << rim[0]
-    frontier = seen
-    while frontier:
-        nxt = 0
-        for v in _bits(frontier):
-            nxt |= g.adj[v]
-        nxt &= rim_mask & ~seen
-        seen |= nxt
-        frontier = nxt
-    return n if seen == rim_mask else None
+    return n if _reach(g.adj, rim[0], rim_mask) == rim_mask else None
 
 
 def multipartite_sizes(g: Graph) -> list[int] | None:
@@ -106,16 +98,7 @@ def multipartite_sizes(g: Graph) -> list[int] | None:
     todo = full
     sizes = []
     while todo:
-        start = (todo & -todo).bit_length() - 1
-        seen = 1 << start
-        frontier = seen
-        while frontier:
-            nxt = 0
-            for v in _bits(frontier):
-                nxt |= comp.adj[v]
-            nxt &= ~seen
-            seen |= nxt
-            frontier = nxt
+        seen = _reach(comp.adj, (todo & -todo).bit_length() - 1, full)
         members = _bits(seen)
         for v in members:
             if (comp.adj[v] & seen) != seen ^ (1 << v):
@@ -295,11 +278,6 @@ def builtin_corpus(max_n: int) -> Iterator[Graph]:
         )
     for n in range(1, max_n + 1):
         yield from connected_labeled_graphs(n)
-
-
-def check_corpus(graphs: Iterable[Graph]) -> Iterator[TheoremCheckRecord]:
-    for g in graphs:
-        yield check_all(g)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@ Everything here recomputes results by a route different from the library
 implementation it checks: spanning trees by edge-subset enumeration instead
 of dominating-set search, path existence by explicit DFS instead of
 component closure, connectivity thresholds by vertex-cut enumeration instead
-of max-flow, covering tree systems by subtree enumeration instead of
-vertex-set candidates.
+of max-flow, vertex connectivity by dict max-flow over every non-adjacent
+pair instead of bitset augmenting paths over the Esfahanian-Hakimi pairs,
+covering tree systems by subtree enumeration instead of vertex-set
+candidates.
 """
 
 from __future__ import annotations
@@ -161,6 +163,71 @@ def k_connected_bf(g: Graph, k: int) -> bool:
             if not is_connected(sub):
                 return False
     return True
+
+
+def _local_vertex_connectivity(g: Graph, s: int, t: int) -> int:
+    """Maximum number of internally vertex-disjoint s-t paths (s,t non-adjacent).
+
+    Unit-capacity max-flow on the split digraph: every vertex other than s,t
+    becomes an in/out pair joined by a capacity-1 arc; each edge becomes a pair
+    of directed arcs of effectively infinite capacity.
+    """
+    n = g.n
+    # node ids: out(v) = v, in(v) = v + n ; arcs via capacity dict
+    INF = n * n + 1
+    cap: dict[tuple[int, int], int] = {}
+
+    def add(a: int, b: int, c: int) -> None:
+        cap[(a, b)] = cap.get((a, b), 0) + c
+        cap.setdefault((b, a), 0)
+
+    for v in range(n):
+        if v != s and v != t:
+            add(v + n, v, 1)
+    for u, v in g.edges:
+        add(u, v + n if v not in (s, t) else v, INF)
+        add(v, u + n if u not in (s, t) else u, INF)
+    source, sink = s, t
+    adj_f: dict[int, list[int]] = {}
+    for (a, b) in cap:
+        adj_f.setdefault(a, []).append(b)
+    flow = 0
+    while True:
+        # BFS for an augmenting path
+        parent = {source: source}
+        queue = [source]
+        while queue and sink not in parent:
+            nxt = []
+            for a in queue:
+                for b in adj_f.get(a, ()):
+                    if b not in parent and cap[(a, b)] > 0:
+                        parent[b] = a
+                        nxt.append(b)
+            queue = nxt
+        if sink not in parent:
+            return flow
+        b = sink
+        while b != source:
+            a = parent[b]
+            cap[(a, b)] -= 1
+            cap[(b, a)] += 1
+            b = a
+        flow += 1
+
+
+def vertex_connectivity_reference(g: Graph) -> int:
+    """Vertex connectivity by max-flow over every non-adjacent pair (n-1 for K_n)."""
+    from monoconn.graphs import is_connected
+
+    if g.n <= 1:
+        return 0
+    if not is_connected(g):
+        return 0
+    if g.is_complete():
+        return g.n - 1
+    return min(
+        _local_vertex_connectivity(g, u, v) for u, v in g.nonadjacent_pairs()
+    )
 
 
 def petersen() -> Graph:

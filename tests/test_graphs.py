@@ -1,3 +1,6 @@
+import time
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,7 +32,7 @@ from monoconn.graphs import (
     wheel_graph,
 )
 from conftest import random_connected
-from oracles import k_connected_bf, petersen
+from oracles import k_connected_bf, petersen, vertex_connectivity_reference
 
 
 class TestFromEdgeList:
@@ -176,6 +179,35 @@ class TestStructure:
                 assert k_connected_bf(g, k)
             assert not k_connected_bf(g, k + 1)
 
+    def test_vertex_connectivity_matches_reference(self):
+        graphs = []
+        for n in range(6):
+            pairs = list(combinations(range(n), 2))
+            graphs.extend(
+                from_edge_list(n, [e for i, e in enumerate(pairs) if (mask >> i) & 1])
+                for mask in range(1 << len(pairs))
+            )
+        for seed in range(300):
+            graphs.append(random_gnp(7 + seed % 10, (0.2, 0.5, 0.8, 0.95)[seed // 10 % 4], seed))
+        # vertex 0 is the unique minimum-degree vertex and the only cut vertex:
+        # only a pair of its neighbours exposes the cut
+        blocks = list(combinations(range(1, 7), 2)) + list(combinations(range(7, 13), 2))
+        graphs.append(from_edge_list(13, blocks + [(0, 1), (0, 2), (0, 7), (0, 8)]))
+        # the first augmenting 0-4 path is 0-1-2-3-4; the second must undo 1-2-3
+        graphs.append(from_edge_list(11, [
+            (0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (5, 6), (6, 7), (7, 3),
+            (1, 8), (8, 9), (9, 10), (10, 4),
+        ]))
+        for g in graphs:
+            assert vertex_connectivity(g) == vertex_connectivity_reference(g), to_graph6(g)
+
+    def test_vertex_connectivity_dense_without_blowup(self):
+        # a minimum cut of 12 or 27 vertices is out of reach of cut enumeration
+        t0 = time.perf_counter()
+        assert vertex_connectivity(complete_multipartite_graph([12, 12])) == 12
+        assert vertex_connectivity(complement(cycle_graph(30))) == 27
+        assert time.perf_counter() - t0 < 1.0
+
     def test_cut_vertex(self):
         assert has_cut_vertex(path_graph(3))
         assert not has_cut_vertex(cycle_graph(4))
@@ -186,8 +218,6 @@ class TestStructure:
         assert is_triangle_free(petersen())
 
     def test_triangle_free_matches_triple_enumeration(self):
-        from itertools import combinations
-
         for seed in range(25):
             g = random_gnp(6, 0.5, seed)
             brute = not any(
