@@ -6,19 +6,23 @@ qualifies unconditionally.  The edge variant constrains edges only, the
 vertex variant internal vertices only (hence any path of length <= 2 is
 automatically vertex-monochromatic).
 
-Verification never enumerates paths.  For each color actually used it builds
-the reachability structure of that color class once, then marks every vertex
-pair the class connects; a coloring is accepted when adjacency plus the union
-of per-color coverage hits all pairs.
+Verification never enumerates paths.  The three variants differ only in
+which parts of a path must share the color c, and one bitset kernel serves
+them all: a path of color c uses the edges of color c (every edge in the
+vertex variant) and passes through the vertices of color c (any vertex in
+the edge variant).  Each component of those vertices along those edges,
+closed by its neighbours along those edges, joins every pair inside it; a
+coloring is accepted when the components of all colors join every
+non-adjacent pair.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
-from .graphs import Graph, _bits
+from .graphs import Graph, _reach
 
 
 Edge = tuple[int, int]
@@ -68,14 +72,12 @@ def total_coloring(g: Graph, vertex_colors: Iterable[int], edge_colors: Mapping[
     if len(vcol) != g.n:
         raise ValueError(f"expected {g.n} vertex colors, got {len(vcol)}")
     if isinstance(edge_colors, Mapping):
-        ecol = { _norm_edge(*e): c for e, c in edge_colors.items() }
+        ecol = _check_edge_domain(g, edge_colors)
     else:
         seq = list(edge_colors)
         if len(seq) != g.m:
             raise ValueError(f"expected {g.m} edge colors, got {len(seq)}")
         ecol = dict(zip(g.edges, seq))
-    if set(ecol) != set(g.edges):
-        raise ValueError("edge color domain does not match the graph's edge set")
     if any(c < 0 for c in vcol) or any(c < 0 for c in ecol.values()):
         raise ValueError("color ids must be non-negative")
     return TotalColoring(vertex_color=vcol, edge_color=ecol)
@@ -88,52 +90,69 @@ def _check_edge_domain(g: Graph, ecol: Mapping[Edge, int]) -> dict[Edge, int]:
     return norm
 
 
-class _UnionFind:
-    def __init__(self, items: Iterable[int]):
-        self.parent = {x: x for x in items}
+def _first_gap(
+    n: int,
+    adj: Sequence[int],
+    edges: Sequence[Edge],
+    pairs: Sequence[Edge],
+    vcol: Sequence[int] | None,
+    ecol: Sequence[int] | None,
+) -> Edge | None:
+    """First pair of ``pairs``, non-adjacent vertex pairs, that no
+    monochromatic path joins, or None.
 
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
-def _pairs_mask_within(vmask: int) -> list[tuple[int, int]]:
-    vs = _bits(vmask)
-    return [(vs[i], vs[j]) for i in range(len(vs)) for j in range(i + 1, len(vs))]
-
-
-def _tmc_coverage(g: Graph, tc: TotalColoring) -> set[tuple[int, int]]:
-    """All vertex pairs joined by some total monochromatic path."""
-    covered: set[tuple[int, int]] = set(g.edges)
-    by_color: dict[int, list[Edge]] = {}
-    for e, c in tc.edge_color.items():
-        by_color.setdefault(c, []).append(e)
-    for c, es in by_color.items():
-        core = {v for v in range(g.n) if tc.vertex_color[v] == c}
-        uf = _UnionFind(core)
-        for u, v in es:
-            if u in core and v in core:
-                uf.union(u, v)
-        reach: dict[int, int] = {}
-        for v in core:
-            r = uf.find(v)
-            reach[r] = reach.get(r, 0) | (1 << v)
-        for u, v in es:
-            if u in core:
-                reach[uf.find(u)] |= 1 << v
-            if v in core:
-                reach[uf.find(v)] |= 1 << u
-        for vmask in reach.values():
-            covered.update(_pairs_mask_within(vmask))
-    return covered
+    ``ecol`` colors ``edges`` in order and ``vcol`` colors the vertices.  A
+    path of color c uses only edges of color c (every edge when ecol is
+    None) and has its internal vertices among those of color c (any vertex
+    when vcol is None).  Each component of those inner vertices, closed by
+    its neighbours along those edges, joins all of its pairs.
+    """
+    unc = (1 << len(pairs)) - 1
+    if not unc:
+        return None
+    if ecol is None:
+        layers = dict.fromkeys(vcol, adj)
+    else:
+        layers = {}
+        for (u, v), c in zip(edges, ecol):
+            a = layers.get(c)
+            if a is None:
+                a = layers[c] = [0] * n
+            a[u] |= 1 << v
+            a[v] |= 1 << u
+    # vertices a path of color c may pass through; without vertex colors,
+    # those touched by an edge of color c
+    inner_of: dict[int, int] = {}
+    if vcol is None:
+        for (u, v), c in zip(edges, ecol):
+            inner_of[c] = inner_of.get(c, 0) | (1 << u) | (1 << v)
+    else:
+        for v, c in enumerate(vcol):
+            inner_of[c] = inner_of.get(c, 0) | (1 << v)
+    for c, cadj in layers.items():
+        inner = inner_of.get(c, 0)
+        while inner:
+            s = (inner & -inner).bit_length() - 1
+            # a vertex with no inner neighbour is a component on its own
+            comp = _reach(cadj, s, inner) if cadj[s] & inner else 1 << s
+            inner ^= comp
+            closed = comp
+            while comp:
+                b = comp & -comp
+                closed |= cadj[b.bit_length() - 1]
+                comp ^= b
+            if closed.bit_count() < 3:
+                continue  # holds no non-adjacent pair
+            todo = unc
+            while todo:
+                b = todo & -todo
+                u, v = pairs[b.bit_length() - 1]
+                if closed >> u & closed >> v & 1:
+                    unc ^= b
+                todo ^= b
+            if not unc:
+                return None
+    return pairs[(unc & -unc).bit_length() - 1]
 
 
 def verify_tmc(g: Graph, tc: TotalColoring) -> tuple[bool, tuple[int, int] | None]:
@@ -141,72 +160,26 @@ def verify_tmc(g: Graph, tc: TotalColoring) -> tuple[bool, tuple[int, int] | Non
     uncovered pair (the lexicographically least)."""
     if len(tc.vertex_color) != g.n:
         raise ValueError("vertex color domain does not match the graph")
-    _check_edge_domain(g, tc.edge_color)
-    covered = _tmc_coverage(g, tc)
-    for p in g.nonadjacent_pairs():
-        if p not in covered:
-            return False, p
-    return True, None
+    ecol = _check_edge_domain(g, tc.edge_color)
+    gap = _first_gap(g.n, g.adj, g.edges, g.nonadjacent_pairs(), tc.vertex_color,
+                     [ecol[e] for e in g.edges])
+    return gap is None, gap
 
 
 def verify_mc(g: Graph, ec: EdgeColoring) -> tuple[bool, tuple[int, int] | None]:
     """Edge variant: a path qualifies when all its edges share one color."""
     ecol = _check_edge_domain(g, ec.edge_color)
-    covered: set[tuple[int, int]] = set(g.edges)
-    by_color: dict[int, list[Edge]] = {}
-    for e, c in ecol.items():
-        by_color.setdefault(c, []).append(e)
-    for es in by_color.values():
-        verts = set()
-        for u, v in es:
-            verts.add(u)
-            verts.add(v)
-        uf = _UnionFind(verts)
-        for u, v in es:
-            uf.union(u, v)
-        comp: dict[int, int] = {}
-        for v in verts:
-            r = uf.find(v)
-            comp[r] = comp.get(r, 0) | (1 << v)
-        for vmask in comp.values():
-            covered.update(_pairs_mask_within(vmask))
-    for p in g.nonadjacent_pairs():
-        if p not in covered:
-            return False, p
-    return True, None
+    gap = _first_gap(g.n, g.adj, g.edges, g.nonadjacent_pairs(), None,
+                     [ecol[e] for e in g.edges])
+    return gap is None, gap
 
 
 def verify_mvc(g: Graph, vc: VertexColoring) -> tuple[bool, tuple[int, int] | None]:
     """Vertex variant: internal vertices of the path must share one color."""
     if len(vc.vertex_color) != g.n:
         raise ValueError("vertex color domain does not match the graph")
-    covered: set[tuple[int, int]] = set(g.edges)
-    classes: dict[int, int] = {}
-    for v, c in enumerate(vc.vertex_color):
-        classes[c] = classes.get(c, 0) | (1 << v)
-    for cmask in classes.values():
-        # components of the induced class subgraph, then close by neighbours
-        todo = cmask
-        while todo:
-            start = (todo & -todo).bit_length() - 1
-            comp = 1 << start
-            frontier = comp
-            while frontier:
-                nxt = 0
-                for v in _bits(frontier):
-                    nxt |= g.adj[v]
-                nxt &= cmask & ~comp
-                comp |= nxt
-                frontier = nxt
-            todo &= ~comp
-            closed = comp
-            for v in _bits(comp):
-                closed |= g.adj[v]
-            covered.update(_pairs_mask_within(closed))
-    for p in g.nonadjacent_pairs():
-        if p not in covered:
-            return False, p
-    return True, None
+    gap = _first_gap(g.n, g.adj, g.edges, g.nonadjacent_pairs(), vc.vertex_color, None)
+    return gap is None, gap
 
 
 # ---------------------------------------------------------------------------
@@ -252,28 +225,22 @@ def analyze_color_classes(g: Graph, tc: TotalColoring) -> ColorClassReport:
         es = tuple(sorted(e for e, cc in tc.edge_color.items() if cc == c))
         vcolored = tuple(v for v in range(g.n) if tc.vertex_color[v] == c)
         vmask = 0
+        cadj = [0] * g.n
         deg: dict[int, int] = {}
         for u, v in es:
             vmask |= (1 << u) | (1 << v)
+            cadj[u] |= 1 << v
+            cadj[v] |= 1 << u
             deg[u] = deg.get(u, 0) + 1
             deg[v] = deg.get(v, 0) + 1
         for v in vcolored:
             vmask |= 1 << v
-        nverts = bin(vmask).count("1")
-        # a class is a tree when its subgraph is connected and acyclic
-        if nverts == 0:
-            is_tree = False  # empty class cannot arise (color came from somewhere)
-        else:
-            uf = _UnionFind(_bits(vmask))
-            acyclic = True
-            comps = nverts
-            for u, v in es:
-                if uf.find(u) == uf.find(v):
-                    acyclic = False
-                else:
-                    uf.union(u, v)
-                    comps -= 1
-            is_tree = acyclic and comps == 1
+        # a class (never empty: its color came from somewhere) is a tree when
+        # it is connected with one edge fewer than vertices
+        is_tree = (
+            _reach(cadj, (vmask & -vmask).bit_length() - 1, vmask) == vmask
+            and len(es) == vmask.bit_count() - 1
+        )
         internal = tuple(sorted(v for v, d in deg.items() if d >= 2))
         nontrivial = len(es) >= 2
         internal_ok = all(tc.vertex_color[v] == c for v in internal)

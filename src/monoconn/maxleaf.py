@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, _bits, is_connected
+from .graphs import Graph, _bits, _reach, is_connected
 
 
 @dataclass(frozen=True)
@@ -96,20 +96,7 @@ def minimum_connected_dominating_set(g: Graph) -> int:
 
     def feasible(mask: int) -> bool:
         # connected induced subgraph check
-        start = (mask & -mask).bit_length() - 1
-        seen = 1 << start
-        frontier = seen
-        while frontier:
-            nxt = 0
-            mm = frontier
-            while mm:
-                b = mm & -mm
-                nxt |= g.adj[b.bit_length() - 1]
-                mm ^= b
-            nxt &= mask & ~seen
-            seen |= nxt
-            frontier = nxt
-        return seen == mask
+        return _reach(g.adj, (mask & -mask).bit_length() - 1, mask) == mask
 
     def descend(idx: int, chosen: int, size: int, dominated: int) -> None:
         nonlocal best_mask, best_size

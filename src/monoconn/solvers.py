@@ -55,9 +55,10 @@ tmc by (ii)).  At the optimum each realised tree has internal set exactly I:
 a smaller internal set I' would make (S, I') a cheaper compatible candidate.
 
 The independent oracles tmc_naive and mc_naive maximize the color count
-directly over set partitions and validate the reformulation on small
-inputs; the test suite also checks the vertex-set search against an
-independent subtree-enumeration search on larger graphs.
+directly over set partitions, checking each with the verifiers' coverage
+kernel, and validate the reformulation on small inputs; the test suite also
+checks the vertex-set search against an independent subtree-enumeration
+search on larger graphs.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ from .coloring import (
     EdgeColoring,
     TotalColoring,
     VertexColoring,
+    _first_gap,
     verify_mc,
     verify_mvc,
     verify_tmc,
@@ -506,57 +508,6 @@ def _rgs_with_block_count(k: int, blocks: int) -> Iterator[tuple[int, ...]]:
     yield from rec(0, -1)
 
 
-def _fast_tmc_ok(n: int, adj: Sequence[int], edges: Sequence[Edge],
-                 pair_bits: Sequence[int], vcol: Sequence[int], ecol: Sequence[int]) -> bool:
-    """Lean total-monochromatic check used by the partition oracle."""
-    unc = (1 << len(pair_bits)) - 1
-    if not unc:
-        return True
-    for c in set(ecol):
-        tmask = 0
-        for v in range(n):
-            if vcol[v] == c:
-                tmask |= 1 << v
-        # grow color components: start from each colored-c edge
-        comps: list[int] = []
-        for (u, v), cc in zip(edges, ecol):
-            if cc != c:
-                continue
-            em = (1 << u) | (1 << v)
-            merged = em
-            keep = []
-            for comp in comps:
-                if comp & merged & tmask:
-                    merged |= comp
-                else:
-                    keep.append(comp)
-            keep.append(merged)
-            comps = keep
-        # two passes are enough only if merge order cooperates; iterate to fix
-        changed = True
-        while changed:
-            changed = False
-            out: list[int] = []
-            for comp in comps:
-                placed = False
-                for i, other in enumerate(out):
-                    if comp & other & tmask:
-                        out[i] |= comp
-                        placed = True
-                        changed = True
-                        break
-                if not placed:
-                    out.append(comp)
-            comps = out
-        for comp in comps:
-            for j, pb in enumerate(pair_bits):
-                if (unc >> j) & 1 and comp & pb == pb:
-                    unc &= ~(1 << j)
-        if not unc:
-            return True
-    return False
-
-
 def tmc_naive(g: Graph) -> SolverReport:
     """Definition-level tmc: maximize block count over partitions of the
     m + n items, checking each candidate for total monochromatic
@@ -569,14 +520,13 @@ def tmc_naive(g: Graph) -> SolverReport:
             f"tmc_naive accepts m + n <= {MAX_NAIVE_ITEMS}, got {items}"
         )
     pairs = g.nonadjacent_pairs()
-    pair_bits = [(1 << u) | (1 << v) for u, v in pairs]
     nodes = 0
     for blocks in range(items, 0, -1):
         for rgs in _rgs_with_block_count(items, blocks):
             nodes += 1
             vcol = rgs[: g.n]
             ecol = rgs[g.n:]
-            if _fast_tmc_ok(g.n, g.adj, g.edges, pair_bits, vcol, ecol):
+            if _first_gap(g.n, g.adj, g.edges, pairs, vcol, ecol) is None:
                 witness = TotalColoring(
                     vertex_color=tuple(vcol),
                     edge_color=dict(zip(g.edges, ecol)),
@@ -589,33 +539,6 @@ def tmc_naive(g: Graph) -> SolverReport:
                     bounds_used={"value_upper": items},
                 )
     raise AssertionError("single-block coloring must verify")  # pragma: no cover
-
-
-def _fast_mc_ok(edges: Sequence[Edge], pair_bits: Sequence[int], ecol: Sequence[int]) -> bool:
-    unc = (1 << len(pair_bits)) - 1
-    if not unc:
-        return True
-    for c in set(ecol):
-        comps: list[int] = []
-        for (u, v), cc in zip(edges, ecol):
-            if cc != c:
-                continue
-            merged = (1 << u) | (1 << v)
-            keep = []
-            for comp in comps:
-                if comp & merged:
-                    merged |= comp
-                else:
-                    keep.append(comp)
-            keep.append(merged)
-            comps = keep
-        for comp in comps:
-            for j, pb in enumerate(pair_bits):
-                if (unc >> j) & 1 and comp & pb == pb:
-                    unc &= ~(1 << j)
-        if not unc:
-            return True
-    return False
 
 
 def mc_naive(g: Graph) -> SolverReport:
@@ -632,12 +555,11 @@ def mc_naive(g: Graph) -> SolverReport:
             method="naive_partition",
         )
     pairs = g.nonadjacent_pairs()
-    pair_bits = [(1 << u) | (1 << v) for u, v in pairs]
     nodes = 0
     for blocks in range(g.m, 0, -1):
         for rgs in _rgs_with_block_count(g.m, blocks):
             nodes += 1
-            if _fast_mc_ok(g.edges, pair_bits, rgs):
+            if _first_gap(g.n, g.adj, g.edges, pairs, None, rgs) is None:
                 return SolverReport(
                     value=blocks,
                     witness=EdgeColoring(edge_color=dict(zip(g.edges, rgs))),
@@ -646,45 +568,6 @@ def mc_naive(g: Graph) -> SolverReport:
                     bounds_used={"value_upper": g.m},
                 )
     raise AssertionError("single-color edge coloring must verify")  # pragma: no cover
-
-
-def _fast_mvc_ok(n: int, adj: Sequence[int], pair_bits: Sequence[int], vcol: Sequence[int]) -> bool:
-    unc = (1 << len(pair_bits)) - 1
-    if not unc:
-        return True
-    for c in set(vcol):
-        cmask = 0
-        for v in range(n):
-            if vcol[v] == c:
-                cmask |= 1 << v
-        todo = cmask
-        while todo:
-            start = todo & -todo
-            comp = start
-            frontier = comp
-            while frontier:
-                nxt = 0
-                mm = frontier
-                while mm:
-                    b = mm & -mm
-                    nxt |= adj[b.bit_length() - 1]
-                    mm ^= b
-                nxt &= cmask & ~comp
-                comp |= nxt
-                frontier = nxt
-            todo &= ~comp
-            closed = comp
-            mm = comp
-            while mm:
-                b = mm & -mm
-                closed |= adj[b.bit_length() - 1]
-                mm ^= b
-            for j, pb in enumerate(pair_bits):
-                if (unc >> j) & 1 and closed & pb == pb:
-                    unc &= ~(1 << j)
-            if not unc:
-                return True
-    return False
 
 
 def mvc_exact(g: Graph) -> SolverReport:
@@ -710,12 +593,11 @@ def mvc_exact(g: Graph) -> SolverReport:
             f"mvc_exact enumerative path accepts n <= {MAX_MVC_ENUM_N}, got {g.n}"
         )
     pairs = g.nonadjacent_pairs()
-    pair_bits = [(1 << u) | (1 << v) for u, v in pairs]
     nodes = 0
     for blocks in range(min(g.n - d + 2, g.n), 0, -1):
         for rgs in _rgs_with_block_count(g.n, blocks):
             nodes += 1
-            if _fast_mvc_ok(g.n, g.adj, pair_bits, rgs):
+            if _first_gap(g.n, g.adj, g.edges, pairs, rgs, None) is None:
                 return SolverReport(
                     value=blocks,
                     witness=VertexColoring(vertex_color=rgs),

@@ -76,11 +76,11 @@ class TestVerifyTmc:
             vcol = [rng.randrange(ncolors) for _ in range(g.n)]
             ecol = {e: rng.randrange(ncolors) for e in g.edges}
             tc = TotalColoring(vertex_color=tuple(vcol), edge_color=ecol)
-            expected = all(
-                tm_path_exists(g, vcol, ecol, u, v)
-                for u, v in g.nonadjacent_pairs()
-            )
-            assert verify_tmc(g, tc)[0] == expected
+            gaps = [
+                p for p in g.nonadjacent_pairs()
+                if not tm_path_exists(g, vcol, ecol, *p)
+            ]
+            assert verify_tmc(g, tc) == (not gaps, gaps[0] if gaps else None)
 
     def test_merge_monotonicity(self):
         # merging two color classes keeps a valid coloring valid
@@ -122,11 +122,13 @@ class TestVerifyMc:
             g = random_connected(2 + seed % 5, seed + 21)
             rng = random.Random(seed)
             ecol = {e: rng.randrange(3) for e in g.edges}
-            expected = all(
-                mono_edge_path_exists(g, ecol, u, v)
-                for u, v in g.nonadjacent_pairs()
+            gaps = [
+                p for p in g.nonadjacent_pairs()
+                if not mono_edge_path_exists(g, ecol, *p)
+            ]
+            assert verify_mc(g, EdgeColoring(edge_color=ecol)) == (
+                not gaps, gaps[0] if gaps else None
             )
-            assert verify_mc(g, EdgeColoring(edge_color=ecol))[0] == expected
 
 
 class TestVerifyMvc:
@@ -151,11 +153,13 @@ class TestVerifyMvc:
             g = random_connected(2 + seed % 6, seed + 31)
             rng = random.Random(seed)
             vcol = tuple(rng.randrange(3) for _ in range(g.n))
-            expected = all(
-                mono_vertex_path_exists(g, vcol, u, v)
-                for u, v in g.nonadjacent_pairs()
+            gaps = [
+                p for p in g.nonadjacent_pairs()
+                if not mono_vertex_path_exists(g, vcol, *p)
+            ]
+            assert verify_mvc(g, VertexColoring(vertex_color=vcol)) == (
+                not gaps, gaps[0] if gaps else None
             )
-            assert verify_mvc(g, VertexColoring(vertex_color=vcol))[0] == expected
 
 
 class TestAnalyze:
@@ -184,6 +188,26 @@ class TestAnalyze:
         tc = TotalColoring(vertex_color=(4, 0, 5, 1), edge_color=ecol)
         rep = analyze_color_classes(g, tc)
         assert not rep.is_simple
+
+    def test_cycle_and_disconnected_classes_are_not_trees(self):
+        # color 0: triangle 0-1-2; color 1: edges 3-4 and 5-6; color 2:
+        # triangle 7-8-9 plus edge 3-5, disconnected with one edge fewer
+        # than vertices; every other item gets a fresh color
+        classes = {
+            0: [(0, 1), (1, 2), (0, 2)],
+            1: [(3, 4), (5, 6)],
+            2: [(7, 8), (8, 9), (7, 9), (3, 5)],
+        }
+        ecol = {e: c for c, es in classes.items() for e in es}
+        ecol.update({(2, 3): 3, (6, 7): 4})
+        g = from_edge_list(10, ecol)
+        tc = TotalColoring(vertex_color=tuple(range(5, 15)), edge_color=ecol)
+        rep = analyze_color_classes(g, tc)
+        by_color = {cl.color: cl for cl in rep.classes}
+        for c in classes:
+            assert by_color[c].is_tree is False
+            assert by_color[c].waste is None
+        assert all(cl.is_tree for cl in rep.classes if cl.color not in classes)
 
     def test_bookkeeping_identity_on_constructions(self):
         for seed in range(25):
