@@ -44,7 +44,7 @@ from .harness import (
     survey_random,
 )
 from .maxleaf import max_leaf_exact
-from .solvers import SolverRangeError, mc_exact, mvc_exact, tmc_exact
+from .solvers import SolverRangeError, _guard_exact, mc_exact, mvc_exact, tmc_exact
 
 
 def _read_text(path: str) -> str:
@@ -90,6 +90,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
         wanted = ["tmc", "mc", "mvc", "l"] if args.invariant == "all" else [args.invariant]
         for inv in wanted:
             if inv == "l":
+                _guard_exact(g, "max_leaf_exact")
                 res = max_leaf_exact(g)
                 rec["l"] = res.leaf_count
                 if args.witness:

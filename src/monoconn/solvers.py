@@ -54,6 +54,23 @@ systems and all systems, whose minima agree (for mc by the merge above, for
 tmc by (ii)).  At the optimum each realised tree has internal set exactly I:
 a smaller internal set I' would make (S, I') a cheaper compatible candidate.
 
+Dominance (tmc).  Call x in I removable when I - x is non-empty and
+connected, and give it the private set P_x = (N(I) - I) - N(I - x), the
+leaf choices adjacent to x alone in I.  If L misses some P_x, then
+(S, I - x) is also a candidate: I - x is connected and dominates L + x.  It
+has the same S, so the same edge mask and cover, a smaller internal set and
+one less waste, and swapping it in keeps any system valid and makes it
+cheaper.  Such a dominated (S, I) is never part of an optimum, so
+generation skips I when some removable x has P_x empty and otherwise emits
+only the L that meet every P_x.  The P_x are pairwise disjoint (a vertex of
+P_x has x as its only neighbour in I), so those L are one non-empty subset
+of each P_x plus any other vertices of N(I) - I.
+
+Branching.  Each node branches on the uncovered pair with the fewest
+candidates (ties to the lowest index).  Every cover covers that pair, and
+its candidate list is sorted by waste, so the search stops at the first
+candidate that cannot beat the incumbent.
+
 The independent oracles tmc_naive and mc_naive maximize the color count
 directly over set partitions, checking each with the verifiers' coverage
 kernel, and validate the reformulation on small inputs; the test suite also
@@ -151,31 +168,22 @@ class TreeSystem:
         for t in self.trees:
             if t.edge_count < 2:
                 raise ValueError("system tree with fewer than 2 edges")
-            deg: dict[int, int] = {}
-            verts: set[int] = set()
+            tadj = [0] * g.n
             for e in t.edges:
                 if e not in g.edges and (e[1], e[0]) not in g.edges:
                     raise ValueError(f"tree edge {e} not in graph")
                 if e in seen_edges:
                     raise ValueError(f"edge {e} reused across trees")
                 seen_edges.add(e)
-                deg[e[0]] = deg.get(e[0], 0) + 1
-                deg[e[1]] = deg.get(e[1], 0) + 1
-                verts.update(e)
+                tadj[e[0]] |= 1 << e[1]
+                tadj[e[1]] |= 1 << e[0]
+            verts = [v for v in range(g.n) if tadj[v]]
             if len(t.edges) != len(verts) - 1:
                 raise ValueError("system tree is not acyclic")
-            # connectivity of the tree
-            comp = {next(iter(verts))}
-            grew = True
-            while grew:
-                grew = False
-                for u, v in t.edges:
-                    if (u in comp) != (v in comp):
-                        comp.update((u, v))
-                        grew = True
-            if comp != verts:
+            span = sum(1 << v for v in verts)
+            if _reach(tadj, verts[0], span) != span:
                 raise ValueError("system tree is not connected")
-            internal = {v for v, d in deg.items() if d >= 2}
+            internal = {v for v in verts if tadj[v].bit_count() >= 2}
             if internal != set(t.internal_vertices):
                 raise ValueError("internal set does not match tree degrees")
             if require_internal_disjoint:
@@ -218,8 +226,10 @@ def _candidates(
     vmask is a connected vertex set S holding a non-adjacent pair, emask its
     induced edge set E(G[S]) and cover the pairs inside S.  For mc, waste is
     |S| - 2 and imask is 0.  For tmc, imask is a connected set I, S adds
-    to I a set L of at least two vertices of N(I) - I, and waste is
-    |S| - 2 + |I|.
+    to I a set L of at least two vertices of N(I) - I, waste is
+    |S| - 2 + |I|, and only non-dominated pairs are emitted: L meets the
+    private set (N(I) - I) - N(I - x) of every x whose removal leaves I
+    non-empty and connected.
     """
     n, adj = g.n, g.adj
     edge_bit = [[0] * n for _ in range(n)]
@@ -228,10 +238,11 @@ def _candidates(
         edge_bit[u][v] = 1 << i
     for j, (u, v) in enumerate(pairs):
         pair_bit[u][v] = 1 << j
-    # induced edges and covered pairs of every set, from the set without its
-    # lowest vertex
+    # induced edges, covered pairs and neighbourhood of every set, from the
+    # set without its lowest vertex
     emask = [0] * (1 << n)
     cover = [0] * (1 << n)
+    nbr = [0] * (1 << n)
     for s in range(1, 1 << n):
         low = s & -s
         v = low.bit_length() - 1
@@ -241,6 +252,8 @@ def _candidates(
             e |= row_e[u]
             c |= row_c[u]
         emask[s], cover[s] = e, c
+        nbr[s] = nbr[s ^ low] | adj[v]
+    connected = bytearray(1 << n)
     out = []
     for s in range(1, 1 << n):  # S for mc, I for tmc
         size = s.bit_count()
@@ -254,17 +267,37 @@ def _candidates(
         if not total:
             out.append((size - 2, emask[s], 0, s, cover[s]))
             continue
-        around = 0
-        for v in _bits(s):
-            around |= adj[v]
-        around &= ~s
-        leaves = around
-        while leaves:
-            waste = 2 * size + leaves.bit_count() - 2
-            vmask = s | leaves
-            if waste <= cap and leaves & (leaves - 1) and cover[vmask]:
-                out.append((waste, emask[vmask], s, vmask, cover[vmask]))
-            leaves = (leaves - 1) & around
+        connected[s] = 1
+        around = nbr[s] & ~s
+        # connected[] already holds every smaller set.  The private sets are
+        # disjoint, so L is one non-empty subset of each plus any other
+        # vertices of N(I) - I, and has at least len(private) vertices.
+        private = [
+            around & ~nbr[s ^ (1 << v)] for v in _bits(s) if connected[s ^ (1 << v)]
+        ]
+        if not all(private) or 2 * size + max(len(private), 2) - 2 > cap:
+            continue
+        free, hits = around, [0]
+        for p in private:
+            free &= ~p
+            more = []
+            for h in hits:
+                sub = p
+                while sub:
+                    more.append(h | sub)
+                    sub = (sub - 1) & p
+            hits = more
+        for h in hits:
+            rest = free
+            while True:
+                leaves = h | rest
+                waste = 2 * size + leaves.bit_count() - 2
+                vmask = s | leaves
+                if waste <= cap and leaves & (leaves - 1) and cover[vmask]:
+                    out.append((waste, emask[vmask], s, vmask, cover[vmask]))
+                if not rest:
+                    break
+                rest = (rest - 1) & free
     out.sort()
     return out
 
@@ -307,6 +340,8 @@ def _solve_cover(
     if any(w is None for w in min_w):
         # some pair cannot be covered within the cap: incumbent is optimal
         return ub_waste, None, 0
+    count = [len(lst) for lst in by_pair]
+    most = len(cands) + 1
     need = _count_lb_table(npairs, count_offset)
     best = ub_waste
     best_pick: list[int] | None = None
@@ -322,16 +357,20 @@ def _solve_cover(
                 best_pick = pick.copy()
             return
         lb = need[unc.bit_count()]
+        # branch on the uncovered pair with the fewest candidates
+        j, fewest = -1, most
         cc = unc
         while cc:
             b = cc & -cc
-            w = min_w[b.bit_length() - 1]
+            k = b.bit_length() - 1
+            w = min_w[k]
             if w > lb:
                 lb = w
+            if count[k] < fewest:
+                j, fewest = k, count[k]
             cc ^= b
         if waste + lb >= best:
             return
-        j = (unc & -unc).bit_length() - 1
         for ci in by_pair[j]:
             w, em, im, _, cov = cands[ci]
             if waste + w >= best:
@@ -413,8 +452,9 @@ def _edge_coloring_from_trees(g: Graph, trees: Sequence[SystemTree]) -> EdgeColo
 
 
 def _guard_exact(g: Graph, solver: str) -> None:
+    """Refuse a non-complete graph with more than max_exact_n() vertices."""
     limit = max_exact_n()
-    if g.n > limit:
+    if g.n > limit and not g.is_complete():
         raise SolverRangeError(
             f"exact solver out of range: {solver} accepts n <= {limit} "
             f"(override with MONO_MAX_EXACT_N), got n = {g.n}"
@@ -611,7 +651,8 @@ def mvc_exact(g: Graph) -> SolverReport:
 def bounds(g: Graph, mc: int | None = None, mvc: int | None = None) -> dict[str, int | None]:
     """Named bounds: tmc_lower m-n+2+l, tmc_upper (m+n for complete, else
     mc + l when mc is supplied), mvc bounds l+1 and n-d+2, and the sum bound
-    mc + mvc when both are supplied."""
+    mc + mvc when both are supplied.  l is exact, so a non-complete graph
+    past max_exact_n() raises SolverRangeError."""
     if not is_connected(g):
         raise ValueError("disconnected")
     if g.n == 1:
@@ -620,6 +661,7 @@ def bounds(g: Graph, mc: int | None = None, mvc: int | None = None) -> dict[str,
             "mvc_lower": 1, "mvc_upper": 1,
             "sum_bound": None,
         }
+    _guard_exact(g, "bounds")
     ml = max_leaf_exact(g)
     l = ml.leaf_count
     d = diameter(g)

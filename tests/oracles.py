@@ -7,7 +7,8 @@ component closure, connectivity thresholds by vertex-cut enumeration instead
 of max-flow, vertex connectivity by dict max-flow over every non-adjacent
 pair instead of bitset augmenting paths over the Esfahanian-Hakimi pairs,
 covering tree systems by subtree enumeration instead of vertex-set
-candidates.
+candidates, non-dominated tmc candidates by enumerating every (S, I) and
+dropping those with a cheaper (S, I - x) instead of private leaf sets.
 """
 
 from __future__ import annotations
@@ -424,3 +425,59 @@ def _solve_cover(
 
     bb(0, 0, 0, 0, [], [])
     return best, best_pick, nodes
+
+
+def tmc_candidates_reference(
+    g: Graph, pairs: Sequence[tuple[int, int]], cap: int
+) -> list[tuple[int, int, int, int, int]]:
+    """Non-dominated tmc candidates as sorted (waste, emask, imask, vmask,
+    cover) tuples.
+
+    Enumerates every (S, I) with I connected, S - I a set of at least two
+    vertices adjacent to I, a non-adjacent pair inside S and waste
+    |S| - 2 + |I| <= cap; then drops each (S, I) for which some (S, I - x),
+    x in I, is also among them."""
+    n = g.n
+
+    def connected(vs: set[int]) -> bool:
+        start = next(iter(vs))
+        seen, stack = {start}, [start]
+        while stack:
+            u = stack.pop()
+            for w in range(n):
+                if w in vs and w not in seen and (g.adj[u] >> w) & 1:
+                    seen.add(w)
+                    stack.append(w)
+        return seen == vs
+
+    def mask(vs) -> int:
+        return sum(1 << v for v in vs)
+
+    # induced edges and covered pairs of every vertex set
+    inside = {}
+    for k in range(n + 1):
+        for vs in combinations(range(n), k):
+            inside[mask(vs)] = (
+                mask(i for i, (u, v) in enumerate(g.edges) if u in vs and v in vs),
+                mask(j for j, (u, v) in enumerate(pairs) if u in vs and v in vs),
+            )
+    every = []
+    for k in range(1, n + 1):
+        for inner in combinations(range(n), k):
+            if not connected(set(inner)):
+                continue
+            around = [
+                w for w in range(n)
+                if w not in inner and any((g.adj[v] >> w) & 1 for v in inner)
+            ]
+            for size in range(2, min(len(around), cap + 2 - 2 * k) + 1):
+                for leaves in combinations(around, size):
+                    vmask = mask(inner) | mask(leaves)
+                    emask, cover = inside[vmask]
+                    if cover:
+                        every.append((2 * k + size - 2, emask, mask(inner), vmask, cover))
+    keys = {(vmask, imask) for _, _, imask, vmask, _ in every}
+    return sorted(
+        c for c in every
+        if not any((c[3], c[2] & ~(1 << x)) in keys for x in _bits(c[2]))
+    )

@@ -15,8 +15,10 @@ pins the violating sets exactly.  See notes in the README.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations, product
 
 import pytest
@@ -160,6 +162,21 @@ def sweep() -> SweepData:
                 except ValueError as exc:
                     system_failures.append((rec.graph6, kind, str(exc)))
     return SweepData(records, integrity_failures, system_failures, count)
+
+
+# sha256 of the sweep records, one sorted-key JSON line each without
+# elapsed_ms; any change to a value, verdict or condition flag moves it
+SWEEP_DIGEST = "c4ebb6fd86ecd820fe9af81672b3d75a18af6d3c7631fb211c0197a02e58a0a8"
+
+
+def test_sweep_records_match_golden_digest(sweep):
+    h = hashlib.sha256()
+    for rec in sweep.records:
+        row = asdict(rec)
+        del row["elapsed_ms"]
+        h.update((json.dumps(row, sort_keys=True) + "\n").encode())
+    assert len(sweep.records) == 27476
+    assert h.hexdigest() == SWEEP_DIGEST
 
 
 @pytest.mark.parametrize("key", CHECK_KEYS)

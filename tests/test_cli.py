@@ -3,7 +3,7 @@ import json
 import pytest
 
 from monoconn.cli import main
-from monoconn.graphs import format_edgelist, to_graph6, wheel_graph
+from monoconn.graphs import format_edgelist, path_graph, to_graph6, wheel_graph
 
 
 def run_cli(capsys, *argv):
@@ -53,6 +53,12 @@ class TestCompute:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "compute", "/nonexistent/path.g6")
         assert code == 2
+
+    def test_max_leaf_past_guard_refused(self, capsys):
+        g6 = to_graph6(path_graph(12))
+        code, out, err = run_cli(capsys, "compute", g6, "--literal", "--invariant", "l")
+        assert code == 2 and out == ""
+        assert "max_leaf_exact accepts n <= 9" in err and "got n = 12" in err
 
     def test_bad_guard_setting_named(self, capsys, monkeypatch):
         monkeypatch.setenv("MONO_MAX_EXACT_N", "abc")

@@ -1,5 +1,7 @@
 import itertools
+import time
 
+import networkx as nx
 import pytest
 
 from monoconn.coloring import verify_mc, verify_mvc, verify_tmc
@@ -18,6 +20,9 @@ from monoconn.graphs import (
 from monoconn.maxleaf import max_leaf_exact
 from monoconn.solvers import (
     SolverRangeError,
+    SystemTree,
+    TreeSystem,
+    _candidates,
     bounds,
     mc_exact,
     mc_naive,
@@ -27,7 +32,7 @@ from monoconn.solvers import (
     tmc_naive,
 )
 from conftest import random_connected
-from oracles import mvc_brute, tree_system_reference
+from oracles import mvc_brute, tmc_candidates_reference, tree_system_reference
 
 
 class TestTmcExact:
@@ -263,6 +268,13 @@ class TestTreeSystemReference:
             assert tmc_exact(g).value == tree_system_reference(g, total=True), g.edges
             assert mc_exact(g).value == tree_system_reference(g, total=False), g.edges
 
+    def test_vertex_set_search_matches_subtree_search_dense_n8(self):
+        # dense graphs are where dominance and branching prune the most
+        for seed in range(8):
+            g = random_connected(8, seed + 83, p=(0.7, 0.85)[seed % 2])
+            assert tmc_exact(g).value == tree_system_reference(g, total=True), g.edges
+            assert mc_exact(g).value == tree_system_reference(g, total=False), g.edges
+
     def test_precomputed_max_leaf_changes_nothing(self):
         for seed in range(10):
             g = random_connected(6, seed + 73)
@@ -270,7 +282,45 @@ class TestTreeSystemReference:
             assert a.value == b.value and a.witness == b.witness
 
 
+class TestCandidates:
+    @staticmethod
+    def graphs():
+        yield from (g for n in range(1, 6) for g in connected_labeled_graphs(n))
+        for h in nx.graph_atlas_g():  # one graph per isomorphism class
+            if h.number_of_nodes() == 6 and nx.is_connected(h):
+                yield from_edge_list(6, h.edges())
+        for seed in range(6):
+            yield random_connected(8, seed + 91, p=0.3 + 0.1 * seed)
+
+    def test_tmc_candidates_are_the_non_dominated_ones(self):
+        checked = 0
+        for g in self.graphs():
+            pairs = g.nonadjacent_pairs()
+            for cap in (g.n - 2, 2 * g.n - 4):
+                got = _candidates(g, pairs, cap, True)
+                assert got == tmc_candidates_reference(g, pairs, cap), (g.edges, cap)
+                checked += len(got)
+        assert checked > 0
+
+
+class TestTreeSystemValidate:
+    def test_disconnected_tree_with_one_edge_fewer_than_vertices(self):
+        # a triangle plus a disjoint edge passes the edge count, not connectivity
+        edges = ((0, 1), (0, 2), (1, 2), (3, 4))
+        g = from_edge_list(5, edges)
+        system = TreeSystem(trees=(SystemTree(edges=edges, internal_vertices=(0, 1, 2)),))
+        with pytest.raises(ValueError, match="not connected"):
+            system.validate(g)
+
+
 class TestBounds:
+    def test_guard(self):
+        t0 = time.perf_counter()
+        with pytest.raises(SolverRangeError, match="bounds accepts n <= 9"):
+            bounds(cycle_graph(40))
+        assert time.perf_counter() - t0 < 1.0
+        assert bounds(complete_graph(12))["tmc_upper"] == 66 + 12
+
     def test_c5(self):
         b = bounds(cycle_graph(5))
         assert b["tmc_lower"] == 4 and b["mvc_upper"] == 5
