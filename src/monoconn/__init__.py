@@ -74,11 +74,9 @@ from .solvers import (
     TreeSystem,
     bounds,
     mc_exact,
-    mc_naive,
     mvc_exact,
     reverify,
     tmc_exact,
-    tmc_naive,
 )
 
 __version__ = "0.1.0"

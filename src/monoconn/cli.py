@@ -31,6 +31,8 @@ from .constructions import (
 from .graphs import (
     Graph,
     GraphFormatError,
+    diameter,
+    is_connected,
     iter_graph6_lines,
     parse_edgelist,
     parse_graph6,
@@ -84,20 +86,32 @@ def _emit(obj: dict) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
+def _needs_max_leaf(g: Graph, inv: str) -> bool:
+    """Whether ``inv`` uses a max-leaf tree: l always; tmc and mvc unless
+    their complete or diameter-2 shortcut applies, or the graph is
+    disconnected, which the solver reports."""
+    if inv == "l":
+        return True
+    if inv == "mc" or not is_connected(g):
+        return False
+    return not g.is_complete() if inv == "tmc" else diameter(g) > 2
+
+
 def cmd_compute(args: argparse.Namespace) -> int:
     for g in _load_graphs(args.input, args.literal):
         rec: dict = {"graph6": to_graph6(g), "n": g.n, "m": g.m}
         wanted = ["tmc", "mc", "mvc", "l"] if args.invariant == "all" else [args.invariant]
+        ml = None  # one max-leaf tree per graph, shared by l, tmc and mvc
         for inv in wanted:
+            if ml is None and _needs_max_leaf(g, inv):
+                _guard_exact(g, "max_leaf_exact" if inv == "l" else f"{inv}_exact")
+                ml = max_leaf_exact(g)
             if inv == "l":
-                _guard_exact(g, "max_leaf_exact")
-                res = max_leaf_exact(g)
-                rec["l"] = res.leaf_count
+                rec["l"] = ml.leaf_count
                 if args.witness:
-                    rec["l_tree"] = [list(e) for e in res.tree]
+                    rec["l_tree"] = [list(e) for e in ml.tree]
                 continue
-            solver = {"tmc": tmc_exact, "mc": mc_exact, "mvc": mvc_exact}[inv]
-            rep = solver(g)
+            rep = mc_exact(g) if inv == "mc" else {"tmc": tmc_exact, "mvc": mvc_exact}[inv](g, ml)
             rec[inv] = rep.value
             rec[f"{inv}_method"] = rep.method
             if args.witness:

@@ -34,7 +34,7 @@ from .graphs import (
 )
 from .maxleaf import max_leaf_exact
 from .solvers import (
-    SolverRangeError,
+    _guard_exact,
     max_exact_n,
     mc_exact,
     mvc_exact,
@@ -184,16 +184,9 @@ def check_all_detailed(g: Graph):
     d = diameter(g)
     delta = max_degree(g)
     verdicts: dict[str, str] = {}
-    # every guard fires before any exponential work: tmc_exact and mc_exact
-    # refuse non-complete graphs past max_exact_n(), and mvc_exact refuses
-    # before it enumerates
-    skipped = n > max_exact_n() and not g.is_complete()
-    if not skipped:
-        try:
-            rep_mvc = mvc_exact(g)
-        except SolverRangeError:
-            skipped = True
-    if skipped:
+    # the solvers refuse non-complete graphs past max_exact_n(): decide that
+    # before any exponential work
+    if n > max_exact_n() and not g.is_complete():
         verdicts = {k: SKIPPED for k in CHECK_KEYS}
         return TheoremCheckRecord(
             graph6=to_graph6(g), n=n, m=m, l=None, diameter=d, max_degree=delta,
@@ -203,6 +196,7 @@ def check_all_detailed(g: Graph):
     l, q, ml = _leaf_stats(g)
     rep_tmc = tmc_exact(g, ml)
     rep_mc = mc_exact(g)
+    rep_mvc = mvc_exact(g, ml)
     tmc, mc, mvc = rep_tmc.value, rep_mc.value, rep_mvc.value
     identity = m - n + 2 + l
 
@@ -380,8 +374,10 @@ def hunt_tmc_le_mvc(graphs: Iterable[Graph]) -> list[Finding]:
     for g in graphs:
         if g.n < 6 or is_star(g) or not is_connected(g):
             continue
-        tmc = tmc_exact(g).value
-        mvc = mvc_exact(g).value
+        _guard_exact(g, "hunt_tmc_le_mvc")
+        ml = max_leaf_exact(g)
+        tmc = tmc_exact(g, ml).value
+        mvc = mvc_exact(g, ml).value
         if tmc <= mvc:
             findings.append(
                 Finding(

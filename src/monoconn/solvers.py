@@ -71,24 +71,42 @@ candidates (ties to the lowest index).  Every cover covers that pair, and
 its candidate list is sorted by waste, so the search stops at the first
 candidate that cannot beat the incumbent.
 
-The independent oracles tmc_naive and mc_naive maximize the color count
-directly over set partitions, checking each with the verifiers' coverage
-kernel, and validate the reformulation on small inputs; the test suite also
-checks the vertex-set search against an independent subtree-enumeration
-search on larger graphs.
+mvc.  A vertex coloring joins u and v when some u-v path has all its inner
+vertices in one color.  Pairs at distance <= 2 always are, so only the pairs
+at distance >= 3 count.  A path's inner vertices induce a connected graph,
+so giving each component of a color class its own color loses no path: some
+optimal coloring has connected classes.  A connected class I then joins u
+and v exactly when both lie in N[I] (step from u into I, cross G[I], step
+out to v), which for a pair at distance >= 3 needs |I| >= 2.  Hence
+mvc(G) = n - min sum(|I_j| - 1) over pairwise disjoint connected sets I_j
+such that every pair at distance >= 3 lies inside some N[I_j]: the same
+cover search, with candidates (|I| - 1, no edges, I) and disjoint I.  The
+incumbent is the internal set of a max-leaf tree, a connected dominating
+set of q vertices; its waste q - 1 gives the known bound mvc >= l + 1.
+At the root, a diametral pair needs an I holding a path between the
+neighbourhoods of its ends, so its cheapest candidate already gives the
+bound d - 2 (mvc <= n - d + 2).  The count bound does not carry over: one
+set I covers pairs anywhere in N[I], not only among the |I| + 1 vertices a
+tree of the same waste spans, so mvc searches with count offset n, where
+the bound is the one unit of waste every candidate costs.
+
+Independent references live in tests/oracles.py: definition-level partition
+searches (tmc_naive, mc_naive, mvc_partition_reference) that maximize the
+color count and check each partition with the verifiers' coverage kernel,
+and a subtree-enumeration search that checks the vertex-set search on
+larger graphs.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .coloring import (
     EdgeColoring,
     TotalColoring,
     VertexColoring,
-    _first_gap,
     verify_mc,
     verify_mvc,
     verify_tmc,
@@ -99,9 +117,6 @@ from .maxleaf import SpanningTreeResult, _tree_from_cds, max_leaf_exact
 Edge = tuple[int, int]
 
 DEFAULT_MAX_EXACT_N = 9
-MAX_NAIVE_ITEMS = 12
-MAX_NAIVE_EDGES = 10
-MAX_MVC_ENUM_N = 10
 
 
 class SolverRangeError(RuntimeError):
@@ -208,7 +223,7 @@ class SolverReport:
     value: int
     witness: TotalColoring | EdgeColoring | VertexColoring
     nodes_explored: int
-    method: str  # "tree_system" | "naive_partition" | "shortcut"
+    method: str  # "tree_system" | "shortcut"
     bounds_used: dict[str, int] = field(default_factory=dict)
     witness_system: TreeSystem | None = None
 
@@ -218,18 +233,19 @@ class SolverReport:
 # ---------------------------------------------------------------------------
 
 def _candidates(
-    g: Graph, pairs: Sequence[Edge], cap: int, total: bool
+    g: Graph, pairs: Sequence[Edge], cap: int, variant: str
 ) -> list[tuple[int, int, int, int, int]]:
     """Every candidate of waste <= cap as a (waste, emask, imask, vmask,
-    cover) tuple, sorted.
+    cover) tuple, sorted; ``variant`` is "mc", "tmc" or "mvc".
 
-    vmask is a connected vertex set S holding a non-adjacent pair, emask its
-    induced edge set E(G[S]) and cover the pairs inside S.  For mc, waste is
-    |S| - 2 and imask is 0.  For tmc, imask is a connected set I, S adds
-    to I a set L of at least two vertices of N(I) - I, waste is
-    |S| - 2 + |I|, and only non-dominated pairs are emitted: L meets the
-    private set (N(I) - I) - N(I - x) of every x whose removal leaves I
-    non-empty and connected.
+    For mc, vmask is a connected vertex set S holding one of ``pairs``,
+    emask its induced edge set E(G[S]), cover the pairs inside S, waste
+    |S| - 2 and imask 0.  For tmc, imask is a connected set I, S adds to I
+    a set L of at least two vertices of N(I) - I, waste is |S| - 2 + |I|,
+    and only non-dominated pairs are emitted: L meets the private set
+    (N(I) - I) - N(I - x) of every x whose removal leaves I non-empty and
+    connected.  For mvc, imask and vmask are a connected set I, emask is 0,
+    cover the pairs inside N[I] and waste |I| - 1.
     """
     n, adj = g.n, g.adj
     edge_bit = [[0] * n for _ in range(n)]
@@ -238,34 +254,40 @@ def _candidates(
         edge_bit[u][v] = 1 << i
     for j, (u, v) in enumerate(pairs):
         pair_bit[u][v] = 1 << j
-    # induced edges, covered pairs and neighbourhood of every set, from the
-    # set without its lowest vertex
+    # induced edges, covered pairs and neighbourhood of every set: a pair
+    # inside S misses its lowest vertex v or its next vertex u, or is (v, u)
     emask = [0] * (1 << n)
     cover = [0] * (1 << n)
     nbr = [0] * (1 << n)
     for s in range(1, 1 << n):
         low = s & -s
+        rest = s ^ low
         v = low.bit_length() - 1
-        e, c = emask[s ^ low], cover[s ^ low]
-        row_e, row_c = edge_bit[v], pair_bit[v]
-        for u in _bits(s ^ low):
-            e |= row_e[u]
-            c |= row_c[u]
-        emask[s], cover[s] = e, c
-        nbr[s] = nbr[s ^ low] | adj[v]
+        nbr[s] = nbr[rest] | adj[v]
+        if rest:
+            nxt = rest & -rest
+            u = nxt.bit_length() - 1
+            emask[s] = emask[rest] | emask[s ^ nxt] | edge_bit[v][u]
+            cover[s] = cover[rest] | cover[s ^ nxt] | pair_bit[v][u]
     connected = bytearray(1 << n)
     out = []
-    for s in range(1, 1 << n):  # S for mc, I for tmc
+    for s in range(1, 1 << n):  # S for mc, I for tmc and mvc
         size = s.bit_count()
-        if total:
+        if variant == "tmc":
             if 2 * size > cap:
                 continue
-        elif not cover[s] or size - 2 > cap:
+        elif variant == "mc":
+            if not cover[s] or size - 2 > cap:
+                continue
+        elif not cover[nbr[s] | s] or size - 1 > cap:
             continue
         if _reach(adj, (s & -s).bit_length() - 1, s) != s:
             continue
-        if not total:
+        if variant == "mc":
             out.append((size - 2, emask[s], 0, s, cover[s]))
+            continue
+        if variant == "mvc":
+            out.append((size - 1, 0, s, s, cover[nbr[s] | s]))
             continue
         connected[s] = 1
         around = nbr[s] & ~s
@@ -386,7 +408,7 @@ def _solve_cover(
 
 
 def _solve_tree_system(
-    g: Graph, total: bool, incumbent: Sequence[Edge], ub0: int
+    g: Graph, variant: str, incumbent: Sequence[Edge], ub0: int
 ) -> tuple[int, TreeSystem, int]:
     """(minimum waste, witness system, nodes explored) for a connected
     non-complete graph, starting from the spanning tree ``incumbent`` of
@@ -394,9 +416,9 @@ def _solve_tree_system(
     with every other vertex of S hung on its smallest neighbour in I (for
     mc, I = S)."""
     pairs = g.nonadjacent_pairs()
-    cands = _candidates(g, pairs, ub0 - 1, total)
+    cands = _candidates(g, pairs, ub0 - 1, variant)
     # a tree of waste w spans at most w + 1 (tmc) or w + 2 (mc) vertices
-    best, pick, nodes = _solve_cover(cands, len(pairs), ub0, 1 if total else 2)
+    best, pick, nodes = _solve_cover(cands, len(pairs), ub0, 1 if variant == "tmc" else 2)
     if pick is None:
         trees = [_system_tree_from_edges(incumbent)]
     else:
@@ -482,7 +504,7 @@ def tmc_exact(g: Graph, max_leaf: SpanningTreeResult | None = None) -> SolverRep
         )
     _guard_exact(g, "tmc_exact")
     ml = max_leaf if max_leaf is not None else max_leaf_exact(g)
-    best, system, nodes = _solve_tree_system(g, True, ml.tree, g.n - 2 + ml.internal_count)
+    best, system, nodes = _solve_tree_system(g, "tmc", ml.tree, g.n - 2 + ml.internal_count)
     return SolverReport(
         value=g.m + g.n - best,
         witness=_coloring_from_system(g, system),
@@ -512,7 +534,7 @@ def mc_exact(g: Graph) -> SolverReport:
         )
     _guard_exact(g, "mc_exact")
     full = (1 << g.n) - 1
-    best, system, nodes = _solve_tree_system(g, False, _tree_from_cds(g, full, full), g.n - 2)
+    best, system, nodes = _solve_tree_system(g, "mc", _tree_from_cds(g, full, full), g.n - 2)
     return SolverReport(
         value=g.m - best,
         witness=_edge_coloring_from_trees(g, system.trees),
@@ -523,99 +545,15 @@ def mc_exact(g: Graph) -> SolverReport:
     )
 
 
-# ---------------------------------------------------------------------------
-# Naive partition oracles (restricted-growth-string enumeration)
-# ---------------------------------------------------------------------------
+def mvc_exact(g: Graph, max_leaf: SpanningTreeResult | None = None) -> SolverReport:
+    """Monochromatic vertex connection number with witness coloring.
 
-def _rgs_with_block_count(k: int, blocks: int) -> Iterator[tuple[int, ...]]:
-    """Restricted growth strings of length k using exactly ``blocks`` values."""
-    if blocks < 1 or blocks > k:
-        return
-    a = [0] * k
-
-    def rec(i: int, mx: int) -> Iterator[tuple[int, ...]]:
-        if i == k:
-            if mx + 1 == blocks:
-                yield tuple(a)
-            return
-        if mx + 1 + (k - i) < blocks:  # cannot open enough new blocks
-            return
-        hi = min(mx + 1, blocks - 1)
-        for v in range(hi + 1):
-            a[i] = v
-            yield from rec(i + 1, mx if v <= mx else v)
-
-    yield from rec(0, -1)
-
-
-def tmc_naive(g: Graph) -> SolverReport:
-    """Definition-level tmc: maximize block count over partitions of the
-    m + n items, checking each candidate for total monochromatic
-    connectivity.  Guarded to m + n <= 12."""
-    if not is_connected(g):
-        raise ValueError("disconnected")
-    items = g.m + g.n
-    if items > MAX_NAIVE_ITEMS:
-        raise SolverRangeError(
-            f"tmc_naive accepts m + n <= {MAX_NAIVE_ITEMS}, got {items}"
-        )
-    pairs = g.nonadjacent_pairs()
-    nodes = 0
-    for blocks in range(items, 0, -1):
-        for rgs in _rgs_with_block_count(items, blocks):
-            nodes += 1
-            vcol = rgs[: g.n]
-            ecol = rgs[g.n:]
-            if _first_gap(g.n, g.adj, g.edges, pairs, vcol, ecol) is None:
-                witness = TotalColoring(
-                    vertex_color=tuple(vcol),
-                    edge_color=dict(zip(g.edges, ecol)),
-                )
-                return SolverReport(
-                    value=blocks,
-                    witness=witness,
-                    nodes_explored=nodes,
-                    method="naive_partition",
-                    bounds_used={"value_upper": items},
-                )
-    raise AssertionError("single-block coloring must verify")  # pragma: no cover
-
-
-def mc_naive(g: Graph) -> SolverReport:
-    """Definition-level mc over edge-set partitions; guarded to m <= 10."""
-    if not is_connected(g):
-        raise ValueError("disconnected")
-    if g.m > MAX_NAIVE_EDGES:
-        raise SolverRangeError(f"mc_naive accepts m <= {MAX_NAIVE_EDGES}, got {g.m}")
-    if g.m == 0:
-        return SolverReport(
-            value=0,
-            witness=EdgeColoring(edge_color={}),
-            nodes_explored=0,
-            method="naive_partition",
-        )
-    pairs = g.nonadjacent_pairs()
-    nodes = 0
-    for blocks in range(g.m, 0, -1):
-        for rgs in _rgs_with_block_count(g.m, blocks):
-            nodes += 1
-            if _first_gap(g.n, g.adj, g.edges, pairs, None, rgs) is None:
-                return SolverReport(
-                    value=blocks,
-                    witness=EdgeColoring(edge_color=dict(zip(g.edges, rgs))),
-                    nodes_explored=nodes,
-                    method="naive_partition",
-                    bounds_used={"value_upper": g.m},
-                )
-    raise AssertionError("single-color edge coloring must verify")  # pragma: no cover
-
-
-def mvc_exact(g: Graph) -> SolverReport:
-    """Monochromatic vertex connection number.
-
-    Diameter <= 2 gives mvc = n outright.  Otherwise vertex partitions are
-    enumerated as restricted growth strings by decreasing block count,
-    starting from the upper bound n - d + 2.
+    Diameter <= 2 gives mvc = n outright.  Otherwise the same search over
+    connected sets I of waste |I| - 1 covering the pairs at distance >= 3,
+    seeded with the internal set of a maximum-leaf spanning tree (waste
+    q(G) - 1, the lower bound l(G) + 1 on the value).  Each picked I is one
+    color class and every other vertex gets a fresh color.  ``max_leaf`` is
+    max_leaf_exact(g) when the caller already has it.
     """
     if not is_connected(g):
         raise ValueError("disconnected")
@@ -628,24 +566,27 @@ def mvc_exact(g: Graph) -> SolverReport:
             method="shortcut",
             bounds_used={"value_upper": g.n},
         )
-    if g.n > MAX_MVC_ENUM_N:
-        raise SolverRangeError(
-            f"mvc_exact enumerative path accepts n <= {MAX_MVC_ENUM_N}, got {g.n}"
-        )
-    pairs = g.nonadjacent_pairs()
-    nodes = 0
-    for blocks in range(min(g.n - d + 2, g.n), 0, -1):
-        for rgs in _rgs_with_block_count(g.n, blocks):
-            nodes += 1
-            if _first_gap(g.n, g.adj, g.edges, pairs, rgs, None) is None:
-                return SolverReport(
-                    value=blocks,
-                    witness=VertexColoring(vertex_color=rgs),
-                    nodes_explored=nodes,
-                    method="naive_partition",
-                    bounds_used={"value_upper": g.n - d + 2},
-                )
-    raise AssertionError("single-color vertex coloring must verify")  # pragma: no cover
+    _guard_exact(g, "mvc_exact")
+    ml = max_leaf if max_leaf is not None else max_leaf_exact(g)
+    far = [(u, v) for u, v in g.nonadjacent_pairs() if not g.adj[u] & g.adj[v]]
+    cands = _candidates(g, far, ml.internal_count - 2, "mvc")
+    # count offset n: one set I covers pairs anywhere in N[I]
+    best, pick, nodes = _solve_cover(cands, len(far), ml.internal_count - 1, g.n)
+    if pick is None:
+        classes = [_system_tree_from_edges(ml.tree).internal_vertices]
+    else:
+        classes = [tuple(_bits(cands[ci][2])) for ci in pick]
+    color = {v: c for c, members in enumerate(classes) for v in members}
+    fresh = iter(range(len(classes), g.n))
+    return SolverReport(
+        value=g.n - best,
+        witness=VertexColoring(
+            vertex_color=tuple(color[v] if v in color else next(fresh) for v in range(g.n))
+        ),
+        nodes_explored=nodes,
+        method="tree_system",
+        bounds_used={"value_lower": ml.leaf_count + 1, "value_upper": g.n - d + 2},
+    )
 
 
 def bounds(g: Graph, mc: int | None = None, mvc: int | None = None) -> dict[str, int | None]:

@@ -9,14 +9,23 @@ pair instead of bitset augmenting paths over the Esfahanian-Hakimi pairs,
 covering tree systems by subtree enumeration instead of vertex-set
 candidates, non-dominated tmc candidates by enumerating every (S, I) and
 dropping those with a cheaper (S, I - x) instead of private leaf sets.
+
+The definition-level partition searches tmc_naive, mc_naive and
+mvc_partition_reference (with _rgs_with_block_count and the guards
+MAX_NAIVE_ITEMS, MAX_NAIVE_EDGES and MAX_MVC_ENUM_N) maximize the color
+count over set partitions of the colorable items by decreasing block count,
+checking each with the verifiers' coverage kernel, instead of minimizing
+waste over covering tree systems.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from monoconn.graphs import Graph, _bits, from_edge_list
+from monoconn.coloring import EdgeColoring, TotalColoring, VertexColoring, _first_gap
+from monoconn.graphs import Graph, _bits, diameter, from_edge_list, is_connected
+from monoconn.solvers import SolverRangeError, SolverReport
 
 
 def spanning_trees(g: Graph):
@@ -145,8 +154,6 @@ def mvc_brute(g: Graph) -> int:
 
 def k_connected_bf(g: Graph, k: int) -> bool:
     """kappa(G) >= k by enumerating all vertex cuts of size < k."""
-    from monoconn.graphs import is_connected
-
     if g.n <= k:
         return False
     if not is_connected(g):
@@ -218,8 +225,6 @@ def _local_vertex_connectivity(g: Graph, s: int, t: int) -> int:
 
 def vertex_connectivity_reference(g: Graph) -> int:
     """Vertex connectivity by max-flow over every non-adjacent pair (n-1 for K_n)."""
-    from monoconn.graphs import is_connected
-
     if g.n <= 1:
         return 0
     if not is_connected(g):
@@ -481,3 +486,133 @@ def tmc_candidates_reference(
         c for c in every
         if not any((c[3], c[2] & ~(1 << x)) in keys for x in _bits(c[2]))
     )
+
+
+# ---------------------------------------------------------------------------
+# Definition-level partition searches (restricted-growth-string enumeration)
+# ---------------------------------------------------------------------------
+
+MAX_NAIVE_ITEMS = 12
+MAX_NAIVE_EDGES = 10
+MAX_MVC_ENUM_N = 10
+
+
+def _rgs_with_block_count(k: int, blocks: int) -> Iterator[tuple[int, ...]]:
+    """Restricted growth strings of length k using exactly ``blocks`` values."""
+    if blocks < 1 or blocks > k:
+        return
+    a = [0] * k
+
+    def rec(i: int, mx: int) -> Iterator[tuple[int, ...]]:
+        if i == k:
+            if mx + 1 == blocks:
+                yield tuple(a)
+            return
+        if mx + 1 + (k - i) < blocks:  # cannot open enough new blocks
+            return
+        hi = min(mx + 1, blocks - 1)
+        for v in range(hi + 1):
+            a[i] = v
+            yield from rec(i + 1, mx if v <= mx else v)
+
+    yield from rec(0, -1)
+
+
+def tmc_naive(g: Graph) -> SolverReport:
+    """Definition-level tmc: maximize block count over partitions of the
+    m + n items, checking each candidate for total monochromatic
+    connectivity.  Guarded to m + n <= 12."""
+    if not is_connected(g):
+        raise ValueError("disconnected")
+    items = g.m + g.n
+    if items > MAX_NAIVE_ITEMS:
+        raise SolverRangeError(
+            f"tmc_naive accepts m + n <= {MAX_NAIVE_ITEMS}, got {items}"
+        )
+    pairs = g.nonadjacent_pairs()
+    nodes = 0
+    for blocks in range(items, 0, -1):
+        for rgs in _rgs_with_block_count(items, blocks):
+            nodes += 1
+            vcol = rgs[: g.n]
+            ecol = rgs[g.n:]
+            if _first_gap(g.n, g.adj, g.edges, pairs, vcol, ecol) is None:
+                witness = TotalColoring(
+                    vertex_color=tuple(vcol),
+                    edge_color=dict(zip(g.edges, ecol)),
+                )
+                return SolverReport(
+                    value=blocks,
+                    witness=witness,
+                    nodes_explored=nodes,
+                    method="naive_partition",
+                    bounds_used={"value_upper": items},
+                )
+    raise AssertionError("single-block coloring must verify")  # pragma: no cover
+
+
+def mc_naive(g: Graph) -> SolverReport:
+    """Definition-level mc over edge-set partitions; guarded to m <= 10."""
+    if not is_connected(g):
+        raise ValueError("disconnected")
+    if g.m > MAX_NAIVE_EDGES:
+        raise SolverRangeError(f"mc_naive accepts m <= {MAX_NAIVE_EDGES}, got {g.m}")
+    if g.m == 0:
+        return SolverReport(
+            value=0,
+            witness=EdgeColoring(edge_color={}),
+            nodes_explored=0,
+            method="naive_partition",
+        )
+    pairs = g.nonadjacent_pairs()
+    nodes = 0
+    for blocks in range(g.m, 0, -1):
+        for rgs in _rgs_with_block_count(g.m, blocks):
+            nodes += 1
+            if _first_gap(g.n, g.adj, g.edges, pairs, None, rgs) is None:
+                return SolverReport(
+                    value=blocks,
+                    witness=EdgeColoring(edge_color=dict(zip(g.edges, rgs))),
+                    nodes_explored=nodes,
+                    method="naive_partition",
+                    bounds_used={"value_upper": g.m},
+                )
+    raise AssertionError("single-color edge coloring must verify")  # pragma: no cover
+
+
+def mvc_partition_reference(g: Graph) -> SolverReport:
+    """Definition-level mvc over vertex partitions.
+
+    Diameter <= 2 gives mvc = n outright.  Otherwise vertex partitions are
+    enumerated as restricted growth strings by decreasing block count,
+    starting from the upper bound n - d + 2.
+    """
+    if not is_connected(g):
+        raise ValueError("disconnected")
+    d = diameter(g)
+    if d <= 2:
+        return SolverReport(
+            value=g.n,
+            witness=VertexColoring(vertex_color=tuple(range(g.n))),
+            nodes_explored=0,
+            method="shortcut",
+            bounds_used={"value_upper": g.n},
+        )
+    if g.n > MAX_MVC_ENUM_N:
+        raise SolverRangeError(
+            f"mvc_partition_reference accepts n <= {MAX_MVC_ENUM_N}, got {g.n}"
+        )
+    pairs = g.nonadjacent_pairs()
+    nodes = 0
+    for blocks in range(min(g.n - d + 2, g.n), 0, -1):
+        for rgs in _rgs_with_block_count(g.n, blocks):
+            nodes += 1
+            if _first_gap(g.n, g.adj, g.edges, pairs, rgs, None) is None:
+                return SolverReport(
+                    value=blocks,
+                    witness=VertexColoring(vertex_color=rgs),
+                    nodes_explored=nodes,
+                    method="naive_partition",
+                    bounds_used={"value_upper": g.n - d + 2},
+                )
+    raise AssertionError("single-color vertex coloring must verify")  # pragma: no cover

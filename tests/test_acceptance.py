@@ -52,9 +52,9 @@ from monoconn.harness import (
     survey_random,
 )
 from monoconn.maxleaf import max_leaf_exact
-from monoconn.solvers import mc_exact, mvc_exact, reverify, tmc_exact, tmc_naive
+from monoconn.solvers import mc_exact, mvc_exact, reverify, tmc_exact
 from conftest import random_connected
-from oracles import max_leaves_oracle, petersen
+from oracles import max_leaves_oracle, petersen, tmc_naive
 
 
 def report(name: str, ok: bool, detail: str = "") -> bool:

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from monoconn import cli, solvers
 from monoconn.cli import main
-from monoconn.graphs import format_edgelist, path_graph, to_graph6, wheel_graph
+from monoconn.graphs import complete_graph, format_edgelist, path_graph, to_graph6, wheel_graph
+from monoconn.maxleaf import max_leaf_exact
 
 
 def run_cli(capsys, *argv):
@@ -59,6 +61,30 @@ class TestCompute:
         code, out, err = run_cli(capsys, "compute", g6, "--literal", "--invariant", "l")
         assert code == 2 and out == ""
         assert "max_leaf_exact accepts n <= 9" in err and "got n = 12" in err
+
+    @pytest.mark.parametrize(
+        "graph,invariant,calls",
+        [
+            (path_graph(6), "all", 1),        # tmc, mvc and l share one tree
+            (path_graph(6), "mvc", 1),
+            (wheel_graph(6), "mvc", 0),       # diameter 2: mvc shortcut
+            (complete_graph(5), "tmc", 0),    # complete: tmc shortcut
+            (complete_graph(5), "all", 1),    # only l needs it
+        ],
+    )
+    def test_max_leaf_once_and_only_when_needed(self, capsys, monkeypatch, graph, invariant, calls):
+        seen = []
+
+        def counted(g):
+            seen.append(g)
+            return max_leaf_exact(g)
+
+        for module in (cli, solvers):
+            monkeypatch.setattr(module, "max_leaf_exact", counted)
+        code, out, _ = run_cli(capsys, "compute", to_graph6(graph), "--literal", "--invariant", invariant)
+        assert code == 0 and len(seen) == calls
+        if invariant == "all":
+            assert json.loads(out)["l"] == max_leaf_exact(graph).leaf_count
 
     def test_bad_guard_setting_named(self, capsys, monkeypatch):
         monkeypatch.setenv("MONO_MAX_EXACT_N", "abc")

@@ -13,6 +13,7 @@ from monoconn.graphs import (
     star_graph,
     wheel_graph,
 )
+from monoconn import harness, solvers
 from monoconn.harness import (
     CHECK_KEYS,
     HOLDS,
@@ -31,6 +32,7 @@ from monoconn.harness import (
     survey_random,
     wheel_order,
 )
+from monoconn.maxleaf import max_leaf_exact
 from oracles import petersen
 
 
@@ -210,6 +212,23 @@ class TestHunts:
 
     def test_conjecture_hunt_named_graphs(self):
         assert hunt_tmc_le_mc([complete_graph(4), wheel_graph(6), cycle_graph(5)]) == []
+
+    def test_one_max_leaf_per_graph(self, monkeypatch):
+        seen = []
+
+        def counted(g):
+            seen.append(g)
+            return max_leaf_exact(g)
+
+        for module in (harness, solvers):
+            monkeypatch.setattr(module, "max_leaf_exact", counted)
+        graphs = [path_graph(6), cycle_graph(7), wheel_graph(7)]
+        hunt_tmc_le_mvc(graphs)
+        assert seen == graphs
+        seen.clear()
+        for g in graphs:
+            check_all(g)
+        assert seen == graphs
 
     def test_finding_json(self):
         f = hunt_tmc_le_mvc([path_graph(6)])[0]

@@ -12,6 +12,7 @@ from monoconn.graphs import (
     cycle_graph,
     from_edge_list,
     is_connected,
+    parse_graph6,
     path_graph,
     random_gnp,
     star_graph,
@@ -25,14 +26,19 @@ from monoconn.solvers import (
     _candidates,
     bounds,
     mc_exact,
-    mc_naive,
     mvc_exact,
     reverify,
     tmc_exact,
-    tmc_naive,
 )
 from conftest import random_connected
-from oracles import mvc_brute, tmc_candidates_reference, tree_system_reference
+from oracles import (
+    mc_naive,
+    mvc_brute,
+    mvc_partition_reference,
+    tmc_candidates_reference,
+    tmc_naive,
+    tree_system_reference,
+)
 
 
 class TestTmcExact:
@@ -214,6 +220,53 @@ class TestMvcExact:
             g = random_connected(4 + seed % 4, seed + 41, p=0.4)
             assert mvc_exact(g).value <= g.n - diameter(g) + 2
 
+    @staticmethod
+    def assert_matches_reference(g):
+        rep = mvc_exact(g)
+        assert rep.value == mvc_partition_reference(g).value, g.edges
+        ok, pair = verify_mvc(g, rep.witness)
+        assert ok and rep.witness.color_count == rep.value, (g.edges, pair)
+
+    def test_matches_partition_reference_n_le_6(self):
+        for n in range(1, 7):
+            for g in connected_labeled_graphs(n):
+                self.assert_matches_reference(g)
+
+    def test_matches_partition_reference_n7_to_10(self, monkeypatch):
+        from monoconn.graphs import diameter
+
+        monkeypatch.setenv("MONO_MAX_EXACT_N", "10")
+        graphs = (
+            random_connected(7 + seed % 4, seed + 97, p=0.2 + 0.05 * (seed % 5))
+            for seed in range(200)
+        )
+        far = [g for g in graphs if diameter(g) >= 3][:48]
+        assert len(far) == 48
+        for g in far:
+            self.assert_matches_reference(g)
+
+    def test_count_bound_is_not_applied(self):
+        # one connected class covers pairs anywhere in its closed
+        # neighbourhood; mc's count bound would stop this search at 6
+        g = parse_graph6("HhW?kiA")
+        rep = mvc_exact(g)
+        assert (g.n, rep.value, rep.method) == (9, 7, "tree_system")
+        assert reverify(g, rep)
+
+    def test_guard(self, monkeypatch):
+        with pytest.raises(SolverRangeError, match="mvc_exact accepts n <= 9"):
+            mvc_exact(cycle_graph(10))
+        rep = mvc_exact(star_graph(15))  # diameter 2: no guard, no search
+        assert rep.value == 15 and rep.method == "shortcut"
+        monkeypatch.setenv("MONO_MAX_EXACT_N", "10")
+        assert mvc_exact(cycle_graph(10)).value == 3
+
+    def test_precomputed_max_leaf_changes_nothing(self):
+        for seed in range(10):
+            g = random_connected(7, seed + 101, p=0.3)
+            a, b = mvc_exact(g), mvc_exact(g, max_leaf_exact(g))
+            assert a.value == b.value and a.witness == b.witness
+
 
 class TestRelations:
     def test_sum_bound_and_equality_iff_complete(self):
@@ -297,7 +350,7 @@ class TestCandidates:
         for g in self.graphs():
             pairs = g.nonadjacent_pairs()
             for cap in (g.n - 2, 2 * g.n - 4):
-                got = _candidates(g, pairs, cap, True)
+                got = _candidates(g, pairs, cap, "tmc")
                 assert got == tmc_candidates_reference(g, pairs, cap), (g.edges, cap)
                 checked += len(got)
         assert checked > 0
