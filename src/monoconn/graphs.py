@@ -258,18 +258,18 @@ def diameter(g: Graph) -> int:
     if not is_connected(g):
         raise ValueError("disconnected")
     best = 0
-    full = (1 << g.n) - 1
+    adj, full = g.adj, (1 << g.n) - 1
     for s in range(g.n):
-        seen = 1 << s
-        frontier = seen
+        seen = frontier = 1 << s
         dist = 0
         while seen != full:
             nxt = 0
-            for v in _bits(frontier):
-                nxt |= g.adj[v]
-            nxt &= ~seen
-            seen |= nxt
-            frontier = nxt
+            while frontier:
+                b = frontier & -frontier
+                nxt |= adj[b.bit_length() - 1]
+                frontier ^= b
+            frontier = nxt & ~seen
+            seen |= frontier
             dist += 1
         best = max(best, dist)
     return best
@@ -417,14 +417,16 @@ class GraphConditionSet:
         }
 
 
-def tmc_identity_conditions(g: Graph) -> GraphConditionSet:
+def tmc_identity_conditions(g: Graph, d: int | None = None) -> GraphConditionSet:
     """Evaluate the five sufficient conditions for tmc = m - n + 2 + l(G)
-    (requires connected input and n > 3)."""
+    (requires connected input and n > 3).  ``d`` is diameter(g) when the
+    caller already has it."""
     if g.n <= 3:
         raise ValueError("theorem hypothesis requires n > 3")
     if not is_connected(g):
         raise ValueError("disconnected")
-    d = diameter(g)
+    if d is None:
+        d = diameter(g)
     delta = max_degree(g)
     kappa_bar = vertex_connectivity(complement(g))
     bound = Fraction(g.n) - Fraction(2 * g.m - 3 * (g.n - 1), g.n - 3)

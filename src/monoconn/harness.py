@@ -108,11 +108,12 @@ def multipartite_sizes(g: Graph) -> list[int] | None:
     return sorted(sizes, reverse=True)
 
 
-def diameter2_size_bound(g: Graph) -> tuple[str, int | None]:
+def diameter2_size_bound(g: Graph, d: int | None = None) -> tuple[str, int | None]:
     """Diameter-2 minimum-size check: with (n+1)/2 <= max degree <= n-2 the
-    edge count must reach a case bound selected by exact rational ranges."""
+    edge count must reach a case bound selected by exact rational ranges.
+    ``d`` is diameter(g) when the caller already has it."""
     n = g.n
-    if n < 2 or not is_connected(g) or diameter(g) != 2:
+    if n < 2 or not is_connected(g) or (diameter(g) if d is None else d) != 2:
         return NOT_APPLICABLE, None
     delta = max_degree(g)
     if not (Fraction(n + 1, 2) <= delta <= n - 2):
@@ -196,7 +197,7 @@ def check_all_detailed(g: Graph):
     l, q, ml = _leaf_stats(g)
     rep_tmc = tmc_exact(g, ml)
     rep_mc = mc_exact(g)
-    rep_mvc = mvc_exact(g, ml)
+    rep_mvc = mvc_exact(g, ml, d)
     tmc, mc, mvc = rep_tmc.value, rep_mc.value, rep_mvc.value
     identity = m - n + 2 + l
 
@@ -204,7 +205,7 @@ def check_all_detailed(g: Graph):
 
     conditions: GraphConditionSet | None = None
     if n > 3:
-        conditions = tmc_identity_conditions(g)
+        conditions = tmc_identity_conditions(g, d)
         if conditions.any_holds():
             verdicts["identity_conditions"] = HOLDS if tmc == identity else VIOLATED
         else:
@@ -246,7 +247,7 @@ def check_all_detailed(g: Graph):
     else:
         verdicts["multipartite_formula"] = NOT_APPLICABLE
 
-    verdicts["diameter2_size_bound"] = diameter2_size_bound(g)[0]
+    verdicts["diameter2_size_bound"] = diameter2_size_bound(g, d)[0]
 
     if not complete and rep_tmc.witness_system is not None:
         audit_ok = rep_tmc.witness_system.total_internal >= q

@@ -5,14 +5,15 @@ spanning tree form a connected dominating set, and conversely every connected
 dominating set S yields a spanning tree whose internal vertices all lie in S
 (span S first, then hang every remaining vertex off a neighbour in S).  Hence
 l(G) = n - gamma_c(G), where gamma_c is the minimum connected dominating set
-size.  The exact engine below searches for gamma_c by include/exclude
-branch-and-bound over vertices with domination and cardinality pruning; the
-exhaustive spanning-tree enumeration used to validate it lives with the tests.
+size.  The exact engine below finds gamma_c by trying vertex sets in order of
+size; the exhaustive spanning-tree enumeration used to validate it lives with
+the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .graphs import Graph, _bits, _reach, is_connected
 
@@ -78,50 +79,21 @@ def _tree_from_cds(g: Graph, cds_mask: int, span_mask: int) -> list[tuple[int, i
 def minimum_connected_dominating_set(g: Graph) -> int:
     """Bitmask of a minimum connected dominating set (n >= 3, connected).
 
-    Deterministic: vertices are branched in index order, include before
-    exclude, and only strict improvements replace the incumbent.
+    Enumerates vertex sets by size, each size in lexicographic order, and
+    returns the first one that dominates and is connected.
     """
-    n = g.n
-    full = (1 << n) - 1
-    closed = [g.adj[v] | (1 << v) for v in range(n)]
-    max_cover = max(bin(c).count("1") for c in closed)
-
-    # quick single-vertex screen: a dominating vertex is optimal on its own
-    for v in range(n):
-        if closed[v] == full:
-            return 1 << v
-
-    best_mask = full  # placeholder, replaced by first feasible solution
-    best_size = n  # internal count of any spanning tree is at most n-2 < n
-
-    def feasible(mask: int) -> bool:
-        # connected induced subgraph check
-        return _reach(g.adj, (mask & -mask).bit_length() - 1, mask) == mask
-
-    def descend(idx: int, chosen: int, size: int, dominated: int) -> None:
-        nonlocal best_mask, best_size
-        if dominated == full and chosen and feasible(chosen):
-            if size < best_size:
-                best_size = size
-                best_mask = chosen
-            return
-        if idx == n:
-            return
-        missing = bin(full & ~dominated).count("1")
-        need = (missing + max_cover - 1) // max_cover if missing else 0
-        if size + max(need, 1) >= best_size:
-            return
-        # can the undecided suffix still dominate everything?
-        rest = dominated
-        for v in range(idx, n):
-            rest |= closed[v]
-        if rest != full:
-            return
-        descend(idx + 1, chosen | (1 << idx), size + 1, dominated | closed[idx])
-        descend(idx + 1, chosen, size, dominated)
-
-    descend(0, 0, 0, 0)
-    return best_mask
+    full = (1 << g.n) - 1
+    closed = [g.adj[v] | (1 << v) for v in range(g.n)]
+    for size in range(1, g.n + 1):
+        for combo in combinations(range(g.n), size):
+            dominated = 0
+            for v in combo:
+                dominated |= closed[v]
+            if dominated == full:
+                mask = sum(1 << v for v in combo)
+                if _reach(g.adj, combo[0], mask) == mask:
+                    return mask
+    raise ValueError("disconnected")
 
 
 def max_leaf_exact(g: Graph) -> SpanningTreeResult:

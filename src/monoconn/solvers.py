@@ -71,6 +71,17 @@ candidates (ties to the lowest index).  Every cover covers that pair, and
 its candidate list is sorted by waste, so the search stops at the first
 candidate that cannot beat the incumbent.
 
+Count bound.  Let most[w] be the largest number of pairs one candidate of
+waste w covers, reach[b] the largest sum of most[w_i] over wastes w_i >= 1
+with sum w_i <= b (an unbounded knapsack), and need[u] the least b with
+reach[b] >= u.  Candidates c_1..c_k that cover u pairs between them satisfy
+u <= sum |cover(c_i)| <= sum most[w_i] <= reach[sum w_i], so they cost at
+least need[u].  A node with u uncovered pairs therefore needs at least
+need[u] more waste, beside the cheapest candidate of each uncovered pair.
+The bound holds for every variant, since it uses only what this graph's
+candidates cover; values of b at or past the incumbent's waste prune
+anyway, so the table stops there.
+
 mvc.  A vertex coloring joins u and v when some u-v path has all its inner
 vertices in one color.  Pairs at distance <= 2 always are, so only the pairs
 at distance >= 3 count.  A path's inner vertices induce a connected graph,
@@ -85,10 +96,7 @@ incumbent is the internal set of a max-leaf tree, a connected dominating
 set of q vertices; its waste q - 1 gives the known bound mvc >= l + 1.
 At the root, a diametral pair needs an I holding a path between the
 neighbourhoods of its ends, so its cheapest candidate already gives the
-bound d - 2 (mvc <= n - d + 2).  The count bound does not carry over: one
-set I covers pairs anywhere in N[I], not only among the |I| + 1 vertices a
-tree of the same waste spans, so mvc searches with count offset n, where
-the bound is the one unit of waste every candidate costs.
+bound d - 2 (mvc <= n - d + 2).
 
 Independent references live in tests/oracles.py: definition-level partition
 searches (tmc_naive, mc_naive, mvc_partition_reference) that maximize the
@@ -324,15 +332,33 @@ def _candidates(
     return out
 
 
-def _count_lb_table(npairs: int, offset: int) -> list[int]:
-    """need[u] = least total waste whose trees can cover u pairs
-    (one tree of waste w spans at most w+offset vertices)."""
-    need = [0] * (npairs + 1)
-    for u in range(1, npairs + 1):
-        b = 1
-        while (b + offset) * (b + offset - 1) // 2 < u:
-            b += 1
-        need[u] = b
+def _count_lb_table(
+    cands: list[tuple[int, int, int, int, int]], npairs: int, limit: int
+) -> list[int]:
+    """need[u] = least total waste of candidates that can cover u pairs,
+    capped at ``limit``: most[w] is the largest cover of a candidate of
+    waste w, and reach[b] the most pairs that waste b covers (an unbounded
+    knapsack over most)."""
+    most: dict[int, int] = {}
+    for w, _, _, _, cov in cands:
+        c = cov.bit_count()
+        if c > most.get(w, 0):
+            most[w] = c
+    assert 0 not in most, "every candidate costs waste >= 1"
+    need = [0] + [limit] * npairs
+    reach = [0]
+    u = 1
+    for b in range(1, limit):
+        r = reach[b - 1]
+        for w, c in most.items():
+            if w <= b and reach[b - w] + c > r:
+                r = reach[b - w] + c
+        reach.append(r)
+        while u <= r and u <= npairs:
+            need[u] = b
+            u += 1
+        if u > npairs:
+            break
     return need
 
 
@@ -340,7 +366,6 @@ def _solve_cover(
     cands: list[tuple[int, int, int, int, int]],
     npairs: int,
     ub_waste: int,
-    count_offset: int,
 ) -> tuple[int, list[int] | None, int]:
     """Branch-and-bound minimum-waste cover by candidates with pairwise
     disjoint edge masks and internal masks.
@@ -364,7 +389,7 @@ def _solve_cover(
         return ub_waste, None, 0
     count = [len(lst) for lst in by_pair]
     most = len(cands) + 1
-    need = _count_lb_table(npairs, count_offset)
+    need = _count_lb_table(cands, npairs, ub_waste)
     best = ub_waste
     best_pick: list[int] | None = None
     nodes = 0
@@ -417,8 +442,7 @@ def _solve_tree_system(
     mc, I = S)."""
     pairs = g.nonadjacent_pairs()
     cands = _candidates(g, pairs, ub0 - 1, variant)
-    # a tree of waste w spans at most w + 1 (tmc) or w + 2 (mc) vertices
-    best, pick, nodes = _solve_cover(cands, len(pairs), ub0, 1 if variant == "tmc" else 2)
+    best, pick, nodes = _solve_cover(cands, len(pairs), ub0)
     if pick is None:
         trees = [_system_tree_from_edges(incumbent)]
     else:
@@ -545,7 +569,9 @@ def mc_exact(g: Graph) -> SolverReport:
     )
 
 
-def mvc_exact(g: Graph, max_leaf: SpanningTreeResult | None = None) -> SolverReport:
+def mvc_exact(
+    g: Graph, max_leaf: SpanningTreeResult | None = None, d: int | None = None
+) -> SolverReport:
     """Monochromatic vertex connection number with witness coloring.
 
     Diameter <= 2 gives mvc = n outright.  Otherwise the same search over
@@ -553,11 +579,13 @@ def mvc_exact(g: Graph, max_leaf: SpanningTreeResult | None = None) -> SolverRep
     seeded with the internal set of a maximum-leaf spanning tree (waste
     q(G) - 1, the lower bound l(G) + 1 on the value).  Each picked I is one
     color class and every other vertex gets a fresh color.  ``max_leaf`` is
-    max_leaf_exact(g) when the caller already has it.
+    max_leaf_exact(g) and ``d`` is diameter(g) when the caller already has
+    them.
     """
     if not is_connected(g):
         raise ValueError("disconnected")
-    d = diameter(g)
+    if d is None:
+        d = diameter(g)
     if d <= 2:
         return SolverReport(
             value=g.n,
@@ -570,8 +598,7 @@ def mvc_exact(g: Graph, max_leaf: SpanningTreeResult | None = None) -> SolverRep
     ml = max_leaf if max_leaf is not None else max_leaf_exact(g)
     far = [(u, v) for u, v in g.nonadjacent_pairs() if not g.adj[u] & g.adj[v]]
     cands = _candidates(g, far, ml.internal_count - 2, "mvc")
-    # count offset n: one set I covers pairs anywhere in N[I]
-    best, pick, nodes = _solve_cover(cands, len(far), ml.internal_count - 1, g.n)
+    best, pick, nodes = _solve_cover(cands, len(far), ml.internal_count - 1)
     if pick is None:
         classes = [_system_tree_from_edges(ml.tree).internal_vertices]
     else:

@@ -8,7 +8,9 @@ of max-flow, vertex connectivity by dict max-flow over every non-adjacent
 pair instead of bitset augmenting paths over the Esfahanian-Hakimi pairs,
 covering tree systems by subtree enumeration instead of vertex-set
 candidates, non-dominated tmc candidates by enumerating every (S, I) and
-dropping those with a cheaper (S, I - x) instead of private leaf sets.
+dropping those with a cheaper (S, I - x) instead of private leaf sets, the
+cover search's count bound by a recurrence over single candidates instead
+of a knapsack over the largest cover of each waste.
 
 The definition-level partition searches tmc_naive, mc_naive and
 mvc_partition_reference (with _rgs_with_block_count and the guards
@@ -353,6 +355,17 @@ def _count_lb_table(npairs: int, offset: int) -> list[int]:
         while (b + offset) * (b + offset - 1) // 2 < u:
             b += 1
         need[u] = b
+    return need
+
+
+def count_lb_reference(cands, npairs: int, limit: int) -> list[int]:
+    """need[u] = least total waste of a multiset of candidates whose cover
+    sizes add up to at least u, capped at ``limit``: a recurrence over
+    single candidates (pick one, then cover the rest)."""
+    need = [0] + [limit] * npairs
+    for u in range(1, npairs + 1):
+        for w, _, _, _, cov in cands:
+            need[u] = min(need[u], w + need[max(0, u - cov.bit_count())])
     return need
 
 

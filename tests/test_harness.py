@@ -13,7 +13,7 @@ from monoconn.graphs import (
     star_graph,
     wheel_graph,
 )
-from monoconn import harness, solvers
+from monoconn import graphs, harness, solvers
 from monoconn.harness import (
     CHECK_KEYS,
     HOLDS,
@@ -141,6 +141,22 @@ class TestCheckAll:
     def test_all_keys_present(self):
         rec = check_all(cycle_graph(6))
         assert set(rec.verdicts) == set(CHECK_KEYS)
+
+    def test_one_diameter_per_graph(self, monkeypatch):
+        # the identity conditions, the diameter-2 bound and mvc reuse it
+        seen = []
+        real = graphs.diameter
+
+        def counted(g):
+            seen.append(g)
+            return real(g)
+
+        for module in (graphs, harness, solvers):
+            monkeypatch.setattr(module, "diameter", counted)
+        cases = [path_graph(6), cycle_graph(7), complete_multipartite_graph([3, 2])]
+        for g in cases:
+            check_all(g)
+        assert seen == cases
 
 
 class TestCorpus:

@@ -10,6 +10,7 @@ from monoconn.graphs import (
     complete_multipartite_graph,
     connected_labeled_graphs,
     cycle_graph,
+    diameter,
     from_edge_list,
     is_connected,
     parse_graph6,
@@ -18,12 +19,14 @@ from monoconn.graphs import (
     star_graph,
     wheel_graph,
 )
+from monoconn import solvers
 from monoconn.maxleaf import max_leaf_exact
 from monoconn.solvers import (
     SolverRangeError,
     SystemTree,
     TreeSystem,
     _candidates,
+    _count_lb_table,
     bounds,
     mc_exact,
     mvc_exact,
@@ -32,6 +35,8 @@ from monoconn.solvers import (
 )
 from conftest import random_connected
 from oracles import (
+    _count_lb_table as fixed_offset_lb_table,
+    count_lb_reference,
     mc_naive,
     mvc_brute,
     mvc_partition_reference,
@@ -245,9 +250,9 @@ class TestMvcExact:
         for g in far:
             self.assert_matches_reference(g)
 
-    def test_count_bound_is_not_applied(self):
+    def test_count_bound_uses_closed_neighbourhood_covers(self):
         # one connected class covers pairs anywhere in its closed
-        # neighbourhood; mc's count bound would stop this search at 6
+        # neighbourhood; mc's fixed count offset would stop this search at 6
         g = parse_graph6("HhW?kiA")
         rep = mvc_exact(g)
         assert (g.n, rep.value, rep.method) == (9, 7, "tree_system")
@@ -354,6 +359,83 @@ class TestCandidates:
                 assert got == tmc_candidates_reference(g, pairs, cap), (g.edges, cap)
                 checked += len(got)
         assert checked > 0
+
+
+class TestCountBound:
+    @staticmethod
+    def cases():
+        """(variant, candidates, pairs) with every candidate of every
+        connected n <= 5 graph and of one graph per class at n = 6."""
+        atlas = (h for h in nx.graph_atlas_g() if h.number_of_nodes() == 6)
+        graphs = [g for n in range(3, 6) for g in connected_labeled_graphs(n)]
+        graphs += [from_edge_list(6, h.edges()) for h in atlas if nx.is_connected(h)]
+        for g in graphs:
+            pairs = g.nonadjacent_pairs()
+            if not pairs:
+                continue
+            yield "mc", _candidates(g, pairs, g.n - 2, "mc"), pairs
+            yield "tmc", _candidates(g, pairs, 2 * g.n - 4, "tmc"), pairs
+            far = [(u, v) for u, v in pairs if not g.adj[u] & g.adj[v]]
+            if far:
+                yield "mvc", _candidates(g, far, g.n - 1, "mvc"), far
+
+    def test_admissible_and_exact_on_small_graphs(self):
+        # every set of up to three compatible candidates costs at least
+        # need[pairs it covers], and need is the least waste whose
+        # candidates' cover sizes reach that count
+        checked = 0
+        for variant, cands, pairs in self.cases():
+            limit = 3 * cands[-1][0] + 1
+            need = _count_lb_table(cands, len(pairs), limit)
+            assert need == count_lb_reference(cands, len(pairs), limit), variant
+
+            def grow(start, waste, used_e, used_i, covered, depth):
+                nonlocal checked
+                for ci in range(start, len(cands)):
+                    w, em, im, _, cov = cands[ci]
+                    if em & used_e or im & used_i:
+                        continue
+                    total, union = waste + w, covered | cov
+                    assert total >= need[union.bit_count()], (variant, cands, ci)
+                    checked += 1
+                    if depth < 3:
+                        grow(ci + 1, total, used_e | em, used_i | im, union, depth + 1)
+
+            grow(0, 0, 0, 0, 0, 1)
+        assert checked > 50_000
+
+    def test_matches_fixed_offset_bound_past_the_guard(self, monkeypatch):
+        # the per-graph bound against the old one: a tree of waste w covers
+        # at most C(w + offset, 2) pairs (tmc 1, mc 2, mvc n)
+        monkeypatch.setenv("MONO_MAX_EXACT_N", "11")
+        dense = [random_connected(10, seed, p=0.7) for seed in range(1, 7)]
+        dense += [random_connected(11, seed, p=0.7) for seed in (1, 2, 5)]
+        sparse = (random_connected(10 + seed % 2, seed + 7, p=0.25) for seed in range(60))
+        far = [g for g in sparse if diameter(g) >= 3][:12]
+        assert len(far) == 12
+        runs = [(tmc_exact, 1, g) for g in dense] + [(mc_exact, 2, g) for g in dense]
+        runs += [(mvc_exact, g.n, g) for g in far]
+        for solve, offset, g in runs:
+            new = solve(g)
+            with monkeypatch.context() as m:
+                m.setattr(
+                    solvers, "_count_lb_table",
+                    lambda cands, npairs, limit: fixed_offset_lb_table(npairs, offset),
+                )
+                old = solve(g)
+            assert new.value == old.value, (solve.__name__, g.edges)
+            assert new.nodes_explored <= old.nodes_explored
+            assert reverify(g, new) and reverify(g, old)
+
+    def test_root_proof_on_dense_graph(self, monkeypatch):
+        # tmc = m - n + 2 + l proved at the root: the max-leaf incumbent
+        # already meets the count bound
+        monkeypatch.setenv("MONO_MAX_EXACT_N", "10")
+        g = random_connected(10, 2, p=0.7)
+        rep = tmc_exact(g)
+        l = max_leaf_exact(g).leaf_count
+        assert (rep.value, rep.nodes_explored) == (g.m - g.n + 2 + l, 1)
+        assert reverify(g, rep)
 
 
 class TestTreeSystemValidate:
