@@ -37,7 +37,6 @@ from .graphs import (
     cycle_graph,
     diameter,
     from_edge_list,
-    generate,
     has_cut_vertex,
     is_connected,
     is_triangle_free,

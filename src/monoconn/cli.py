@@ -31,8 +31,6 @@ from .constructions import (
 from .graphs import (
     Graph,
     GraphFormatError,
-    diameter,
-    is_connected,
     iter_graph6_lines,
     parse_edgelist,
     parse_graph6,
@@ -86,27 +84,15 @@ def _emit(obj: dict) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
-def _needs_max_leaf(g: Graph, inv: str) -> bool:
-    """Whether ``inv`` uses a max-leaf tree: l always; tmc and mvc unless
-    their complete or diameter-2 shortcut applies, or the graph is
-    disconnected, which the solver reports."""
-    if inv == "l":
-        return True
-    if inv == "mc" or not is_connected(g):
-        return False
-    return not g.is_complete() if inv == "tmc" else diameter(g) > 2
-
-
 def cmd_compute(args: argparse.Namespace) -> int:
     for g in _load_graphs(args.input, args.literal):
         rec: dict = {"graph6": to_graph6(g), "n": g.n, "m": g.m}
-        wanted = ["tmc", "mc", "mvc", "l"] if args.invariant == "all" else [args.invariant]
-        ml = None  # one max-leaf tree per graph, shared by l, tmc and mvc
+        wanted = ["l", "tmc", "mc", "mvc"] if args.invariant == "all" else [args.invariant]
+        ml = None  # l's max-leaf tree, shared with tmc and mvc
         for inv in wanted:
-            if ml is None and _needs_max_leaf(g, inv):
-                _guard_exact(g, "max_leaf_exact" if inv == "l" else f"{inv}_exact")
-                ml = max_leaf_exact(g)
             if inv == "l":
+                _guard_exact(g, "max_leaf_exact")
+                ml = max_leaf_exact(g)
                 rec["l"] = ml.leaf_count
                 if args.witness:
                     rec["l_tree"] = [list(e) for e in ml.tree]
@@ -154,6 +140,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         if len(graphs) != 1:
             raise GraphFormatError("construct --family tree needs exactly one input graph")
         g = graphs[0]
+        _guard_exact(g, "max_leaf_tmc_coloring")
         tc = max_leaf_tmc_coloring(g)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(args.family)

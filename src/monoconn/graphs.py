@@ -514,25 +514,6 @@ def random_gnp(n: int, p: float, seed: int) -> Graph:
     return from_edge_list(n, pairs)
 
 
-def generate(kind: str, *params) -> Graph:
-    """Dispatch by family name: path, cycle, star, complete, wheel,
-    complete_multipartite, random_gnp."""
-    kinds = {
-        "path": path_graph,
-        "cycle": cycle_graph,
-        "star": star_graph,
-        "complete": complete_graph,
-        "wheel": wheel_graph,
-    }
-    if kind in kinds:
-        return kinds[kind](*params)
-    if kind == "complete_multipartite":
-        return complete_multipartite_graph(params[0] if len(params) == 1 else list(params))
-    if kind == "random_gnp":
-        return random_gnp(*params)
-    raise ValueError(f"unknown graph family: {kind!r}")
-
-
 def connected_labeled_graphs(n: int) -> Iterator[Graph]:
     """All labeled connected graphs on n vertices, by adjacency-mask order.
 

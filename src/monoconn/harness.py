@@ -19,7 +19,6 @@ from typing import Iterable, Iterator
 
 from .graphs import (
     Graph,
-    GraphConditionSet,
     _bits,
     _reach,
     complement,
@@ -93,15 +92,15 @@ def multipartite_sizes(g: Graph) -> list[int] | None:
     A graph is complete multipartite exactly when every component of its
     complement is a clique.
     """
-    comp = complement(g)
     full = (1 << g.n) - 1
+    co = [full & ~g.adj[v] & ~(1 << v) for v in range(g.n)]  # complement adjacency
     todo = full
     sizes = []
     while todo:
-        seen = _reach(comp.adj, (todo & -todo).bit_length() - 1, full)
+        seen = _reach(co, (todo & -todo).bit_length() - 1, full)
         members = _bits(seen)
         for v in members:
-            if (comp.adj[v] & seen) != seen ^ (1 << v):
+            if (co[v] & seen) != seen ^ (1 << v):
                 return None
         sizes.append(len(members))
         todo &= ~seen
@@ -184,14 +183,14 @@ def check_all_detailed(g: Graph):
     n, m = g.n, g.m
     d = diameter(g)
     delta = max_degree(g)
-    verdicts: dict[str, str] = {}
+    complete = g.is_complete()
     # the solvers refuse non-complete graphs past max_exact_n(): decide that
     # before any exponential work
-    if n > max_exact_n() and not g.is_complete():
-        verdicts = {k: SKIPPED for k in CHECK_KEYS}
+    if n > max_exact_n() and not complete:
         return TheoremCheckRecord(
             graph6=to_graph6(g), n=n, m=m, l=None, diameter=d, max_degree=delta,
-            tmc=None, mc=None, mvc=None, condition_flags=None, verdicts=verdicts,
+            tmc=None, mc=None, mvc=None, condition_flags=None,
+            verdicts={k: SKIPPED for k in CHECK_KEYS},
             elapsed_ms=(time.perf_counter() - t0) * 1000.0,
         ), {}
     l, q, ml = _leaf_stats(g)
@@ -201,59 +200,27 @@ def check_all_detailed(g: Graph):
     tmc, mc, mvc = rep_tmc.value, rep_mc.value, rep_mvc.value
     identity = m - n + 2 + l
 
-    verdicts["tmc_lower_bound"] = HOLDS if tmc >= identity else VIOLATED
-
-    conditions: GraphConditionSet | None = None
-    if n > 3:
-        conditions = tmc_identity_conditions(g, d)
-        if conditions.any_holds():
-            verdicts["identity_conditions"] = HOLDS if tmc == identity else VIOLATED
-        else:
-            verdicts["identity_conditions"] = NOT_APPLICABLE
-    else:
-        verdicts["identity_conditions"] = NOT_APPLICABLE
-
-    if n >= 2 and m >= 2 * n - d - 2:
-        verdicts["size_condition_tmc_gt_mvc"] = HOLDS if tmc > mvc else VIOLATED
-    else:
-        verdicts["size_condition_tmc_gt_mvc"] = NOT_APPLICABLE
-
-    if n >= 2 and d == 2 and 2 * delta >= n + 1:
-        verdicts["degree_condition_tmc_gt_mvc"] = HOLDS if tmc > mvc else VIOLATED
-    else:
-        verdicts["degree_condition_tmc_gt_mvc"] = NOT_APPLICABLE
-
-    verdicts["sum_upper_bound"] = HOLDS if tmc <= mc + mvc else VIOLATED
-    complete = g.is_complete()
-    verdicts["sum_equality_iff_complete"] = (
-        HOLDS if (tmc == mc + mvc) == complete else VIOLATED
+    conditions = tmc_identity_conditions(g, d) if n > 3 else None
+    sizes = multipartite_sizes(g) or []
+    r, t = len(sizes), sum(1 for s in sizes if s >= 2)
+    diameter2 = diameter2_size_bound(g, d)[0]
+    table = (  # (key, hypothesis applies, conclusion holds), in CHECK_KEYS order
+        ("tmc_lower_bound", True, tmc >= identity),
+        ("identity_conditions", conditions is not None and conditions.any_holds(), tmc == identity),
+        ("size_condition_tmc_gt_mvc", n >= 2 and m >= 2 * n - d - 2, tmc > mvc),
+        ("degree_condition_tmc_gt_mvc", n >= 2 and d == 2 and 2 * delta >= n + 1, tmc > mvc),
+        ("sum_upper_bound", True, tmc <= mc + mvc),
+        ("sum_equality_iff_complete", True, (tmc == mc + mvc) == complete),
+        ("tree_formula", m == n - 1 and n >= 2, tmc == l + 1),
+        ("wheel_formula", wheel_order(g) is not None, tmc == m + 1),
+        ("multipartite_formula", r >= 2, tmc == m + r - t),
+        ("diameter2_size_bound", diameter2 != NOT_APPLICABLE, diameter2 == HOLDS),
+        ("internal_vertex_audit", not complete, rep_tmc.witness_system.total_internal >= q),
     )
-
-    if m == n - 1 and n >= 2:
-        verdicts["tree_formula"] = HOLDS if tmc == l + 1 else VIOLATED
-    else:
-        verdicts["tree_formula"] = NOT_APPLICABLE
-
-    if wheel_order(g) is not None:
-        verdicts["wheel_formula"] = HOLDS if tmc == m + 1 else VIOLATED
-    else:
-        verdicts["wheel_formula"] = NOT_APPLICABLE
-
-    sizes = multipartite_sizes(g)
-    if sizes is not None and len(sizes) >= 2:
-        r = len(sizes)
-        t = sum(1 for s in sizes if s >= 2)
-        verdicts["multipartite_formula"] = HOLDS if tmc == m + r - t else VIOLATED
-    else:
-        verdicts["multipartite_formula"] = NOT_APPLICABLE
-
-    verdicts["diameter2_size_bound"] = diameter2_size_bound(g, d)[0]
-
-    if not complete and rep_tmc.witness_system is not None:
-        audit_ok = rep_tmc.witness_system.total_internal >= q
-        verdicts["internal_vertex_audit"] = HOLDS if audit_ok else VIOLATED
-    else:
-        verdicts["internal_vertex_audit"] = NOT_APPLICABLE
+    verdicts = {
+        key: (HOLDS if holds else VIOLATED) if applies else NOT_APPLICABLE
+        for key, applies, holds in table
+    }
 
     record = TheoremCheckRecord(
         graph6=to_graph6(g), n=n, m=m, l=l, diameter=d, max_degree=delta,

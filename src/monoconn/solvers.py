@@ -107,6 +107,7 @@ larger graphs.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -432,69 +433,65 @@ def _solve_cover(
     return best, best_pick, nodes
 
 
-def _solve_tree_system(
-    g: Graph, variant: str, incumbent: Sequence[Edge], ub0: int
-) -> tuple[int, TreeSystem, int]:
-    """(minimum waste, witness system, nodes explored) for a connected
-    non-complete graph, starting from the spanning tree ``incumbent`` of
-    waste ``ub0``.  Each picked set S is realised as a BFS tree of G[I]
-    with every other vertex of S hung on its smallest neighbour in I (for
-    mc, I = S)."""
-    pairs = g.nonadjacent_pairs()
-    cands = _candidates(g, pairs, ub0 - 1, variant)
-    best, pick, nodes = _solve_cover(cands, len(pairs), ub0)
+def _search(
+    g: Graph, variant: str, pairs: Sequence[Edge], incumbent: tuple[int, int], ub: int
+) -> tuple[int, list[tuple[int, int]], int]:
+    """(minimum waste, picked (I, S) masks, nodes explored) of the cover
+    search over ``pairs``, starting from the pick ``incumbent`` of waste
+    ``ub``; when nothing beats it, the incumbent is the pick."""
+    cands = _candidates(g, pairs, ub - 1, variant)
+    best, pick, nodes = _solve_cover(cands, len(pairs), ub)
     if pick is None:
-        trees = [_system_tree_from_edges(incumbent)]
+        return best, [incumbent], nodes
+    return best, [cands[ci][2:4] for ci in pick], nodes
+
+
+def _internal(edges: Sequence[Edge]) -> int:
+    """Mask of the vertices of degree >= 2 in an edge list: those an end
+    meets a second time."""
+    once = twice = 0
+    for u, v in edges:
+        bu, bv = 1 << u, 1 << v
+        twice |= once & bu | (once | bu) & bv
+        once |= bu | bv
+    return twice
+
+
+def _witness(
+    g: Graph, variant: str, picks: Sequence[tuple[int, int]]
+) -> tuple[TotalColoring | EdgeColoring | VertexColoring, TreeSystem | None]:
+    """Witness coloring and tree system of picked (I, S) masks.
+
+    Each S is realised as a BFS tree of G[I] with every other vertex of S
+    hung on its smallest neighbour in I (for mc, I = S), and tree i in edge
+    order gets color i on its edges and, for tmc, its internal vertices.
+    For mvc the i-th I is color class i and no tree is built.  Then every
+    vertex (ascending), then every edge (lex), that the coloring has and no
+    class colored gets a fresh color, so no pick at all gives the
+    all-distinct shortcut witness.
+    """
+    system = None
+    if variant == "mvc":
+        classes = [_bits(inner) for inner, _ in picks]
     else:
         trees = []
-        for ci in pick:
-            _, _, inner, span, _ = cands[ci]
-            trees.append(_system_tree_from_edges(_tree_from_cds(g, inner or span, span)))
-    return best, TreeSystem(trees=tuple(sorted(trees, key=lambda t: t.edges))), nodes
-
-
-def _system_tree_from_edges(edges: Sequence[Edge]) -> SystemTree:
-    deg: dict[int, int] = {}
-    for u, v in edges:
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    internal = tuple(sorted(v for v, d in deg.items() if d >= 2))
-    return SystemTree(edges=tuple(sorted(edges)), internal_vertices=internal)
-
-
-def _coloring_from_system(g: Graph, system: TreeSystem) -> TotalColoring:
-    """Tree i -> color i on its edges and internal vertices; fresh colors for
-    all remaining vertices (ascending) then remaining edges (lex)."""
-    vcol = [-1] * g.n
-    ecol: dict[Edge, int] = {}
-    for i, t in enumerate(system.trees):
-        for e in t.edges:
-            ecol[e] = i
-        for v in t.internal_vertices:
-            vcol[v] = i
-    nxt = len(system.trees)
-    for v in range(g.n):
-        if vcol[v] < 0:
-            vcol[v] = nxt
-            nxt += 1
-    for e in g.edges:
-        if e not in ecol:
-            ecol[e] = nxt
-            nxt += 1
-    return TotalColoring(vertex_color=tuple(vcol), edge_color=ecol)
-
-
-def _edge_coloring_from_trees(g: Graph, trees: Sequence[SystemTree]) -> EdgeColoring:
-    ecol: dict[Edge, int] = {}
-    for i, t in enumerate(trees):
-        for e in t.edges:
-            ecol[e] = i
-    nxt = len(trees)
-    for e in g.edges:
-        if e not in ecol:
-            ecol[e] = nxt
-            nxt += 1
-    return EdgeColoring(edge_color=ecol)
+        for inner, span in picks:
+            edges = sorted(_tree_from_cds(g, inner or span, span))
+            trees.append(SystemTree(tuple(edges), tuple(_bits(_internal(edges)))))
+        trees.sort(key=lambda t: t.edges)
+        system = TreeSystem(trees=tuple(trees))
+        classes = [t.edges + (t.internal_vertices if variant == "tmc" else ()) for t in trees]
+    color = {x: c for c, members in enumerate(classes) for x in members}
+    vs = () if variant == "mc" else range(g.n)
+    es = () if variant == "mvc" else g.edges
+    fresh = itertools.count(len(classes))
+    vcol = tuple(color[v] if v in color else next(fresh) for v in vs)
+    ecol = {e: color[e] if e in color else next(fresh) for e in es}
+    if variant == "tmc":
+        return TotalColoring(vertex_color=vcol, edge_color=ecol), system
+    if variant == "mc":
+        return EdgeColoring(edge_color=ecol), system
+    return VertexColoring(vertex_color=vcol), system
 
 
 def _guard_exact(g: Graph, solver: str) -> None:
@@ -517,24 +514,22 @@ def tmc_exact(g: Graph, max_leaf: SpanningTreeResult | None = None) -> SolverRep
     """
     if not is_connected(g):
         raise ValueError("disconnected")
+    total = g.m + g.n
     if g.is_complete():
+        witness, system = _witness(g, "tmc", [])
         return SolverReport(
-            value=g.m + g.n,
-            witness=_coloring_from_system(g, TreeSystem(trees=())),
-            nodes_explored=0,
-            method="shortcut",
-            bounds_used={"value_lower": g.m + g.n, "value_upper": g.m + g.n},
-            witness_system=TreeSystem(trees=()),
+            value=total, witness=witness, nodes_explored=0, method="shortcut",
+            bounds_used={"value_lower": total, "value_upper": total}, witness_system=system,
         )
     _guard_exact(g, "tmc_exact")
     ml = max_leaf if max_leaf is not None else max_leaf_exact(g)
-    best, system, nodes = _solve_tree_system(g, "tmc", ml.tree, g.n - 2 + ml.internal_count)
+    incumbent = (_internal(ml.tree), (1 << g.n) - 1)
+    ub = g.n - 2 + ml.internal_count
+    best, picks, nodes = _search(g, "tmc", g.nonadjacent_pairs(), incumbent, ub)
+    witness, system = _witness(g, "tmc", picks)
     return SolverReport(
-        value=g.m + g.n - best,
-        witness=_coloring_from_system(g, system),
-        nodes_explored=nodes,
-        method="tree_system",
-        bounds_used={"value_lower": g.m - g.n + 2 + ml.leaf_count, "value_upper": g.m + g.n},
+        value=total - best, witness=witness, nodes_explored=nodes, method="tree_system",
+        bounds_used={"value_lower": g.m - g.n + 2 + ml.leaf_count, "value_upper": total},
         witness_system=system,
     )
 
@@ -548,24 +543,17 @@ def mc_exact(g: Graph) -> SolverReport:
     if not is_connected(g):
         raise ValueError("disconnected")
     if g.is_complete():
-        ec = EdgeColoring(edge_color={e: i for i, e in enumerate(g.edges)})
         return SolverReport(
-            value=g.m,
-            witness=ec,
-            nodes_explored=0,
-            method="shortcut",
+            value=g.m, witness=_witness(g, "mc", [])[0], nodes_explored=0, method="shortcut",
             bounds_used={"value_lower": g.m, "value_upper": g.m},
         )
     _guard_exact(g, "mc_exact")
     full = (1 << g.n) - 1
-    best, system, nodes = _solve_tree_system(g, "mc", _tree_from_cds(g, full, full), g.n - 2)
+    best, picks, nodes = _search(g, "mc", g.nonadjacent_pairs(), (full, full), g.n - 2)
+    witness, system = _witness(g, "mc", picks)
     return SolverReport(
-        value=g.m - best,
-        witness=_edge_coloring_from_trees(g, system.trees),
-        nodes_explored=nodes,
-        method="tree_system",
-        bounds_used={"value_lower": g.m - g.n + 2, "value_upper": g.m},
-        witness_system=system,
+        value=g.m - best, witness=witness, nodes_explored=nodes, method="tree_system",
+        bounds_used={"value_lower": g.m - g.n + 2, "value_upper": g.m}, witness_system=system,
     )
 
 
@@ -588,29 +576,16 @@ def mvc_exact(
         d = diameter(g)
     if d <= 2:
         return SolverReport(
-            value=g.n,
-            witness=VertexColoring(vertex_color=tuple(range(g.n))),
-            nodes_explored=0,
-            method="shortcut",
+            value=g.n, witness=_witness(g, "mvc", [])[0], nodes_explored=0, method="shortcut",
             bounds_used={"value_upper": g.n},
         )
     _guard_exact(g, "mvc_exact")
     ml = max_leaf if max_leaf is not None else max_leaf_exact(g)
+    inner = _internal(ml.tree)
     far = [(u, v) for u, v in g.nonadjacent_pairs() if not g.adj[u] & g.adj[v]]
-    cands = _candidates(g, far, ml.internal_count - 2, "mvc")
-    best, pick, nodes = _solve_cover(cands, len(far), ml.internal_count - 1)
-    if pick is None:
-        classes = [_system_tree_from_edges(ml.tree).internal_vertices]
-    else:
-        classes = [tuple(_bits(cands[ci][2])) for ci in pick]
-    color = {v: c for c, members in enumerate(classes) for v in members}
-    fresh = iter(range(len(classes), g.n))
+    best, picks, nodes = _search(g, "mvc", far, (inner, inner), ml.internal_count - 1)
     return SolverReport(
-        value=g.n - best,
-        witness=VertexColoring(
-            vertex_color=tuple(color[v] if v in color else next(fresh) for v in range(g.n))
-        ),
-        nodes_explored=nodes,
+        value=g.n - best, witness=_witness(g, "mvc", picks)[0], nodes_explored=nodes,
         method="tree_system",
         bounds_used={"value_lower": ml.leaf_count + 1, "value_upper": g.n - d + 2},
     )

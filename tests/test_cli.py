@@ -1,10 +1,19 @@
 import json
+import time
 
 import pytest
 
 from monoconn import cli, solvers
 from monoconn.cli import main
-from monoconn.graphs import complete_graph, format_edgelist, path_graph, to_graph6, wheel_graph
+from monoconn.graphs import (
+    complete_graph,
+    cycle_graph,
+    diameter,
+    format_edgelist,
+    path_graph,
+    to_graph6,
+    wheel_graph,
+)
 from monoconn.maxleaf import max_leaf_exact
 
 
@@ -86,6 +95,22 @@ class TestCompute:
         if invariant == "all":
             assert json.loads(out)["l"] == max_leaf_exact(graph).leaf_count
 
+    @pytest.mark.parametrize("invariant", ["mvc", "all"])
+    def test_diameter_once_per_graph(self, tmp_path, capsys, monkeypatch, invariant):
+        seen = []
+
+        def counted(g):
+            seen.append(g)
+            return diameter(g)
+
+        for module in (cli, solvers):
+            monkeypatch.setattr(module, "diameter", counted, raising=False)
+        p = tmp_path / "graphs.g6"
+        p.write_text(f"{to_graph6(path_graph(6))}\n{to_graph6(cycle_graph(7))}\n")
+        code, out, _ = run_cli(capsys, "compute", str(p), "--invariant", invariant)
+        assert code == 0 and len(out.strip().splitlines()) == 2
+        assert len(seen) == 2
+
     def test_bad_guard_setting_named(self, capsys, monkeypatch):
         monkeypatch.setenv("MONO_MAX_EXACT_N", "abc")
         code, _, err = run_cli(capsys, "compute", "Dhc", "--literal")
@@ -122,6 +147,13 @@ class TestConstructVerify:
         p.write_text("Dhc\n")
         code, out, _ = run_cli(capsys, "construct", "--family", "tree", "--graph", str(p))
         assert code == 0 and json.loads(out.strip())["colors"] == 4
+
+    def test_construct_tree_past_guard_refused_fast(self, capsys):
+        g6 = to_graph6(path_graph(20))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "construct", "--family", "tree", "--graph", g6, "--literal")
+        assert code == 2 and out == "" and time.perf_counter() - start < 1.0
+        assert "accepts n <= 9" in err and "got n = 20" in err
 
     def test_verify_invalid_coloring_reported(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -16,7 +16,6 @@ from monoconn.graphs import (
     cycle_graph,
     diameter,
     from_edge_list,
-    generate,
     has_cut_vertex,
     is_connected,
     is_triangle_free,
@@ -293,14 +292,6 @@ class TestGenerators:
         b = random_gnp(8, 0.5, seed=1)
         assert a.edges == b.edges
         assert random_gnp(8, 0.5, seed=2).edges != a.edges
-
-    def test_generate_dispatch(self):
-        assert generate("path", 4).m == 3
-        assert generate("cycle", 5).m == 5
-        assert generate("complete_multipartite", [2, 2]).m == 4
-        assert generate("random_gnp", 6, 0.5, 3).n == 6
-        with pytest.raises(ValueError):
-            generate("mystery", 3)
 
     def test_connected_corpus_counts(self):
         # labeled connected graph counts: 1, 1, 4, 38, 728

@@ -1,10 +1,12 @@
+import hashlib
 import itertools
+import json
 import time
 
 import networkx as nx
 import pytest
 
-from monoconn.coloring import verify_mc, verify_mvc, verify_tmc
+from monoconn.coloring import coloring_to_json, verify_mc, verify_mvc, verify_tmc
 from monoconn.graphs import (
     complete_graph,
     complete_multipartite_graph,
@@ -494,3 +496,28 @@ def test_methods_and_nodes():
     rep = tmc_exact(cycle_graph(5))
     assert rep.method == "tree_system" and rep.nodes_explored > 0
     assert rep.bounds_used["value_lower"] == 4
+
+
+# sha256 of each report's value, method, nodes, bounds, witness JSON and
+# witness-system trees for tmc, mc and mvc over every labelled connected
+# graph with n <= 5 and 20 seeded graphs with n = 7 or 8; any change to a
+# witness moves it
+WITNESS_DIGEST = "62960945ce525b8f0f723cd9535b300dc280af167462c39199e0d826a640541e"
+
+
+def test_reports_match_golden_witness_digest():
+    graphs = [g for n in range(1, 6) for g in connected_labeled_graphs(n)]
+    graphs += [random_connected(7 + i % 2, 900 + i, p=(0.3, 0.5, 0.7)[i % 3]) for i in range(20)]
+    h = hashlib.sha256()
+    for g in graphs:
+        for solve in (tmc_exact, mc_exact, mvc_exact):
+            rep = solve(g)
+            system = rep.witness_system
+            row = [
+                rep.value, rep.method, rep.nodes_explored, rep.bounds_used,
+                coloring_to_json(rep.witness),
+                None if system is None else [[t.edges, t.internal_vertices] for t in system.trees],
+            ]
+            h.update((json.dumps(row, sort_keys=True) + "\n").encode())
+    assert len(graphs) == 792
+    assert h.hexdigest() == WITNESS_DIGEST
