@@ -30,6 +30,7 @@ from .graphs import (
     Graph,
     GraphConditionSet,
     GraphFormatError,
+    canonical_order,
     complement,
     complete_graph,
     complete_multipartite_graph,
@@ -45,6 +46,7 @@ from .graphs import (
     parse_graph6,
     path_graph,
     random_gnp,
+    relabel,
     star_graph,
     tmc_identity_conditions,
     to_graph6,

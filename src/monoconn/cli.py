@@ -75,8 +75,13 @@ def _load_graphs(spec: str, literal: bool) -> Iterator[Graph]:
 def _corpus(spec: str) -> Iterable[Graph]:
     if spec.startswith("builtin:"):
         arg = spec.split(":", 1)[1]
-        arg = arg.replace("n<=", "").replace("n=", "")
-        return builtin_corpus(int(arg))
+        arg = arg.replace("n<=", "").replace("n=", "").strip()
+        if not arg.lstrip("-").isdigit():
+            raise ValueError(f"bad corpus {spec!r}: builtin:N needs an integer N, got {arg!r}")
+        try:
+            return builtin_corpus(int(arg))
+        except ValueError as exc:
+            raise ValueError(f"bad corpus {spec!r}: {exc}") from None
     return _load_graphs(spec, literal=False)
 
 
@@ -219,7 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("check", help="run every claim check over a corpus")
-    p.add_argument("--corpus", required=True, help="graph6 file, edge-list file, or builtin:N (N <= 6)")
+    p.add_argument(
+        "--corpus", required=True, help="graph6 file, edge-list file, or builtin:N (1 <= N <= 6)"
+    )
     p.add_argument("--csv", help="also write a CSV report to this path")
     p.set_defaults(func=cmd_check)
 

@@ -67,7 +67,9 @@ def wheel_tmc_coloring(n: int) -> tuple[Graph, TotalColoring]:
         raise ValueError("wheel construction needs order n >= 5")
     g = wheel_graph(n)
     star = tuple((0, v) for v in range(1, n))
-    tree = SpanningTreeResult(tree=star, leaf_count=n - 1, internal_count=1, exact=True)
+    tree = SpanningTreeResult(
+        tree=star, leaf_count=n - 1, internal_count=1, exact=True, internal=1
+    )
     return g, tree_based_tmc_coloring(g, tree)
 
 

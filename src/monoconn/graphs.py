@@ -381,6 +381,137 @@ def vertex_connectivity(g: Graph) -> int:
     return best
 
 
+# ---------------------------------------------------------------------------
+# Canonical labelling: colour refinement plus individualisation-refinement
+# (McKay & Piperno 2014, Practical graph isomorphism II)
+# ---------------------------------------------------------------------------
+
+def relabel(g: Graph, order: Sequence[int]) -> Graph:
+    """The graph whose vertex i is g's vertex order[i]."""
+    pos = [0] * g.n
+    for i, v in enumerate(order):
+        pos[v] = i
+    return from_edge_list(g.n, [(pos[u], pos[v]) for u, v in g.edges])
+
+
+def _refine(adj: Sequence[int], cells: list[int], todo: list[int]) -> list[int]:
+    """Split an ordered partition (cell bitmasks) until it is equitable:
+    the vertices of a cell have equally many neighbours in every cell.
+
+    Each splitter of ``todo`` splits every cell by neighbour count, parts
+    in ascending count, and the parts become splitters.  Nothing reads a
+    vertex label, so relabelling the input relabels the output."""
+    cells = list(cells)
+    while todo:
+        w = todo.pop()
+        i = 0
+        while i < len(cells):
+            x = cells[i]
+            i += 1
+            if not x & (x - 1):
+                continue
+            parts: dict[int, int] = {}
+            for v in _bits(x):
+                k = (adj[v] & w).bit_count()
+                parts[k] = parts.get(k, 0) | 1 << v
+            if len(parts) > 1:
+                split = [parts[k] for k in sorted(parts)]
+                cells[i - 1:i] = split
+                i += len(split) - 1
+                if x in todo:
+                    todo.remove(x)
+                todo.extend(split)
+    return cells
+
+
+def canonical_order(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """(code, order): relabel(g, order) is the same graph for every
+    labelling of g's isomorphism class, and code holds its adjacency rows,
+    n bits each, row 0 most significant, so two graphs on n vertices are
+    isomorphic exactly when their codes are equal.
+
+    Colour refinement from the cells of equal degree (ascending) gives an
+    equitable partition; the search then individualises each vertex of the
+    first non-singleton cell in turn, refines, and recurses, and keeps the
+    least code over the discrete partitions it reaches.  Two leaves of equal
+    code give an automorphism, and a node skips a child that an automorphism
+    fixing the node's individualised vertices maps onto an explored child.
+    A cell of mutual twins (equal open or equal closed neighbourhoods) is
+    split into singletons in label order without branching: every
+    permutation of it is an automorphism fixing the partition, so all its
+    orders give the same codes.  K_n, stars and complete multipartite
+    graphs therefore never branch on their twin classes.
+    """
+    n, adj = g.n, g.adj
+    by_degree: dict[int, int] = {}
+    for v in range(n):
+        k = adj[v].bit_count()
+        by_degree[k] = by_degree.get(k, 0) | 1 << v
+    cells = [by_degree[k] for k in sorted(by_degree)]
+    best: list = [None, ()]   # least code so far and its order
+    first: list = [None, ()]  # the first leaf's code and order
+    autos: list[tuple[int, ...]] = []
+
+    def leaf(cells: list[int]) -> None:
+        order = tuple(c.bit_length() - 1 for c in cells)
+        pos = [0] * n
+        for i, v in enumerate(order):
+            pos[v] = i
+        code = 0
+        for v in order:
+            row = 0
+            for u in _bits(adj[v]):
+                row |= 1 << pos[u]
+            code = code << n | row
+        if first[0] is None:
+            first[:] = best[:] = code, order
+            return
+        for known in (first, best):
+            if code == known[0]:
+                image = [0] * n
+                for u, w in zip(order, known[1]):
+                    image[u] = w
+                autos.append(tuple(image))
+                return
+        if code < best[0]:
+            best[:] = code, order
+
+    def search(cells: list[int], fixed: tuple[int, ...]) -> None:
+        while True:
+            i = next((i for i, x in enumerate(cells) if x & (x - 1)), -1)
+            if i < 0:
+                leaf(cells)
+                return
+            x = cells[i]
+            members = _bits(x)
+            if (len({adj[v] for v in members}) > 1
+                    and len({adj[v] | 1 << v for v in members}) > 1):
+                break
+            cells = cells[:i] + [1 << v for v in members] + cells[i + 1:]
+        done = 0
+        for v in members:
+            if done:
+                # skip v when an automorphism found so far that fixes every
+                # individualised vertex maps an explored child onto it
+                gens = [a for a in autos if all(a[f] == f for f in fixed)]
+                seen = frontier = done
+                while frontier and not seen >> v & 1:
+                    nxt = 0
+                    for u in _bits(frontier):
+                        for a in gens:
+                            nxt |= 1 << a[u]
+                    frontier = nxt & ~seen
+                    seen |= frontier
+                if seen >> v & 1:
+                    continue
+            search(_refine(adj, cells[:i] + [1 << v, x ^ 1 << v] + cells[i + 1:], [1 << v]),
+                   fixed + (v,))
+            done |= 1 << v
+
+    search(_refine(adj, cells, list(cells)), ())
+    return best[0], best[1]
+
+
 @dataclass(frozen=True)
 class GraphConditionSet:
     """The five sufficient conditions under which tmc(G) = m - n + 2 + l(G).

@@ -1,10 +1,11 @@
 """Batch verification over graph corpora, random-graph surveys and hunts.
 
 ``check_all`` evaluates every applicable claim about one graph and returns a
-record of values and verdicts; a corpus sweep with zero "violated" verdicts
-is the library's regression gate.  Verdicts test hypotheses before
-conclusions, so inapplicable claims report "not_applicable" rather than
-passing silently, and graphs beyond the exact-solver guard report "skipped".
+record of values and verdicts, solving each isomorphism class once; a corpus
+sweep with zero "violated" verdicts is the library's regression gate.
+Verdicts test hypotheses before conclusions, so inapplicable claims report
+"not_applicable" rather than passing silently, and graphs beyond the
+exact-solver guard report "skipped".
 """
 
 from __future__ import annotations
@@ -13,26 +14,31 @@ import csv
 import io
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import (
     Graph,
     _bits,
     _reach,
+    canonical_order,
     complement,
     connected_labeled_graphs,
     diameter,
     is_connected,
     max_degree,
     random_gnp,
+    relabel,
     tmc_identity_conditions,
     to_graph6,
     vertex_connectivity,
 )
 from .maxleaf import max_leaf_exact
 from .solvers import (
+    SolverReport,
+    SystemTree,
+    TreeSystem,
     _guard_exact,
     max_exact_n,
     mc_exact,
@@ -174,25 +180,90 @@ def check_all(g: Graph) -> TheoremCheckRecord:
     return check_all_detailed(g)[0]
 
 
+#: isomorphism classes whose results check_all_detailed keeps; past this
+#: many the oldest is dropped
+MEMO_CAP = 4096
+_memo: dict[tuple[int, int], tuple[TheoremCheckRecord, dict[str, SolverReport]]] = {}
+
+
 def check_all_detailed(g: Graph):
     """As check_all, but also return the solver reports keyed by invariant
-    so callers can audit the witnesses without re-solving."""
+    so callers can audit the witnesses without re-solving.
+
+    Every value and verdict is unchanged by relabelling the vertices, so
+    the claims are evaluated once per isomorphism class: on the canonical
+    relabelling of g (``canonical_order``), kept in a memo keyed by the
+    canonical code, and the witnesses are mapped back onto g's vertices.
+    The result is therefore the same whatever was checked before.
+    """
     if not is_connected(g):
         raise ValueError("disconnected")
     t0 = time.perf_counter()
+    # the solvers refuse non-complete graphs past max_exact_n(): decide that
+    # before any exponential work
+    if g.n > max_exact_n() and not g.is_complete():
+        return TheoremCheckRecord(
+            graph6=to_graph6(g), n=g.n, m=g.m, l=None, diameter=diameter(g),
+            max_degree=max_degree(g), tmc=None, mc=None, mvc=None, condition_flags=None,
+            verdicts={k: SKIPPED for k in CHECK_KEYS},
+            elapsed_ms=(time.perf_counter() - t0) * 1000.0,
+        ), {}
+    code, order = canonical_order(g)
+    known = _memo.get((g.n, code))
+    if known is None:
+        known = _memo[g.n, code] = _check_canonical(relabel(g, order))
+        if len(_memo) > MEMO_CAP:
+            del _memo[next(iter(_memo))]
+    record, reports = known
+    pos = [0] * g.n
+    for i, v in enumerate(order):
+        pos[v] = i
+    flags = record.condition_flags
+    return replace(
+        record, graph6=to_graph6(g), verdicts=dict(record.verdicts),
+        condition_flags=None if flags is None else dict(flags),
+        elapsed_ms=(time.perf_counter() - t0) * 1000.0,
+    ), {key: _relabel_report(rep, g, order, pos) for key, rep in reports.items()}
+
+
+def _relabel_report(
+    rep: SolverReport, g: Graph, order: Sequence[int], pos: Sequence[int]
+) -> SolverReport:
+    """A copy of a report on relabel(g, order) with its witness and tree
+    system moved onto g's vertices: canonical vertex i is g's order[i], and
+    g's vertex v is canonical vertex pos[v]."""
+    w = rep.witness
+    moved = {}
+    if hasattr(w, "vertex_color"):
+        moved["vertex_color"] = tuple(w.vertex_color[p] for p in pos)
+    if hasattr(w, "edge_color"):
+        ecol = w.edge_color
+        moved["edge_color"] = {
+            (u, v): ecol[(pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u])]
+            for u, v in g.edges
+        }
+    system = rep.witness_system
+    if system is not None:
+        trees = []
+        for t in system.trees:
+            edges = sorted((order[a], order[b]) if order[a] < order[b] else (order[b], order[a])
+                           for a, b in t.edges)
+            internal = sorted(order[v] for v in t.internal_vertices)
+            trees.append(SystemTree(tuple(edges), tuple(internal)))
+        system = TreeSystem(trees=tuple(sorted(trees, key=lambda t: t.edges)))
+    return SolverReport(
+        value=rep.value, witness=type(w)(**moved), nodes_explored=rep.nodes_explored,
+        method=rep.method, bounds_used=dict(rep.bounds_used), witness_system=system,
+    )
+
+
+def _check_canonical(g: Graph) -> tuple[TheoremCheckRecord, dict[str, SolverReport]]:
+    """check_all_detailed's record (``elapsed_ms`` left 0) and reports for
+    a graph within the solvers' range."""
     n, m = g.n, g.m
     d = diameter(g)
     delta = max_degree(g)
     complete = g.is_complete()
-    # the solvers refuse non-complete graphs past max_exact_n(): decide that
-    # before any exponential work
-    if n > max_exact_n() and not complete:
-        return TheoremCheckRecord(
-            graph6=to_graph6(g), n=n, m=m, l=None, diameter=d, max_degree=delta,
-            tmc=None, mc=None, mvc=None, condition_flags=None,
-            verdicts={k: SKIPPED for k in CHECK_KEYS},
-            elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-        ), {}
     l, q, ml = _leaf_stats(g)
     rep_tmc = tmc_exact(g, ml)
     rep_mc = mc_exact(g)
@@ -226,20 +297,21 @@ def check_all_detailed(g: Graph):
         graph6=to_graph6(g), n=n, m=m, l=l, diameter=d, max_degree=delta,
         tmc=tmc, mc=mc, mvc=mvc,
         condition_flags=conditions.flags() if conditions is not None else None,
-        verdicts=verdicts,
-        elapsed_ms=(time.perf_counter() - t0) * 1000.0,
+        verdicts=verdicts, elapsed_ms=0.0,
     )
     return record, {"tmc": rep_tmc, "mc": rep_mc, "mvc": rep_mvc}
 
 
 def builtin_corpus(max_n: int) -> Iterator[Graph]:
-    """All labeled connected graphs with 1 <= n <= max_n (max_n <= 6)."""
+    """All labeled connected graphs with 1 <= n <= max_n (1 <= max_n <= 6);
+    a max_n out of range raises at the call, before any graph."""
+    if max_n < 1:
+        raise ValueError(f"builtin corpus needs max_n >= 1, got {max_n}")
     if max_n > 6:
         raise ValueError(
             "builtin corpus is capped at n <= 6; supply an external graph6 list for larger n"
         )
-    for n in range(1, max_n + 1):
-        yield from connected_labeled_graphs(n)
+    return (g for n in range(1, max_n + 1) for g in connected_labeled_graphs(n))
 
 
 # ---------------------------------------------------------------------------

@@ -23,13 +23,15 @@ class SpanningTreeResult:
     """A spanning tree with its leaf statistics.
 
     ``exact`` records whether ``leaf_count`` is the true optimum l(G) or just
-    a heuristic lower bound.
+    a heuristic lower bound.  ``internal`` is the bitmask of the tree's
+    internal vertices, a connected dominating set when n >= 3.
     """
 
     tree: tuple[tuple[int, int], ...]
     leaf_count: int
     internal_count: int
     exact: bool
+    internal: int
 
     @property
     def n(self) -> int:
@@ -47,6 +49,7 @@ def _tree_result(g: Graph, tree_edges: list[tuple[int, int]], exact: bool) -> Sp
         leaf_count=leaves,
         internal_count=g.n - leaves,
         exact=exact,
+        internal=sum(1 << v for v, d in enumerate(deg) if d >= 2),
     )
 
 

@@ -434,16 +434,14 @@ def _solve_cover(
 
 
 def _search(
-    g: Graph, variant: str, pairs: Sequence[Edge], incumbent: tuple[int, int], ub: int
-) -> tuple[int, list[tuple[int, int]], int]:
+    g: Graph, variant: str, pairs: Sequence[Edge], ub: int
+) -> tuple[int, list[tuple[int, int]] | None, int]:
     """(minimum waste, picked (I, S) masks, nodes explored) of the cover
-    search over ``pairs``, starting from the pick ``incumbent`` of waste
-    ``ub``; when nothing beats it, the incumbent is the pick."""
+    search over ``pairs`` below the incumbent's waste ``ub``; the pick is
+    None when nothing beats the incumbent."""
     cands = _candidates(g, pairs, ub - 1, variant)
     best, pick, nodes = _solve_cover(cands, len(pairs), ub)
-    if pick is None:
-        return best, [incumbent], nodes
-    return best, [cands[ci][2:4] for ci in pick], nodes
+    return best, None if pick is None else [cands[ci][2:4] for ci in pick], nodes
 
 
 def _internal(edges: Sequence[Edge]) -> int:
@@ -457,30 +455,25 @@ def _internal(edges: Sequence[Edge]) -> int:
     return twice
 
 
-def _witness(
-    g: Graph, variant: str, picks: Sequence[tuple[int, int]]
-) -> tuple[TotalColoring | EdgeColoring | VertexColoring, TreeSystem | None]:
-    """Witness coloring and tree system of picked (I, S) masks.
+def _system(g: Graph, picks: Sequence[tuple[int, int]]) -> TreeSystem:
+    """Tree system of picked (I, S) masks, in edge order: each S realised
+    as a BFS tree of G[I] with every other vertex of S hung on its smallest
+    neighbour in I (for mc, I = S)."""
+    trees = []
+    for inner, span in picks:
+        edges = sorted(_tree_from_cds(g, inner or span, span))
+        trees.append(SystemTree(tuple(edges), tuple(_bits(_internal(edges)))))
+    trees.sort(key=lambda t: t.edges)
+    return TreeSystem(trees=tuple(trees))
 
-    Each S is realised as a BFS tree of G[I] with every other vertex of S
-    hung on its smallest neighbour in I (for mc, I = S), and tree i in edge
-    order gets color i on its edges and, for tmc, its internal vertices.
-    For mvc the i-th I is color class i and no tree is built.  Then every
-    vertex (ascending), then every edge (lex), that the coloring has and no
-    class colored gets a fresh color, so no pick at all gives the
-    all-distinct shortcut witness.
-    """
-    system = None
-    if variant == "mvc":
-        classes = [_bits(inner) for inner, _ in picks]
-    else:
-        trees = []
-        for inner, span in picks:
-            edges = sorted(_tree_from_cds(g, inner or span, span))
-            trees.append(SystemTree(tuple(edges), tuple(_bits(_internal(edges)))))
-        trees.sort(key=lambda t: t.edges)
-        system = TreeSystem(trees=tuple(trees))
-        classes = [t.edges + (t.internal_vertices if variant == "tmc" else ()) for t in trees]
+
+def _coloring(
+    g: Graph, variant: str, classes: Sequence[Sequence]
+) -> TotalColoring | EdgeColoring | VertexColoring:
+    """Witness coloring in which the items (vertices, edges) of class i get
+    color i.  Then every vertex (ascending), then every edge (lex), that
+    the coloring has and no class colored gets a fresh color, so no class
+    at all gives the all-distinct shortcut witness."""
     color = {x: c for c, members in enumerate(classes) for x in members}
     vs = () if variant == "mc" else range(g.n)
     es = () if variant == "mvc" else g.edges
@@ -488,10 +481,10 @@ def _witness(
     vcol = tuple(color[v] if v in color else next(fresh) for v in vs)
     ecol = {e: color[e] if e in color else next(fresh) for e in es}
     if variant == "tmc":
-        return TotalColoring(vertex_color=vcol, edge_color=ecol), system
+        return TotalColoring(vertex_color=vcol, edge_color=ecol)
     if variant == "mc":
-        return EdgeColoring(edge_color=ecol), system
-    return VertexColoring(vertex_color=vcol), system
+        return EdgeColoring(edge_color=ecol)
+    return VertexColoring(vertex_color=vcol)
 
 
 def _guard_exact(g: Graph, solver: str) -> None:
@@ -516,17 +509,19 @@ def tmc_exact(g: Graph, max_leaf: SpanningTreeResult | None = None) -> SolverRep
         raise ValueError("disconnected")
     total = g.m + g.n
     if g.is_complete():
-        witness, system = _witness(g, "tmc", [])
         return SolverReport(
-            value=total, witness=witness, nodes_explored=0, method="shortcut",
-            bounds_used={"value_lower": total, "value_upper": total}, witness_system=system,
+            value=total, witness=_coloring(g, "tmc", []), nodes_explored=0, method="shortcut",
+            bounds_used={"value_lower": total, "value_upper": total},
+            witness_system=TreeSystem(trees=()),
         )
     _guard_exact(g, "tmc_exact")
     ml = max_leaf if max_leaf is not None else max_leaf_exact(g)
-    incumbent = (_internal(ml.tree), (1 << g.n) - 1)
-    ub = g.n - 2 + ml.internal_count
-    best, picks, nodes = _search(g, "tmc", g.nonadjacent_pairs(), incumbent, ub)
-    witness, system = _witness(g, "tmc", picks)
+    best, picks, nodes = _search(g, "tmc", g.nonadjacent_pairs(), g.n - 2 + ml.internal_count)
+    if picks is None:  # the max-leaf tree itself is optimal
+        system = TreeSystem(trees=(SystemTree(ml.tree, tuple(_bits(ml.internal))),))
+    else:
+        system = _system(g, picks)
+    witness = _coloring(g, "tmc", [t.edges + t.internal_vertices for t in system.trees])
     return SolverReport(
         value=total - best, witness=witness, nodes_explored=nodes, method="tree_system",
         bounds_used={"value_lower": g.m - g.n + 2 + ml.leaf_count, "value_upper": total},
@@ -544,13 +539,14 @@ def mc_exact(g: Graph) -> SolverReport:
         raise ValueError("disconnected")
     if g.is_complete():
         return SolverReport(
-            value=g.m, witness=_witness(g, "mc", [])[0], nodes_explored=0, method="shortcut",
+            value=g.m, witness=_coloring(g, "mc", []), nodes_explored=0, method="shortcut",
             bounds_used={"value_lower": g.m, "value_upper": g.m},
         )
     _guard_exact(g, "mc_exact")
     full = (1 << g.n) - 1
-    best, picks, nodes = _search(g, "mc", g.nonadjacent_pairs(), (full, full), g.n - 2)
-    witness, system = _witness(g, "mc", picks)
+    best, picks, nodes = _search(g, "mc", g.nonadjacent_pairs(), g.n - 2)
+    system = _system(g, [(full, full)] if picks is None else picks)
+    witness = _coloring(g, "mc", [t.edges for t in system.trees])
     return SolverReport(
         value=g.m - best, witness=witness, nodes_explored=nodes, method="tree_system",
         bounds_used={"value_lower": g.m - g.n + 2, "value_upper": g.m}, witness_system=system,
@@ -576,17 +572,17 @@ def mvc_exact(
         d = diameter(g)
     if d <= 2:
         return SolverReport(
-            value=g.n, witness=_witness(g, "mvc", [])[0], nodes_explored=0, method="shortcut",
+            value=g.n, witness=_coloring(g, "mvc", []), nodes_explored=0, method="shortcut",
             bounds_used={"value_upper": g.n},
         )
     _guard_exact(g, "mvc_exact")
     ml = max_leaf if max_leaf is not None else max_leaf_exact(g)
-    inner = _internal(ml.tree)
     far = [(u, v) for u, v in g.nonadjacent_pairs() if not g.adj[u] & g.adj[v]]
-    best, picks, nodes = _search(g, "mvc", far, (inner, inner), ml.internal_count - 1)
+    best, picks, nodes = _search(g, "mvc", far, ml.internal_count - 1)
+    classes = [ml.internal] if picks is None else [inner for inner, _ in picks]
     return SolverReport(
-        value=g.n - best, witness=_witness(g, "mvc", picks)[0], nodes_explored=nodes,
-        method="tree_system",
+        value=g.n - best, witness=_coloring(g, "mvc", [_bits(c) for c in classes]),
+        nodes_explored=nodes, method="tree_system",
         bounds_used={"value_lower": ml.leaf_count + 1, "value_upper": g.n - d + 2},
     )
 

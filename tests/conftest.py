@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from monoconn.graphs import Graph, is_connected, random_gnp
+from monoconn.graphs import Graph, is_connected, random_gnp, relabel
 
 
 def random_connected(n: int, seed: int, p: float = 0.5) -> Graph:
@@ -16,6 +16,19 @@ def random_connected(n: int, seed: int, p: float = 0.5) -> Graph:
         g = random_gnp(n, p, seed=rng.randrange(2**30))
         if is_connected(g):
             return g
+
+
+def shuffled(g: Graph, seed: int = 0) -> Graph:
+    """An isomorphic copy of g under other labels (g itself when every
+    relabelling of g is g, as for K_n)."""
+    rng = random.Random(seed)
+    for _ in range(20):
+        order = list(range(g.n))
+        rng.shuffle(order)
+        h = relabel(g, order)
+        if h != g:
+            return h
+    return g
 
 
 @pytest.fixture(scope="session")

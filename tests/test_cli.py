@@ -198,6 +198,20 @@ class TestCheck:
         code, out, _ = run_cli(capsys, "check", "--corpus", "builtin:n<=2")
         assert code == 0 and len(out.strip().splitlines()) == 2
 
+    @pytest.mark.parametrize("spec,reason", [
+        ("builtin:0", "needs max_n >= 1, got 0"),
+        ("builtin:-1", "needs max_n >= 1, got -1"),
+        ("builtin:7", "capped at n <= 6"),
+        ("builtin:x", "needs an integer N, got 'x'"),
+        ("builtin:", "needs an integer N, got ''"),
+    ])
+    @pytest.mark.parametrize("command", ["check", "hunt"])
+    def test_bad_builtin_spec_named(self, capsys, spec, reason, command):
+        extra = ["--target", "tmc_le_mc"] if command == "hunt" else []
+        code, out, err = run_cli(capsys, command, *extra, "--corpus", spec)
+        assert code == 2 and out == ""
+        assert f"bad corpus {spec!r}" in err and reason in err
+
 
 class TestSurveyHunt:
     def test_survey(self, capsys):

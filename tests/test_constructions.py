@@ -37,7 +37,8 @@ class TestTreeBased:
     def test_k4_star_lower_bound_only(self):
         g = complete_graph(4)
         star = SpanningTreeResult(
-            tree=((0, 1), (0, 2), (0, 3)), leaf_count=3, internal_count=1, exact=True
+            tree=((0, 1), (0, 2), (0, 3)), leaf_count=3, internal_count=1, exact=True,
+            internal=0b1,
         )
         tc = tree_based_tmc_coloring(g, star)
         assert tc.color_count == 6 - 4 + 2 + 3  # valid but below tmc(K_4) = 10
@@ -53,7 +54,8 @@ class TestTreeBased:
                 deg[u] += 1
                 deg[v] += 1
             res = SpanningTreeResult(
-                tree=tuple(sorted(t)), leaf_count=l, internal_count=g.n - l, exact=False
+                tree=tuple(sorted(t)), leaf_count=l, internal_count=g.n - l, exact=False,
+                internal=sum(1 << v for v in range(g.n) if deg[v] >= 2),
             )
             tc = tree_based_tmc_coloring(g, res)
             assert tc.color_count == g.m - g.n + 2 + l
@@ -67,7 +69,8 @@ class TestTreeBased:
     def test_rejects_non_spanning_tree(self):
         g = cycle_graph(5)
         bogus = SpanningTreeResult(
-            tree=((0, 1), (1, 2), (2, 3)), leaf_count=2, internal_count=3, exact=False
+            tree=((0, 1), (1, 2), (2, 3)), leaf_count=2, internal_count=3, exact=False,
+            internal=0b110,
         )
         with pytest.raises(ValueError):
             tree_based_tmc_coloring(g, bogus)
@@ -75,7 +78,8 @@ class TestTreeBased:
     def test_rejects_non_subgraph(self):
         g = path_graph(4)
         bogus = SpanningTreeResult(
-            tree=((0, 1), (1, 2), (0, 3)), leaf_count=3, internal_count=1, exact=False
+            tree=((0, 1), (1, 2), (0, 3)), leaf_count=3, internal_count=1, exact=False,
+            internal=0b11,
         )
         with pytest.raises(ValueError):
             tree_based_tmc_coloring(g, bogus)

@@ -9,6 +9,7 @@ import networkx as nx
 
 from monoconn.graphs import (
     GraphFormatError,
+    canonical_order,
     complement,
     complete_graph,
     complete_multipartite_graph,
@@ -24,12 +25,14 @@ from monoconn.graphs import (
     parse_graph6,
     path_graph,
     random_gnp,
+    relabel,
     star_graph,
     tmc_identity_conditions,
     to_graph6,
     vertex_connectivity,
     wheel_graph,
 )
+from monoconn.harness import builtin_corpus
 from conftest import random_connected
 from oracles import k_connected_bf, petersen, vertex_connectivity_reference
 
@@ -263,6 +266,73 @@ class TestIdentityConditions:
             assert c.has_cut_vertex == has_cut_vertex(g)
             expected = Fraction(max_degree(g)) < n - Fraction(2 * m - 3 * (n - 1), n - 3)
             assert c.degree_bound_holds == expected
+
+
+def rook_graph_3x3():
+    cells = [(r, c) for r in range(3) for c in range(3)]
+    return from_edge_list(9, [
+        (a, b) for a, b in combinations(range(9), 2)
+        if cells[a][0] == cells[b][0] or cells[a][1] == cells[b][1]
+    ])
+
+
+def cube_graph():
+    return from_edge_list(8, [(a, b) for a, b in combinations(range(8), 2)
+                              if bin(a ^ b).count("1") == 1])
+
+
+class TestCanonicalOrder:
+    def test_class_counts_match_oeis(self):
+        # connected graphs on n unlabelled vertices, OEIS A001349
+        codes: dict[int, set] = {}
+        for g in builtin_corpus(6):
+            codes.setdefault(g.n, set()).add(canonical_order(g)[0])
+        assert [len(codes[n]) for n in range(1, 7)] == [1, 1, 2, 6, 21, 112]
+
+    @given(st.integers(1, 10), st.floats(0.1, 0.9), st.integers(0, 10**6),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_relabelling_keeps_code(self, n, p, seed, rnd):
+        g = random_gnp(n, p, seed)
+        order = list(range(n))
+        rnd.shuffle(order)
+        h = relabel(g, order)
+        code, canon = canonical_order(g)
+        assert canonical_order(h)[0] == code
+        assert relabel(h, canonical_order(h)[1]) == relabel(g, canon)
+        # canon is an isomorphism from g onto the graph whose rows code holds
+        assert sorted(canon) == list(range(n))
+        for i in range(n):
+            row = code >> (n * (n - 1 - i))
+            for j in range(n):
+                assert (row >> j) & 1 == g.has_edge(canon[i], canon[j])
+
+    @given(st.integers(2, 7), st.integers(0, 10**6), st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_equal_code_iff_isomorphic(self, n, seed, rnd):
+        # b has a's n and m, so that the two may be isomorphic
+        a = random_gnp(n, 0.5, seed)
+        b = from_edge_list(n, rnd.sample(list(combinations(range(n), 2)), a.m))
+        na, nb = nx.empty_graph(n), nx.empty_graph(n)
+        na.add_edges_from(a.edges)
+        nb.add_edges_from(b.edges)
+        same = canonical_order(a)[0] == canonical_order(b)[0]
+        assert same == nx.is_isomorphic(na, nb)
+
+    @pytest.mark.parametrize("name,g", [
+        ("K_9", complete_graph(9)),
+        ("K_11", complete_graph(11)),
+        ("K_1,8", star_graph(9)),
+        ("K_3,3,3", complete_multipartite_graph([3, 3, 3])),
+        ("rook_3x3", rook_graph_3x3()),
+        ("Q_3", cube_graph()),
+        ("C_9", cycle_graph(9)),
+    ])
+    def test_symmetric_graphs_within_budget(self, name, g):
+        t0 = time.perf_counter()
+        code, order = canonical_order(g)
+        assert time.perf_counter() - t0 < 0.05, name
+        assert sorted(order) == list(range(g.n))
 
 
 class TestGenerators:

@@ -1,19 +1,25 @@
 import json
 import time
+from dataclasses import replace
 
 import pytest
 
 from monoconn.graphs import (
+    canonical_order,
     complete_graph,
     complete_multipartite_graph,
     cycle_graph,
     from_edge_list,
     parse_graph6,
     path_graph,
+    relabel,
     star_graph,
+    to_graph6,
     wheel_graph,
 )
 from monoconn import graphs, harness, solvers
+from monoconn.coloring import coloring_to_json
+from monoconn.solvers import reverify
 from monoconn.harness import (
     CHECK_KEYS,
     HOLDS,
@@ -23,6 +29,7 @@ from monoconn.harness import (
     TheoremCheckRecord,
     builtin_corpus,
     check_all,
+    check_all_detailed,
     diameter2_size_bound,
     hunt_tmc_le_mc,
     hunt_tmc_le_mvc,
@@ -33,6 +40,7 @@ from monoconn.harness import (
     wheel_order,
 )
 from monoconn.maxleaf import max_leaf_exact
+from conftest import random_connected, shuffled
 from oracles import petersen
 
 
@@ -143,7 +151,10 @@ class TestCheckAll:
         assert set(rec.verdicts) == set(CHECK_KEYS)
 
     def test_one_diameter_per_graph(self, monkeypatch):
-        # the identity conditions, the diameter-2 bound and mvc reuse it
+        # one per isomorphism class, on its canonical relabelling: the
+        # identity conditions, the diameter-2 bound and mvc reuse it, and a
+        # relabelled repeat reuses the class's result
+        monkeypatch.setattr(harness, "_memo", {})
         seen = []
         real = graphs.diameter
 
@@ -156,7 +167,70 @@ class TestCheckAll:
         cases = [path_graph(6), cycle_graph(7), complete_multipartite_graph([3, 2])]
         for g in cases:
             check_all(g)
-        assert seen == cases
+        assert seen == [relabel(g, canonical_order(g)[1]) for g in cases]
+        seen.clear()
+        for g in cases:
+            check_all(shuffled(g))
+        assert seen == []
+
+
+
+def _witness_rows(reports) -> str:
+    return json.dumps({
+        key: (rep.value, rep.method, rep.nodes_explored, rep.bounds_used,
+              coloring_to_json(rep.witness),
+              None if rep.witness_system is None
+              else [(t.edges, t.internal_vertices) for t in rep.witness_system.trees])
+        for key, rep in reports.items()
+    }, sort_keys=True)
+
+
+class TestClassMemo:
+    CASES = [path_graph(6), cycle_graph(7), wheel_graph(7), star_graph(6),
+             complete_multipartite_graph([3, 2]), complete_graph(5)]
+    CASES += [random_connected(8, seed, p=0.4) for seed in range(4)]
+
+    def test_cold_and_warm_memo_agree(self, monkeypatch):
+        for g in self.CASES:
+            monkeypatch.setattr(harness, "_memo", {})
+            cold_rec, cold = check_all_detailed(g)
+            monkeypatch.setattr(harness, "_memo", {})
+            check_all_detailed(shuffled(g, seed=3))  # fills the class's entry
+            warm_rec, warm = check_all_detailed(g)
+            assert len(harness._memo) == 1
+            assert replace(warm_rec, elapsed_ms=0) == replace(cold_rec, elapsed_ms=0)
+            assert warm_rec.graph6 == to_graph6(g)
+            assert _witness_rows(warm) == _witness_rows(cold)
+            for kind, rep in warm.items():
+                assert reverify(g, rep)
+                if rep.witness_system is not None:
+                    rep.witness_system.validate(g, require_internal_disjoint=(kind == "tmc"))
+
+    def test_results_are_fresh_per_call(self, monkeypatch):
+        monkeypatch.setattr(harness, "_memo", {})
+        g = path_graph(6)
+        rec, reports = check_all_detailed(g)
+        expected = (rec.to_json(), _witness_rows(reports))
+        rec.verdicts.clear()
+        rec.condition_flags.clear()
+        reports["tmc"].bounds_used.clear()
+        reports["tmc"].witness.edge_color.clear()
+        again, reports = check_all_detailed(g)
+        assert (replace(again, elapsed_ms=rec.elapsed_ms).to_json(),
+                _witness_rows(reports)) == expected
+
+    def test_memo_never_exceeds_cap(self, monkeypatch):
+        monkeypatch.setattr(harness, "_memo", {})
+        monkeypatch.setattr(harness, "MEMO_CAP", 4)
+        keys = []
+        for g in builtin_corpus(4):  # 10 classes
+            check_all_detailed(g)
+            key = (g.n, canonical_order(g)[0])
+            if key not in keys:
+                keys.append(key)
+            assert len(harness._memo) <= 4
+        assert len(keys) == 10
+        assert list(harness._memo) == keys[-4:]  # the oldest went first
 
 
 class TestCorpus:
@@ -230,6 +304,7 @@ class TestHunts:
         assert hunt_tmc_le_mc([complete_graph(4), wheel_graph(6), cycle_graph(5)]) == []
 
     def test_one_max_leaf_per_graph(self, monkeypatch):
+        monkeypatch.setattr(harness, "_memo", {})
         seen = []
 
         def counted(g):
@@ -241,10 +316,16 @@ class TestHunts:
         graphs = [path_graph(6), cycle_graph(7), wheel_graph(7)]
         hunt_tmc_le_mvc(graphs)
         assert seen == graphs
+        # check_all solves each class once, on its canonical relabelling,
+        # and a relabelled repeat solves nothing
         seen.clear()
         for g in graphs:
             check_all(g)
-        assert seen == graphs
+        assert seen == [relabel(g, canonical_order(g)[1]) for g in graphs]
+        seen.clear()
+        for g in graphs:
+            check_all(shuffled(g))
+        assert seen == []
 
     def test_finding_json(self):
         f = hunt_tmc_le_mvc([path_graph(6)])[0]

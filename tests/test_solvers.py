@@ -260,6 +260,15 @@ class TestMvcExact:
         assert (g.n, rep.value, rep.method) == (9, 7, "tree_system")
         assert reverify(g, rep)
 
+    def test_two_class_witness_pinned(self):
+        # the optimum joins the far pairs through two classes, {3, 4} and
+        # {0, 1}, in the search's pick order; every other vertex is fresh
+        g = parse_graph6("HglCR_U")
+        rep = mvc_exact(g)
+        assert (g.n, rep.value, rep.method, rep.nodes_explored) == (9, 7, "tree_system", 6)
+        assert coloring_to_json(rep.witness) == '{"vertex_colors": [1, 1, 2, 0, 0, 3, 4, 5, 6]}'
+        assert reverify(g, rep)
+
     def test_guard(self, monkeypatch):
         with pytest.raises(SolverRangeError, match="mvc_exact accepts n <= 9"):
             mvc_exact(cycle_graph(10))
