@@ -67,7 +67,7 @@ from .harness import (
     survey_random,
     wheel_order,
 )
-from .maxleaf import SpanningTreeResult, max_leaf_exact, max_leaf_greedy
+from .maxleaf import SpanningTreeResult, max_leaf_exact
 from .solvers import (
     SolverRangeError,
     SolverReport,

@@ -310,17 +310,25 @@ def has_cut_vertex(g: Graph) -> bool:
 def _disjoint_paths(adj: Sequence[int], s: int, t: int, cap: int) -> int:
     """min(cap, number of internally vertex-disjoint s-t paths), s and t non-adjacent.
 
+    Each common neighbour x of s and t is a path s-x-t of its own: some
+    maximum family of internally disjoint s-t paths holds all of them.  If
+    x lies on no path of a maximum family, adding s-x-t makes a larger one;
+    otherwise the one path through x can be replaced by s-x-t.  So the
+    common neighbours count up front, and the flow runs in G minus them.
+
     Augmenting paths by BFS in the vertex-split residual graph, where each
     vertex v other than s and t is an arc v_in -> v_out of capacity 1.  The
     flow is kept as bitsets: ``nxt[v]``/``prv[v]`` hold the vertices that
     flow leaves v for / enters v from, and ``used`` the saturated vertices.
     """
     n = len(adj)
+    common = adj[s] & adj[t]
     nxt, prv, used = [0] * n, [0] * n, 0
-    for flow in range(cap):
-        # layers[k] = (in-states, out-states) first reached in k steps from s_out
+    for flow in range(common.bit_count(), cap):
+        # layers[k] = (in-states, out-states) first reached in k steps from s_out;
+        # the common neighbours count as reached, so no path enters them
         layers = [(0, 1 << s)]
-        seen_in = seen_out = 1 << s
+        seen_in, seen_out = common | 1 << s, 1 << s
         while not (seen_in >> t) & 1:
             f_in, f_out = layers[-1]
             new_in, new_out = f_out & used, f_in & ~used
@@ -364,7 +372,8 @@ def vertex_connectivity(g: Graph) -> int:
     cut either misses v, and so separates v from a non-neighbour, or contains
     v, and so separates two non-adjacent neighbours of v.  Only those pairs
     are flowed, each capped at the best cut so far, which starts at the
-    minimum degree.
+    minimum degree, and each seeded with the pair's common neighbours
+    (``_disjoint_paths``).
     """
     n, adj = g.n, g.adj
     if n <= 1 or not is_connected(g):

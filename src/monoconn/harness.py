@@ -362,7 +362,8 @@ def survey_random(n: int, p: float, trials: int, seed: int) -> SurveyRecord:
             rec.disconnected_discarded += 1
             continue
         rec.connected_samples += 1
-        certified = vertex_connectivity(complement(g)) >= 4
+        # kappa <= delta: a complement of minimum degree < 4 is never 4-connected
+        certified = g.n - 1 - max_degree(g) >= 4 and vertex_connectivity(complement(g)) >= 4
         if certified:
             rec.complement_4_connected += 1
             rec.identity_confirmed += 1

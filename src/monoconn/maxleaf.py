@@ -38,7 +38,7 @@ class SpanningTreeResult:
         return self.leaf_count + self.internal_count
 
 
-def _tree_result(g: Graph, tree_edges: list[tuple[int, int]], exact: bool) -> SpanningTreeResult:
+def _tree_result(g: Graph, tree_edges: list[tuple[int, int]]) -> SpanningTreeResult:
     deg = [0] * g.n
     for u, v in tree_edges:
         deg[u] += 1
@@ -48,7 +48,7 @@ def _tree_result(g: Graph, tree_edges: list[tuple[int, int]], exact: bool) -> Sp
         tree=tuple(sorted(tree_edges)),
         leaf_count=leaves,
         internal_count=g.n - leaves,
-        exact=exact,
+        exact=True,
         internal=sum(1 << v for v, d in enumerate(deg) if d >= 2),
     )
 
@@ -106,46 +106,7 @@ def max_leaf_exact(g: Graph) -> SpanningTreeResult:
     if not is_connected(g):
         raise ValueError("disconnected")
     if g.n == 2:
-        return _tree_result(g, [(0, 1)], exact=True)
+        return _tree_result(g, [(0, 1)])
     cds = minimum_connected_dominating_set(g)
     tree = _tree_from_cds(g, cds, (1 << g.n) - 1)
-    return _tree_result(g, tree, exact=True)
-
-
-def max_leaf_greedy(g: Graph) -> SpanningTreeResult:
-    """Deterministic greedy expansion; leaf_count <= l(G).
-
-    Seeds with the maximum-degree vertex, then repeatedly expands the tree
-    vertex whose attachment adds the most net new leaves (smallest-index
-    tie-breaks everywhere).
-    """
-    if g.n < 2:
-        raise ValueError("max-leaf needs n >= 2")
-    if not is_connected(g):
-        raise ValueError("disconnected")
-    seed = max(range(g.n), key=lambda v: (g.degree(v), -v))
-    inmask = 1 << seed
-    tree: list[tuple[int, int]] = []
-    deg = [0] * g.n
-    for v in _bits(g.adj[seed]):
-        inmask |= 1 << v
-        tree.append((seed, v) if seed < v else (v, seed))
-        deg[seed] += 1
-        deg[v] += 1
-    full = (1 << g.n) - 1
-    while inmask != full:
-        gain_best, u_best = None, None
-        for u in _bits(inmask):
-            new = bin(g.adj[u] & ~inmask).count("1")
-            if not new:
-                continue
-            gain = new - (1 if deg[u] == 1 else 0)
-            if gain_best is None or gain > gain_best:
-                gain_best, u_best = gain, u
-        u = u_best
-        for v in _bits(g.adj[u] & ~inmask):
-            inmask |= 1 << v
-            tree.append((u, v) if u < v else (v, u))
-            deg[u] += 1
-            deg[v] += 1
-    return _tree_result(g, tree, exact=False)
+    return _tree_result(g, tree)

@@ -200,6 +200,18 @@ class TestStructure:
             (0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (5, 6), (6, 7), (7, 3),
             (1, 8), (8, 9), (9, 10), (10, 4),
         ]))
+        # kappa(0, 1) = 4 from common neighbours 2, 3 plus 0-4-6-1 and 0-5-7-1
+        # through the clique on 2..7; vertex 0 has minimum degree
+        graphs.append(from_edge_list(8, list(combinations(range(2, 8), 2)) + [
+            (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 6), (1, 7),
+        ]))
+        # two K_4 sharing vertex 3: past the seeded path 0-3-4, the first
+        # augmenting path would enter the common neighbour 3 by 0-1-3
+        graphs.append(from_edge_list(
+            7, list(combinations(range(4), 2)) + list(combinations(range(3, 7), 2))
+        ))
+        # the survey's traffic: complements of G(12, 1/2)
+        graphs.extend(complement(random_gnp(12, 0.5, seed)) for seed in range(100))
         for g in graphs:
             assert vertex_connectivity(g) == vertex_connectivity_reference(g), to_graph6(g)
 

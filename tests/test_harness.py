@@ -6,12 +6,15 @@ import pytest
 
 from monoconn.graphs import (
     canonical_order,
+    complement,
     complete_graph,
     complete_multipartite_graph,
     cycle_graph,
     from_edge_list,
+    is_connected,
     parse_graph6,
     path_graph,
+    random_gnp,
     relabel,
     star_graph,
     to_graph6,
@@ -26,6 +29,7 @@ from monoconn.harness import (
     NOT_APPLICABLE,
     SKIPPED,
     VIOLATED,
+    SurveyRecord,
     TheoremCheckRecord,
     builtin_corpus,
     check_all,
@@ -41,7 +45,12 @@ from monoconn.harness import (
 )
 from monoconn.maxleaf import max_leaf_exact
 from conftest import random_connected, shuffled
-from oracles import petersen
+from oracles import k_connected_bf, petersen
+
+
+def _survey_samples(n, p, trials, seed):
+    # survey_random draws sample i from random_gnp(n, p, seed * 1_000_003 + i)
+    return [random_gnp(n, p, seed * 1_000_003 + i) for i in range(trials)]
 
 
 class TestDetectors:
@@ -276,6 +285,55 @@ class TestSurvey:
         assert rec.identity_confirmed == rec.complement_4_connected
         assert rec.identity_undecided == rec.connected_samples - rec.complement_4_connected
         assert rec.fraction_identity in (0.0, 1.0)
+
+    @pytest.mark.parametrize("n", [8, 10, 12])
+    @pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
+    def test_matches_record_from_cut_enumeration(self, monkeypatch, n, p):
+        # n = 8 is solved exactly, n = 10 and 12 are past the guard
+        monkeypatch.setenv("MONO_MAX_EXACT_N", "9")
+        rec = SurveyRecord(n=n, p=p, trials=40, seed=2)
+        for g in _survey_samples(n, p, 40, 2):
+            if not is_connected(g):
+                rec.disconnected_discarded += 1
+                continue
+            rec.connected_samples += 1
+            if k_connected_bf(complement(g), 4):
+                rec.complement_4_connected += 1
+                identity = mc_identity = True
+            elif n <= 9:
+                l = max_leaf_exact(g).leaf_count
+                identity = solvers.tmc_exact(g).value == g.m - n + 2 + l
+                mc_identity = solvers.mc_exact(g).value == g.m - n + 2
+            else:
+                rec.identity_undecided += 1
+                rec.mc_identity_undecided += 1
+                continue
+            rec.identity_confirmed += identity
+            rec.identity_refuted += not identity
+            rec.mc_identity_confirmed += mc_identity
+            rec.mc_identity_refuted += not mc_identity
+        decided = rec.identity_confirmed + rec.identity_refuted
+        mc_decided = rec.mc_identity_confirmed + rec.mc_identity_refuted
+        rec.fraction_identity = rec.identity_confirmed / decided if decided else 0.0
+        rec.fraction_mc_identity = rec.mc_identity_confirmed / mc_decided if mc_decided else 0.0
+        if rec.connected_samples:
+            rec.fraction_complement_4_connected = (
+                rec.complement_4_connected / rec.connected_samples
+            )
+        assert survey_random(n, p, 40, 2) == rec
+
+    def test_kappa_only_when_complement_min_degree_reaches_4(self, monkeypatch):
+        calls = []
+        real = harness.vertex_connectivity
+        monkeypatch.setattr(
+            harness, "vertex_connectivity", lambda g: calls.append(g) or real(g)
+        )
+        rec = survey_random(12, 0.5, 200, 1)
+        needed = sum(
+            is_connected(g) and min(complement(g).degrees()) >= 4
+            for g in _survey_samples(12, 0.5, 200, 1)
+        )
+        assert 0 < len(calls) == needed < rec.connected_samples
 
     def test_json(self):
         rec = survey_random(6, 0.5, 5, 1)

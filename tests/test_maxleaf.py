@@ -1,6 +1,4 @@
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from monoconn.graphs import (
     complete_graph,
@@ -9,9 +7,8 @@ from monoconn.graphs import (
     from_edge_list,
     is_connected,
     path_graph,
-    star_graph,
 )
-from monoconn.maxleaf import max_leaf_exact, max_leaf_greedy
+from monoconn.maxleaf import max_leaf_exact
 from conftest import random_connected
 from oracles import max_leaves_oracle, min_internal_oracle, petersen
 
@@ -86,35 +83,6 @@ class TestExact:
             max_leaf_exact(from_edge_list(4, [(0, 1), (2, 3)]))
         with pytest.raises(ValueError):
             max_leaf_exact(complete_graph(1))
-
-
-class TestGreedy:
-    def test_complete_finds_star(self):
-        assert max_leaf_greedy(complete_graph(5)).leaf_count == 4
-
-    def test_path(self):
-        assert max_leaf_greedy(path_graph(6)).leaf_count == 2
-
-    def test_star(self):
-        assert max_leaf_greedy(star_graph(7)).leaf_count == 6
-
-    @given(st.integers(3, 8), st.integers(0, 10**6))
-    @settings(max_examples=60, deadline=None)
-    def test_dominated_by_exact(self, n, seed):
-        g = random_connected(n, seed)
-        greedy = max_leaf_greedy(g)
-        exact = max_leaf_exact(g)
-        assert greedy.leaf_count <= exact.leaf_count
-        assert not greedy.exact and exact.exact
-        assert_valid_spanning_tree(g, greedy)
-
-    def test_deterministic(self):
-        g = random_connected(7, 99)
-        assert max_leaf_greedy(g).tree == max_leaf_greedy(g).tree
-
-    def test_errors(self):
-        with pytest.raises(ValueError, match="disconnected"):
-            max_leaf_greedy(from_edge_list(4, [(0, 1), (2, 3)]))
 
 
 def test_leaf_bounds():
