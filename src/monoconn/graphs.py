@@ -39,10 +39,10 @@ class Graph:
         return bool((self.adj[u] >> v) & 1)
 
     def degree(self, v: int) -> int:
-        return bin(self.adj[v]).count("1")
+        return self.adj[v].bit_count()
 
     def degrees(self) -> list[int]:
-        return [bin(a).count("1") for a in self.adj]
+        return [a.bit_count() for a in self.adj]
 
     def neighbors(self, v: int) -> list[int]:
         return _bits(self.adj[v])
@@ -651,7 +651,12 @@ def random_gnp(n: int, p: float, seed: int) -> Graph:
         raise ValueError("edge probability must lie in [0,1]")
     rng = random.Random(seed)
     pairs = [e for e in combinations(range(n), 2) if rng.random() < p]
-    return from_edge_list(n, pairs)
+    # the pairs are distinct, in range and already sorted
+    adj = [0] * n
+    for u, v in pairs:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return Graph(n=n, edges=tuple(pairs), adj=tuple(adj))
 
 
 def connected_labeled_graphs(n: int) -> Iterator[Graph]:

@@ -66,6 +66,27 @@ only the L that meet every P_x.  The P_x are pairwise disjoint (a vertex of
 P_x has x as its only neighbour in I), so those L are one non-empty subset
 of each P_x plus any other vertices of N(I) - I.
 
+Dominance (lonely vertices).  Call v lonely in S when it is adjacent to
+every other vertex of S: it lies in no non-adjacent pair inside S, so
+dropping it keeps the cover.  With common[S] the intersection of the closed
+neighbourhoods over S, the lonely vertices of S are common[S] & S.
+- tmc: (S, I) with a lonely leaf v is dominated.  If |L| >= 3, (S - v, I)
+  is a candidate.  If |L| = 2, S - v = I + w, and |I| >= 2 because S covers
+  a pair (with I = {x}, the only pair of S would join the two leaves, and v
+  is adjacent to w).  A BFS tree of G[I] with w hung on it then has an
+  internal set I' inside I and at least two leaves, so (S - v, I') is a
+  candidate.  Either way it has a sub-mask of S's edges, an internal set
+  inside I, the same cover and less waste.
+- mc: S with a lonely v such that G[S - v] is connected is dominated by
+  S - v: the same cover, a sub-mask of the edges, one less waste.
+- mvc: I with an x such that I - x is non-empty and connected and
+  N[I - x] holds the same pairs as N[I] is dominated by I - x.
+Each exchange keeps a system valid and makes it cheaper, so a dominated
+candidate is in no optimum, and every chain of exchanges ends at an emitted
+candidate because waste falls strictly.  Generation drops them with one
+mask test per (S, I) for tmc and connected[] lookups of the one-smaller
+sets for mc and mvc.
+
 Branching.  Each node branches on the uncovered pair with the fewest
 candidates (ties to the lowest index).  Every cover covers that pair, and
 its candidate list is sorted by waste, so the search stops at the first
@@ -80,7 +101,11 @@ least need[u].  A node with u uncovered pairs therefore needs at least
 need[u] more waste, beside the cheapest candidate of each uncovered pair.
 The bound holds for every variant, since it uses only what this graph's
 candidates cover; values of b at or past the incumbent's waste prune
-anyway, so the table stops there.
+anyway, so the table stops there.  The root's bound, need[all pairs] beside
+the dearest cheapest candidate of a pair, is checked before the per-pair
+candidate lists are built; when it already proves the incumbent the search
+ends there with the one root node it would have counted anyway, so node
+counts are the same as when the root goes through the branch step.
 
 mvc.  A vertex coloring joins u and v when some u-v path has all its inner
 vertices in one color.  Pairs at distance <= 2 always are, so only the pairs
@@ -250,11 +275,17 @@ def _candidates(
     For mc, vmask is a connected vertex set S holding one of ``pairs``,
     emask its induced edge set E(G[S]), cover the pairs inside S, waste
     |S| - 2 and imask 0.  For tmc, imask is a connected set I, S adds to I
-    a set L of at least two vertices of N(I) - I, waste is |S| - 2 + |I|,
-    and only non-dominated pairs are emitted: L meets the private set
-    (N(I) - I) - N(I - x) of every x whose removal leaves I non-empty and
-    connected.  For mvc, imask and vmask are a connected set I, emask is 0,
-    cover the pairs inside N[I] and waste |I| - 1.
+    a set L of at least two vertices of N(I) - I, waste is |S| - 2 + |I|.
+    For mvc, imask and vmask are a connected set I, emask is 0, cover the
+    pairs inside N[I] and waste |I| - 1.  For tmc and mc ``pairs`` are all
+    the non-adjacent pairs of ``g``.
+
+    Only non-dominated candidates are emitted (module docstring): for tmc,
+    L meets the private set (N(I) - I) - N(I - x) of every x whose removal
+    leaves I non-empty and connected, and no leaf is adjacent to the rest
+    of S; for mc, no vertex adjacent to the rest of S leaves G[S - v]
+    connected; for mvc, no I - x is non-empty, connected and of the same
+    cover.
     """
     n, adj = g.n, g.adj
     edge_bit = [[0] * n for _ in range(n)]
@@ -263,21 +294,27 @@ def _candidates(
         edge_bit[u][v] = 1 << i
     for j, (u, v) in enumerate(pairs):
         pair_bit[u][v] = 1 << j
-    # induced edges, covered pairs and neighbourhood of every set: a pair
-    # inside S misses its lowest vertex v or its next vertex u, or is (v, u)
+    # induced edges, covered pairs, neighbourhood and common closed
+    # neighbourhood of every set: a pair inside S misses its lowest vertex v
+    # or its next vertex u, or is (v, u)
     emask = [0] * (1 << n)
     cover = [0] * (1 << n)
     nbr = [0] * (1 << n)
+    common = [(1 << n) - 1] * (1 << n)
     for s in range(1, 1 << n):
         low = s & -s
         rest = s ^ low
         v = low.bit_length() - 1
         nbr[s] = nbr[rest] | adj[v]
+        common[s] = common[rest] & (adj[v] | low)
         if rest:
             nxt = rest & -rest
             u = nxt.bit_length() - 1
             emask[s] = emask[rest] | emask[s ^ nxt] | edge_bit[v][u]
             cover[s] = cover[rest] | cover[s ^ nxt] | pair_bit[v][u]
+    # connected[] holds every smaller set the loop reached: for tmc each set
+    # within the cap, for mc and mvc each set that covers a pair, which
+    # includes every S - v and I - x with an unchanged cover
     connected = bytearray(1 << n)
     out = []
     for s in range(1, 1 << n):  # S for mc, I for tmc and mvc
@@ -290,25 +327,37 @@ def _candidates(
                 continue
         elif not cover[nbr[s] | s] or size - 1 > cap:
             continue
-        if _reach(adj, (s & -s).bit_length() - 1, s) != s:
-            continue
-        if variant == "mc":
-            out.append((size - 2, emask[s], 0, s, cover[s]))
-            continue
-        if variant == "mvc":
-            out.append((size - 1, 0, s, s, cover[nbr[s] | s]))
+        # a lonely vertex (one adjacent to the rest of s) connects s
+        lonely = common[s] & s
+        if not lonely and _reach(adj, (s & -s).bit_length() - 1, s) != s:
             continue
         connected[s] = 1
+        if variant == "mc":
+            while lonely:
+                b = lonely & -lonely
+                if connected[s ^ b]:
+                    break
+                lonely ^= b
+            else:
+                out.append((size - 2, emask[s], 0, s, cover[s]))
+            continue
+        if variant == "mvc":
+            whole = cover[nbr[s] | s]
+            rests = [s ^ (1 << x) for x in _bits(s)]
+            if not any(connected[r] and cover[nbr[r] | r] == whole for r in rests):
+                out.append((size - 1, 0, s, s, whole))
+            continue
         around = nbr[s] & ~s
-        # connected[] already holds every smaller set.  The private sets are
-        # disjoint, so L is one non-empty subset of each plus any other
-        # vertices of N(I) - I, and has at least len(private) vertices.
+        # The private sets are disjoint, so L is one non-empty subset of each
+        # plus any other vertices of N(I) - I, and has at least
+        # len(private) vertices.
         private = [
             around & ~nbr[s ^ (1 << v)] for v in _bits(s) if connected[s ^ (1 << v)]
         ]
         if not all(private) or 2 * size + max(len(private), 2) - 2 > cap:
             continue
-        free, hits = around, [0]
+        # a vertex adjacent to all of N[I] would be a lonely leaf of any S
+        free, hits = around & ~common[s | around], [0]
         for p in private:
             free &= ~p
             more = []
@@ -324,7 +373,8 @@ def _candidates(
                 leaves = h | rest
                 waste = 2 * size + leaves.bit_count() - 2
                 vmask = s | leaves
-                if waste <= cap and leaves & (leaves - 1) and cover[vmask]:
+                # no leaf adjacent to the rest of S, so each leaf is in a pair
+                if waste <= cap and leaves & (leaves - 1) and not leaves & common[vmask]:
                     out.append((waste, emask[vmask], s, vmask, cover[vmask]))
                 if not rest:
                     break
@@ -375,6 +425,25 @@ def _solve_cover(
     the incumbent upper bound, nodes explored).
     """
     allp = (1 << npairs) - 1
+    # the root's bound first: each pair's cheapest candidate is the first in
+    # the sorted list to cover it, and the last pair reached has the dearest
+    min_w = [0] * npairs
+    seen = top = 0
+    for w, _, _, _, cov in cands:
+        new = cov & ~seen
+        if new:
+            for k in _bits(new):
+                min_w[k] = w
+            seen |= new
+            if seen == allp:
+                top = w
+                break
+    if seen != allp:
+        # some pair cannot be covered within the cap: incumbent is optimal
+        return ub_waste, None, 0
+    need = _count_lb_table(cands, npairs, ub_waste)
+    if max(need[npairs], top) >= ub_waste:
+        return ub_waste, None, 1  # the root node's own bound proves it
     by_pair: list[list[int]] = [[] for _ in range(npairs)]
     for ci, (_, _, _, _, cov) in enumerate(cands):
         cc = cov
@@ -382,15 +451,8 @@ def _solve_cover(
             b = cc & -cc
             by_pair[b.bit_length() - 1].append(ci)
             cc ^= b
-    min_w = [
-        (cands[lst[0]][0] if lst else None) for lst in by_pair
-    ]
-    if any(w is None for w in min_w):
-        # some pair cannot be covered within the cap: incumbent is optimal
-        return ub_waste, None, 0
     count = [len(lst) for lst in by_pair]
     most = len(cands) + 1
-    need = _count_lb_table(cands, npairs, ub_waste)
     best = ub_waste
     best_pick: list[int] | None = None
     nodes = 0

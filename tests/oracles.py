@@ -8,9 +8,12 @@ of max-flow, vertex connectivity by dict max-flow over every non-adjacent
 pair instead of bitset augmenting paths over the Esfahanian-Hakimi pairs,
 covering tree systems by subtree enumeration instead of vertex-set
 candidates, non-dominated tmc candidates by enumerating every (S, I) and
-dropping those with a cheaper (S, I - x) instead of private leaf sets, the
-cover search's count bound by a recurrence over single candidates instead
-of a knapsack over the largest cover of each waste.
+dropping those with a cheaper (S, I - x) or a leaf adjacent to all of S
+instead of private leaf sets and a common-neighbourhood mask, non-dominated
+mc and mvc candidates by enumerating vertex sets and dropping those with a
+one-vertex-smaller candidate of the same cover instead of per-set table
+lookups, the cover search's count bound by a recurrence over single
+candidates instead of a knapsack over the largest cover of each waste.
 
 The definition-level partition searches tmc_naive, mc_naive and
 mvc_partition_reference (with _rgs_with_block_count and the guards
@@ -445,44 +448,46 @@ def _solve_cover(
     return best, best_pick, nodes
 
 
+def _connected_set(g: Graph, vs: set[int]) -> bool:
+    """Whether G[vs] is connected (vs non-empty), by DFS over vertex sets."""
+    start = next(iter(vs))
+    seen, stack = {start}, [start]
+    while stack:
+        u = stack.pop()
+        for w in range(g.n):
+            if w in vs and w not in seen and (g.adj[u] >> w) & 1:
+                seen.add(w)
+                stack.append(w)
+    return seen == vs
+
+
+def _mask(vs) -> int:
+    return sum(1 << v for v in vs)
+
+
+def _inside(g: Graph, pairs: Sequence[tuple[int, int]], vs) -> tuple[int, int]:
+    """(induced edge mask, mask of the pairs inside) of a vertex set."""
+    return (
+        _mask(i for i, (u, v) in enumerate(g.edges) if u in vs and v in vs),
+        _mask(j for j, (u, v) in enumerate(pairs) if u in vs and v in vs),
+    )
+
+
 def tmc_candidates_reference(
-    g: Graph, pairs: Sequence[tuple[int, int]], cap: int
+    g: Graph, pairs: Sequence[tuple[int, int]], cap: int, reduced: bool = True
 ) -> list[tuple[int, int, int, int, int]]:
-    """Non-dominated tmc candidates as sorted (waste, emask, imask, vmask,
-    cover) tuples.
+    """tmc candidates as sorted (waste, emask, imask, vmask, cover) tuples.
 
     Enumerates every (S, I) with I connected, S - I a set of at least two
     vertices adjacent to I, a non-adjacent pair inside S and waste
-    |S| - 2 + |I| <= cap; then drops each (S, I) for which some (S, I - x),
-    x in I, is also among them."""
+    |S| - 2 + |I| <= cap.  With ``reduced`` it then drops each (S, I) for
+    which some (S, I - x), x in I, is also among them, and each (S, I) with a
+    leaf adjacent to every other vertex of S."""
     n = g.n
-
-    def connected(vs: set[int]) -> bool:
-        start = next(iter(vs))
-        seen, stack = {start}, [start]
-        while stack:
-            u = stack.pop()
-            for w in range(n):
-                if w in vs and w not in seen and (g.adj[u] >> w) & 1:
-                    seen.add(w)
-                    stack.append(w)
-        return seen == vs
-
-    def mask(vs) -> int:
-        return sum(1 << v for v in vs)
-
-    # induced edges and covered pairs of every vertex set
-    inside = {}
-    for k in range(n + 1):
-        for vs in combinations(range(n), k):
-            inside[mask(vs)] = (
-                mask(i for i, (u, v) in enumerate(g.edges) if u in vs and v in vs),
-                mask(j for j, (u, v) in enumerate(pairs) if u in vs and v in vs),
-            )
     every = []
     for k in range(1, n + 1):
         for inner in combinations(range(n), k):
-            if not connected(set(inner)):
+            if not _connected_set(g, set(inner)):
                 continue
             around = [
                 w for w in range(n)
@@ -490,15 +495,77 @@ def tmc_candidates_reference(
             ]
             for size in range(2, min(len(around), cap + 2 - 2 * k) + 1):
                 for leaves in combinations(around, size):
-                    vmask = mask(inner) | mask(leaves)
-                    emask, cover = inside[vmask]
+                    emask, cover = _inside(g, pairs, inner + leaves)
                     if cover:
-                        every.append((2 * k + size - 2, emask, mask(inner), vmask, cover))
+                        vmask = _mask(inner) | _mask(leaves)
+                        every.append((2 * k + size - 2, emask, _mask(inner), vmask, cover))
+    if not reduced:
+        return sorted(every)
     keys = {(vmask, imask) for _, _, imask, vmask, _ in every}
+
+    def lonely_leaf(vmask: int, imask: int) -> bool:
+        return any(
+            all(g.has_edge(v, u) for u in _bits(vmask) if u != v)
+            for v in _bits(vmask & ~imask)
+        )
+
     return sorted(
         c for c in every
         if not any((c[3], c[2] & ~(1 << x)) in keys for x in _bits(c[2]))
+        and not lonely_leaf(c[3], c[2])
     )
+
+
+def mc_candidates_reference(
+    g: Graph, pairs: Sequence[tuple[int, int]], cap: int, reduced: bool = True
+) -> list[tuple[int, int, int, int, int]]:
+    """mc candidates as sorted (waste, emask, 0, vmask, cover) tuples.
+
+    Enumerates every connected vertex set S with a pair inside and waste
+    |S| - 2 <= cap.  With ``reduced`` it then drops each S for which some
+    S - v is also among them and covers the same pairs."""
+    every = {}
+    for k in range(2, min(g.n, cap + 2) + 1):
+        for vs in combinations(range(g.n), k):
+            if _connected_set(g, set(vs)):
+                emask, cover = _inside(g, pairs, vs)
+                if cover:
+                    every[_mask(vs)] = (k - 2, emask, 0, _mask(vs), cover)
+    return _drop_same_cover_subsets(every, reduced)
+
+
+def mvc_candidates_reference(
+    g: Graph, pairs: Sequence[tuple[int, int]], cap: int, reduced: bool = True
+) -> list[tuple[int, int, int, int, int]]:
+    """mvc candidates as sorted (waste, 0, imask, imask, cover) tuples.
+
+    Enumerates every connected vertex set I with a pair inside its closed
+    neighbourhood and waste |I| - 1 <= cap.  With ``reduced`` it then drops
+    each I for which some I - x is also among them and covers the same
+    pairs."""
+    every = {}
+    for k in range(1, min(g.n, cap + 1) + 1):
+        for vs in combinations(range(g.n), k):
+            if _connected_set(g, set(vs)):
+                closed = {w for w in range(g.n) if w in vs or any(g.has_edge(v, w) for v in vs)}
+                _, cover = _inside(g, pairs, closed)
+                if cover:
+                    every[_mask(vs)] = (k - 1, 0, _mask(vs), _mask(vs), cover)
+    return _drop_same_cover_subsets(every, reduced)
+
+
+def _drop_same_cover_subsets(every: dict, reduced: bool) -> list[tuple[int, int, int, int, int]]:
+    """Sorted candidates of a {vertex set: candidate} map; with ``reduced``
+    without those for which the set less one vertex is also a candidate
+    with the same cover."""
+
+    def dominated(c) -> bool:
+        return any(
+            (smaller := every.get(c[3] & ~(1 << v))) is not None and smaller[4] == c[4]
+            for v in _bits(c[3])
+        )
+
+    return sorted(c for c in every.values() if not (reduced and dominated(c)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
+import random
 import time
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -374,6 +375,16 @@ class TestGenerators:
         b = random_gnp(8, 0.5, seed=1)
         assert a.edges == b.edges
         assert random_gnp(8, 0.5, seed=2).edges != a.edges
+
+    def test_random_equals_edge_list_build(self):
+        # the same draws through the validating constructor give the same graph
+        for n, p, seed in product((1, 2, 5, 9, 13), (0.0, 0.3, 0.7, 1.0), range(4)):
+            rng = random.Random(seed)
+            pairs = [e for e in combinations(range(n), 2) if rng.random() < p]
+            g = random_gnp(n, p, seed)
+            assert g == from_edge_list(n, pairs), (n, p, seed)
+            assert g.degrees() == [g.degree(v) for v in range(n)]
+            assert g.degrees() == [sum(v in e for e in g.edges) for v in range(n)]
 
     def test_connected_corpus_counts(self):
         # labeled connected graph counts: 1, 1, 4, 38, 728

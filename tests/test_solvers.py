@@ -29,6 +29,7 @@ from monoconn.solvers import (
     TreeSystem,
     _candidates,
     _count_lb_table,
+    _solve_cover,
     bounds,
     mc_exact,
     mvc_exact,
@@ -39,8 +40,10 @@ from conftest import random_connected
 from oracles import (
     _count_lb_table as fixed_offset_lb_table,
     count_lb_reference,
+    mc_candidates_reference,
     mc_naive,
     mvc_brute,
+    mvc_candidates_reference,
     mvc_partition_reference,
     tmc_candidates_reference,
     tmc_naive,
@@ -261,12 +264,12 @@ class TestMvcExact:
         assert reverify(g, rep)
 
     def test_two_class_witness_pinned(self):
-        # the optimum joins the far pairs through two classes, {3, 4} and
-        # {0, 1}, in the search's pick order; every other vertex is fresh
+        # the optimum joins the far pairs through two classes, {0, 1} and
+        # {3, 4}, in the search's pick order; every other vertex is fresh
         g = parse_graph6("HglCR_U")
         rep = mvc_exact(g)
         assert (g.n, rep.value, rep.method, rep.nodes_explored) == (9, 7, "tree_system", 6)
-        assert coloring_to_json(rep.witness) == '{"vertex_colors": [1, 1, 2, 0, 0, 3, 4, 5, 6]}'
+        assert coloring_to_json(rep.witness) == '{"vertex_colors": [0, 0, 2, 1, 1, 3, 4, 5, 6]}'
         assert reverify(g, rep)
 
     def test_guard(self, monkeypatch):
@@ -370,6 +373,45 @@ class TestCandidates:
                 assert got == tmc_candidates_reference(g, pairs, cap), (g.edges, cap)
                 checked += len(got)
         assert checked > 0
+
+    def test_mc_candidates_are_the_non_dominated_ones(self):
+        checked = 0
+        for g in self.graphs():
+            pairs = g.nonadjacent_pairs()
+            for cap in (g.n // 2 - 1, g.n - 2):
+                got = _candidates(g, pairs, cap, "mc")
+                assert got == mc_candidates_reference(g, pairs, cap), (g.edges, cap)
+                checked += len(got)
+        assert checked > 0
+
+    def test_mvc_candidates_are_the_non_dominated_ones(self):
+        checked = 0
+        for g in self.graphs():
+            far = [(u, v) for u, v in g.nonadjacent_pairs() if not g.adj[u] & g.adj[v]]
+            for cap in (g.n // 2 - 1, g.n - 1):
+                got = _candidates(g, far, cap, "mvc")
+                assert got == mvc_candidates_reference(g, far, cap), (g.edges, cap)
+                checked += len(got)
+        assert checked > 0
+
+    @pytest.mark.parametrize("p", [0.7, 0.9])
+    def test_reduction_switched_off_finds_the_same_optimum(self, p):
+        # the cover search over every candidate, dominated or not, reaches
+        # the engine's best waste below the same incumbent
+        for seed in range(10):
+            g = random_connected(8, seed + 211, p=p)
+            if g.is_complete():
+                continue
+            pairs = g.nonadjacent_pairs()
+            q = max_leaf_exact(g).internal_count
+            for variant, solve, top, ub, reference in (
+                ("tmc", tmc_exact, g.m + g.n, g.n - 2 + q, tmc_candidates_reference),
+                ("mc", mc_exact, g.m, g.n - 2, mc_candidates_reference),
+            ):
+                every = reference(g, pairs, ub - 1, reduced=False)
+                assert set(_candidates(g, pairs, ub - 1, variant)) <= set(every)
+                best, _, _ = _solve_cover(every, len(pairs), ub)
+                assert top - best == solve(g).value, (variant, g.edges)
 
 
 class TestCountBound:
@@ -511,7 +553,7 @@ def test_methods_and_nodes():
 # witness-system trees for tmc, mc and mvc over every labelled connected
 # graph with n <= 5 and 20 seeded graphs with n = 7 or 8; any change to a
 # witness moves it
-WITNESS_DIGEST = "62960945ce525b8f0f723cd9535b300dc280af167462c39199e0d826a640541e"
+WITNESS_DIGEST = "0b4bd57e430df8e03a8348816fd6c9089efdcee23ff8b882b68f12ba44ad1b91"
 
 
 def test_reports_match_golden_witness_digest():
