@@ -16,7 +16,7 @@ import json
 import time
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .graphs import (
     Graph,
@@ -177,7 +177,7 @@ def _leaf_stats(g: Graph):
 
 def check_all(g: Graph) -> TheoremCheckRecord:
     """Evaluate every applicable claim for one connected graph."""
-    return check_all_detailed(g)[0]
+    return _check(g)[0]
 
 
 #: isomorphism classes whose results check_all_detailed keeps; past this
@@ -196,6 +196,16 @@ def check_all_detailed(g: Graph):
     canonical code, and the witnesses are mapped back onto g's vertices.
     The result is therefore the same whatever was checked before.
     """
+    record, reports, order = _check(g)
+    pos = [0] * g.n
+    for i, v in enumerate(order):
+        pos[v] = i
+    return record, {key: _relabel_report(rep, g, order, pos) for key, rep in reports.items()}
+
+
+def _check(g: Graph) -> tuple[TheoremCheckRecord, dict[str, SolverReport], Sequence[int]]:
+    """check_all's record, the reports on the canonical relabelling and its
+    order (no reports and the identity order past the solvers' guard)."""
     if not is_connected(g):
         raise ValueError("disconnected")
     t0 = time.perf_counter()
@@ -207,7 +217,7 @@ def check_all_detailed(g: Graph):
             max_degree=max_degree(g), tmc=None, mc=None, mvc=None, condition_flags=None,
             verdicts={k: SKIPPED for k in CHECK_KEYS},
             elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-        ), {}
+        ), {}, range(g.n)
     code, order = canonical_order(g)
     known = _memo.get((g.n, code))
     if known is None:
@@ -215,15 +225,12 @@ def check_all_detailed(g: Graph):
         if len(_memo) > MEMO_CAP:
             del _memo[next(iter(_memo))]
     record, reports = known
-    pos = [0] * g.n
-    for i, v in enumerate(order):
-        pos[v] = i
     flags = record.condition_flags
     return replace(
         record, graph6=to_graph6(g), verdicts=dict(record.verdicts),
         condition_flags=None if flags is None else dict(flags),
         elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-    ), {key: _relabel_report(rep, g, order, pos) for key, rep in reports.items()}
+    ), reports, order
 
 
 def _relabel_report(
@@ -409,42 +416,53 @@ class Finding:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-def hunt_tmc_le_mvc(graphs: Iterable[Graph]) -> list[Finding]:
-    """Non-star connected graphs on n >= 6 vertices with tmc <= mvc."""
+def _hunt(
+    graphs: Iterable[Graph],
+    wanted: Callable[[Graph], bool],
+    solve: Callable[[Graph], tuple[int, int]],
+    comparison: str,
+) -> list[Finding]:
+    """Findings, in input order, for the graphs ``wanted`` accepts whose
+    (tmc, other) = solve(g) has tmc <= other.  Both values are unchanged by
+    relabelling, so each isomorphism class is solved once, on its first
+    graph, and only for the length of this call."""
     findings = []
+    solved: dict[tuple[int, int], tuple[int, int]] = {}
     for g in graphs:
-        if g.n < 6 or is_star(g) or not is_connected(g):
+        if not wanted(g):
             continue
-        _guard_exact(g, "hunt_tmc_le_mvc")
-        ml = max_leaf_exact(g)
-        tmc = tmc_exact(g, ml).value
-        mvc = mvc_exact(g, ml).value
-        if tmc <= mvc:
+        key = g.n, canonical_order(g)[0]
+        if key not in solved:
+            solved[key] = solve(g)
+        tmc, other = solved[key]
+        if tmc <= other:
             findings.append(
                 Finding(
-                    graph6=to_graph6(g), n=g.n, m=g.m, tmc=tmc, other=mvc,
-                    comparison="tmc<=mvc",
+                    graph6=to_graph6(g), n=g.n, m=g.m, tmc=tmc, other=other,
+                    comparison=comparison,
                 )
             )
     return findings
+
+
+def hunt_tmc_le_mvc(graphs: Iterable[Graph]) -> list[Finding]:
+    """Non-star connected graphs on n >= 6 vertices with tmc <= mvc."""
+
+    def solve(g: Graph) -> tuple[int, int]:
+        _guard_exact(g, "hunt_tmc_le_mvc")
+        ml = max_leaf_exact(g)
+        return tmc_exact(g, ml).value, mvc_exact(g, ml).value
+
+    return _hunt(
+        graphs, lambda g: g.n >= 6 and not is_star(g) and is_connected(g), solve, "tmc<=mvc"
+    )
 
 
 def hunt_tmc_le_mc(graphs: Iterable[Graph]) -> list[Finding]:
     """Connected graphs with tmc <= mc (expected none)."""
-    findings = []
-    for g in graphs:
-        if not is_connected(g):
-            continue
-        tmc = tmc_exact(g).value
-        mc = mc_exact(g).value
-        if tmc <= mc:
-            findings.append(
-                Finding(
-                    graph6=to_graph6(g), n=g.n, m=g.m, tmc=tmc, other=mc,
-                    comparison="tmc<=mc",
-                )
-            )
-    return findings
+    return _hunt(
+        graphs, is_connected, lambda g: (tmc_exact(g).value, mc_exact(g).value), "tmc<=mc"
+    )
 
 
 HUNT_TARGETS = {

@@ -87,6 +87,19 @@ candidate because waste falls strictly.  Generation drops them with one
 mask test per (S, I) for tmc and connected[] lookups of the one-smaller
 sets for mc and mvc.
 
+Shared table.  Every candidate is read off per-set tables over all 2^n
+vertex sets: the induced edge mask, the non-adjacent pairs inside (bit j
+for the j-th pair of nonadjacent_pairs(), lexicographic), the neighbourhood,
+the common closed neighbourhood and connectivity.  They depend on G alone,
+and so do the mc candidates, since mc's incumbent is always a spanning
+tree of waste n - 2; one pass over the sets in increasing order builds
+them all (_table).  Only the last graph's tables are kept, so tmc, mc and
+mvc solved one after another on one graph build them once.  Pairs to cover
+are a mask over the same bits: every pair for tmc and mc, the pairs at
+distance >= 3 for mvc, whose covers are the shared ones masked to those.
+The masked pairs keep their lexicographic order, so branching and its ties
+are those of a search over the far pairs alone.
+
 Branching.  Each node branches on the uncovered pair with the fewest
 candidates (ties to the lowest index).  Every cover covers that pair, and
 its candidate list is sorted by waste, so the search stops at the first
@@ -116,7 +129,8 @@ and v exactly when both lie in N[I] (step from u into I, cross G[I], step
 out to v), which for a pair at distance >= 3 needs |I| >= 2.  Hence
 mvc(G) = n - min sum(|I_j| - 1) over pairwise disjoint connected sets I_j
 such that every pair at distance >= 3 lies inside some N[I_j]: the same
-cover search, with candidates (|I| - 1, no edges, I) and disjoint I.  The
+cover search, with candidates (|I| - 1, no edges, I) and disjoint I, each
+covering the pairs of cover[N[I]] at distance >= 3.  The
 incumbent is the internal set of a max-leaf tree, a connected dominating
 set of q vertices; its waste q - 1 gives the known bound mvc >= l + 1.
 At the root, a diametral pair needs an I holding a path between the
@@ -132,10 +146,12 @@ larger graphs.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import os
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .coloring import (
     EdgeColoring,
@@ -266,42 +282,47 @@ class SolverReport:
 # Vertex-set candidates and the cover search
 # ---------------------------------------------------------------------------
 
-def _candidates(
-    g: Graph, pairs: Sequence[Edge], cap: int, variant: str
-) -> list[tuple[int, int, int, int, int]]:
-    """Every candidate of waste <= cap as a (waste, emask, imask, vmask,
-    cover) tuple, sorted; ``variant`` is "mc", "tmc" or "mvc".
+Candidate = tuple[int, int, int, int, int]  # (waste, emask, imask, vmask, cover)
 
-    For mc, vmask is a connected vertex set S holding one of ``pairs``,
-    emask its induced edge set E(G[S]), cover the pairs inside S, waste
-    |S| - 2 and imask 0.  For tmc, imask is a connected set I, S adds to I
-    a set L of at least two vertices of N(I) - I, waste is |S| - 2 + |I|.
-    For mvc, imask and vmask are a connected set I, emask is 0, cover the
-    pairs inside N[I] and waste |I| - 1.  For tmc and mc ``pairs`` are all
-    the non-adjacent pairs of ``g``.
 
-    Only non-dominated candidates are emitted (module docstring): for tmc,
-    L meets the private set (N(I) - I) - N(I - x) of every x whose removal
-    leaves I non-empty and connected, and no leaf is adjacent to the rest
-    of S; for mc, no vertex adjacent to the rest of S leaves G[S - v]
-    connected; for mvc, no I - x is non-empty, connected and of the same
-    cover.
+class _Table(NamedTuple):
+    """Per-set tables of one graph, indexed by vertex-set mask."""
+
+    emask: list[int]  # induced edges, bit i for g.edges[i]
+    cover: list[int]  # pairs inside, bit j for g.nonadjacent_pairs()[j]
+    nbr: list[int]  # union of the neighbourhoods
+    common: list[int]  # intersection of the closed neighbourhoods
+    connected: bytearray  # 1 when the set is non-empty and induces a connected graph
+    mc: list[Candidate]  # every mc candidate, sorted
+
+
+@functools.lru_cache(maxsize=1)
+def _table(g: Graph) -> _Table:
+    """The tables of every vertex set of ``g`` and its mc candidates, built
+    in one pass over the sets in increasing order; only the last graph's are
+    kept, which serves tmc, mc and mvc solved one after another.
+
+    The mc candidates are every connected S with a pair inside (waste
+    |S| - 2, no internal set) that has no vertex adjacent to the rest of S
+    whose removal leaves G[S - v] connected (module docstring).
     """
     n, adj = g.n, g.adj
     edge_bit = [[0] * n for _ in range(n)]
     pair_bit = [[0] * n for _ in range(n)]
     for i, (u, v) in enumerate(g.edges):
         edge_bit[u][v] = 1 << i
-    for j, (u, v) in enumerate(pairs):
+    for j, (u, v) in enumerate(g.nonadjacent_pairs()):
         pair_bit[u][v] = 1 << j
-    # induced edges, covered pairs, neighbourhood and common closed
-    # neighbourhood of every set: a pair inside S misses its lowest vertex v
-    # or its next vertex u, or is (v, u)
-    emask = [0] * (1 << n)
-    cover = [0] * (1 << n)
-    nbr = [0] * (1 << n)
-    common = [(1 << n) - 1] * (1 << n)
-    for s in range(1, 1 << n):
+    # a pair inside S misses its lowest vertex v or its next vertex u, or is
+    # (v, u)
+    sets = 1 << n
+    emask = [0] * sets
+    cover = [0] * sets
+    nbr = [0] * sets
+    common = [sets - 1] * sets
+    connected = bytearray(sets)
+    mc = []
+    for s in range(1, sets):
         low = s & -s
         rest = s ^ low
         v = low.bit_length() - 1
@@ -312,40 +333,68 @@ def _candidates(
             u = nxt.bit_length() - 1
             emask[s] = emask[rest] | emask[s ^ nxt] | edge_bit[v][u]
             cover[s] = cover[rest] | cover[s ^ nxt] | pair_bit[v][u]
-    # connected[] holds every smaller set the loop reached: for tmc each set
-    # within the cap, for mc and mvc each set that covers a pair, which
-    # includes every S - v and I - x with an unchanged cover
-    connected = bytearray(1 << n)
-    out = []
-    for s in range(1, 1 << n):  # S for mc, I for tmc and mvc
-        size = s.bit_count()
-        if variant == "tmc":
-            if 2 * size > cap:
-                continue
-        elif variant == "mc":
-            if not cover[s] or size - 2 > cap:
-                continue
-        elif not cover[nbr[s] | s] or size - 1 > cap:
-            continue
-        # a lonely vertex (one adjacent to the rest of s) connects s
+        # a lonely vertex (one adjacent to the rest of s) connects s; else
+        # grow the lowest vertex's component a layer at a time
         lonely = common[s] & s
-        if not lonely and _reach(adj, (s & -s).bit_length() - 1, s) != s:
-            continue
+        if not lonely:
+            seen = low
+            while True:
+                grown = seen | nbr[seen] & s
+                if grown == seen:
+                    break
+                seen = grown
+            if seen != s:
+                continue
         connected[s] = 1
-        if variant == "mc":
+        if cover[s]:
             while lonely:
                 b = lonely & -lonely
                 if connected[s ^ b]:
                     break
                 lonely ^= b
             else:
-                out.append((size - 2, emask[s], 0, s, cover[s]))
+                mc.append((s.bit_count() - 2, emask[s], 0, s, cover[s]))
+    mc.sort()
+    return _Table(emask, cover, nbr, common, connected, mc)
+
+
+def _candidates(g: Graph, pairs: int, cap: int, variant: str) -> list[Candidate]:
+    """Every candidate of waste <= cap as a (waste, emask, imask, vmask,
+    cover) tuple, sorted; ``variant`` is "mc", "tmc" or "mvc" and ``pairs``
+    the mask of the pairs to cover, bit j for g.nonadjacent_pairs()[j].
+
+    For mc, vmask is a connected vertex set S holding one of ``pairs``,
+    emask its induced edge set E(G[S]), cover the pairs inside S, waste
+    |S| - 2 and imask 0.  For tmc, imask is a connected set I, S adds to I
+    a set L of at least two vertices of N(I) - I, waste is |S| - 2 + |I|.
+    For mvc, imask and vmask are a connected set I, emask is 0, cover the
+    pairs inside N[I] and waste |I| - 1.  For tmc and mc ``pairs`` is every
+    non-adjacent pair of ``g``.
+
+    Only non-dominated candidates are emitted (module docstring): for tmc,
+    L meets the private set (N(I) - I) - N(I - x) of every x whose removal
+    leaves I non-empty and connected, and no leaf is adjacent to the rest
+    of S; for mc, no vertex adjacent to the rest of S leaves G[S - v]
+    connected; for mvc, no I - x is non-empty, connected and of the same
+    cover.
+    """
+    emask, cover, nbr, common, connected, mc = _table(g)
+    if variant == "mc":
+        return mc[:bisect.bisect_left(mc, (cap + 1,))]
+    out = []
+    for s in range(1, 1 << g.n):  # I for tmc and mvc
+        if not connected[s]:
             continue
+        size = s.bit_count()
         if variant == "mvc":
-            whole = cover[nbr[s] | s]
+            whole = cover[nbr[s] | s] & pairs
+            if not whole or size - 1 > cap:
+                continue
             rests = [s ^ (1 << x) for x in _bits(s)]
-            if not any(connected[r] and cover[nbr[r] | r] == whole for r in rests):
+            if not any(connected[r] and cover[nbr[r] | r] & pairs == whole for r in rests):
                 out.append((size - 1, 0, s, s, whole))
+            continue
+        if 2 * size > cap:
             continue
         around = nbr[s] & ~s
         # The private sets are disjoint, so L is one non-empty subset of each
@@ -383,9 +432,7 @@ def _candidates(
     return out
 
 
-def _count_lb_table(
-    cands: list[tuple[int, int, int, int, int]], npairs: int, limit: int
-) -> list[int]:
+def _count_lb_table(cands: list[Candidate], npairs: int, limit: int) -> list[int]:
     """need[u] = least total waste of candidates that can cover u pairs,
     capped at ``limit``: most[w] is the largest cover of a candidate of
     waste w, and reach[b] the most pairs that waste b covers (an unbounded
@@ -414,20 +461,20 @@ def _count_lb_table(
 
 
 def _solve_cover(
-    cands: list[tuple[int, int, int, int, int]],
-    npairs: int,
-    ub_waste: int,
+    cands: list[Candidate], pairs: int, ub_waste: int
 ) -> tuple[int, list[int] | None, int]:
-    """Branch-and-bound minimum-waste cover by candidates with pairwise
-    disjoint edge masks and internal masks.
+    """Branch-and-bound minimum-waste cover of the pair mask ``pairs`` by
+    candidates with pairwise disjoint edge masks and internal masks.
 
     Returns (best_waste, chosen candidate indices or None when nothing beat
     the incumbent upper bound, nodes explored).
     """
-    allp = (1 << npairs) - 1
+    npairs = pairs.bit_count()
+    # pair k is bit k of the masks; only the bits of ``pairs`` are ever read
+    width = pairs.bit_length()
     # the root's bound first: each pair's cheapest candidate is the first in
     # the sorted list to cover it, and the last pair reached has the dearest
-    min_w = [0] * npairs
+    min_w = [0] * width
     seen = top = 0
     for w, _, _, _, cov in cands:
         new = cov & ~seen
@@ -435,16 +482,16 @@ def _solve_cover(
             for k in _bits(new):
                 min_w[k] = w
             seen |= new
-            if seen == allp:
+            if seen == pairs:
                 top = w
                 break
-    if seen != allp:
+    if seen != pairs:
         # some pair cannot be covered within the cap: incumbent is optimal
         return ub_waste, None, 0
     need = _count_lb_table(cands, npairs, ub_waste)
     if max(need[npairs], top) >= ub_waste:
         return ub_waste, None, 1  # the root node's own bound proves it
-    by_pair: list[list[int]] = [[] for _ in range(npairs)]
+    by_pair: list[list[int]] = [[] for _ in range(width)]
     for ci, (_, _, _, _, cov) in enumerate(cands):
         cc = cov
         while cc:
@@ -460,7 +507,7 @@ def _solve_cover(
     def bb(covered: int, used_e: int, used_i: int, waste: int, pick: list[int]) -> None:
         nonlocal best, best_pick, nodes
         nodes += 1
-        unc = allp & ~covered
+        unc = pairs & ~covered
         if not unc:
             if waste < best:
                 best = waste
@@ -496,13 +543,13 @@ def _solve_cover(
 
 
 def _search(
-    g: Graph, variant: str, pairs: Sequence[Edge], ub: int
+    g: Graph, variant: str, pairs: int, ub: int
 ) -> tuple[int, list[tuple[int, int]] | None, int]:
     """(minimum waste, picked (I, S) masks, nodes explored) of the cover
-    search over ``pairs`` below the incumbent's waste ``ub``; the pick is
-    None when nothing beats the incumbent."""
+    search over the pair mask ``pairs`` below the incumbent's waste ``ub``;
+    the pick is None when nothing beats the incumbent."""
     cands = _candidates(g, pairs, ub - 1, variant)
-    best, pick, nodes = _solve_cover(cands, len(pairs), ub)
+    best, pick, nodes = _solve_cover(cands, pairs, ub)
     return best, None if pick is None else [cands[ci][2:4] for ci in pick], nodes
 
 
@@ -549,6 +596,11 @@ def _coloring(
     return VertexColoring(vertex_color=vcol)
 
 
+def _pair_mask(g: Graph) -> int:
+    """Mask of every non-adjacent pair of ``g``."""
+    return (1 << (g.n * (g.n - 1) // 2 - g.m)) - 1
+
+
 def _guard_exact(g: Graph, solver: str) -> None:
     """Refuse a non-complete graph with more than max_exact_n() vertices."""
     limit = max_exact_n()
@@ -578,7 +630,7 @@ def tmc_exact(g: Graph, max_leaf: SpanningTreeResult | None = None) -> SolverRep
         )
     _guard_exact(g, "tmc_exact")
     ml = max_leaf if max_leaf is not None else max_leaf_exact(g)
-    best, picks, nodes = _search(g, "tmc", g.nonadjacent_pairs(), g.n - 2 + ml.internal_count)
+    best, picks, nodes = _search(g, "tmc", _pair_mask(g), g.n - 2 + ml.internal_count)
     if picks is None:  # the max-leaf tree itself is optimal
         system = TreeSystem(trees=(SystemTree(ml.tree, tuple(_bits(ml.internal))),))
     else:
@@ -606,7 +658,7 @@ def mc_exact(g: Graph) -> SolverReport:
         )
     _guard_exact(g, "mc_exact")
     full = (1 << g.n) - 1
-    best, picks, nodes = _search(g, "mc", g.nonadjacent_pairs(), g.n - 2)
+    best, picks, nodes = _search(g, "mc", _pair_mask(g), g.n - 2)
     system = _system(g, [(full, full)] if picks is None else picks)
     witness = _coloring(g, "mc", [t.edges for t in system.trees])
     return SolverReport(
@@ -639,7 +691,7 @@ def mvc_exact(
         )
     _guard_exact(g, "mvc_exact")
     ml = max_leaf if max_leaf is not None else max_leaf_exact(g)
-    far = [(u, v) for u, v in g.nonadjacent_pairs() if not g.adj[u] & g.adj[v]]
+    far = sum(1 << j for j, (u, v) in enumerate(g.nonadjacent_pairs()) if not g.adj[u] & g.adj[v])
     best, picks, nodes = _search(g, "mvc", far, ml.internal_count - 1)
     classes = [ml.internal] if picks is None else [inner for inner, _ in picks]
     return SolverReport(

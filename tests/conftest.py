@@ -1,3 +1,4 @@
+import functools
 import random
 import sys
 from pathlib import Path
@@ -6,6 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from monoconn import solvers
 from monoconn.graphs import Graph, is_connected, random_gnp, relabel
 
 
@@ -39,3 +41,19 @@ def small_connected_pool():
         n = 2 + seed % 7  # n in 2..8
         pool.append(random_connected(n, seed=seed * 7 + 1))
     return pool
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """The graphs whose solver tables get built, in order, through a fresh
+    cache of the same size as the solvers' own."""
+    built = []
+    build = solvers._table.__wrapped__
+    size = solvers._table.cache_info().maxsize
+
+    def counted(g):
+        built.append(g)
+        return build(g)
+
+    monkeypatch.setattr(solvers, "_table", functools.lru_cache(maxsize=size)(counted))
+    return built

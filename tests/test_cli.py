@@ -1,5 +1,6 @@
 import json
 import time
+import weakref
 
 import pytest
 
@@ -14,6 +15,7 @@ from monoconn.graphs import (
     to_graph6,
     wheel_graph,
 )
+from monoconn.harness import builtin_corpus
 from monoconn.maxleaf import max_leaf_exact
 
 
@@ -111,6 +113,15 @@ class TestCompute:
         assert code == 0 and len(out.strip().splitlines()) == 2
         assert len(seen) == 2
 
+    def test_one_table_build_per_graph(self, tmp_path, capsys, table_builds):
+        # tmc builds the graph's tables, and mc and mvc reuse them
+        graphs = [path_graph(6), cycle_graph(7), wheel_graph(6)]
+        p = tmp_path / "graphs.g6"
+        p.write_text("".join(to_graph6(g) + "\n" for g in graphs))
+        code, out, _ = run_cli(capsys, "compute", str(p), "--invariant", "all")
+        assert code == 0 and len(out.strip().splitlines()) == 3
+        assert table_builds == graphs
+
     def test_bad_guard_setting_named(self, capsys, monkeypatch):
         monkeypatch.setenv("MONO_MAX_EXACT_N", "abc")
         code, _, err = run_cli(capsys, "compute", "Dhc", "--literal")
@@ -186,6 +197,28 @@ class TestCheck:
         assert len(violated) == 3
         assert code == 1
         assert csv_path.read_text().startswith("graph6,")
+
+    @pytest.mark.parametrize("with_csv", [False, True])
+    def test_records_kept_only_for_csv(self, tmp_path, capsys, monkeypatch, with_csv):
+        # without --csv only the record being written is alive; the output
+        # and exit code are the same either way
+        records, alive = [], []
+        real = cli.check_all
+
+        def tracked(g):
+            alive.append(sum(r() is not None for r in records))
+            rec = real(g)
+            records.append(weakref.ref(rec))
+            return rec
+
+        monkeypatch.setattr(cli, "check_all", tracked)
+        csv = ["--csv", str(tmp_path / "r.csv")] if with_csv else []
+        code, out, err = run_cli(capsys, "check", "--corpus", "builtin:3", *csv)
+        assert alive == ([0, 1, 2, 3, 4, 5] if with_csv else [0, 1, 1, 1, 1, 1])
+        assert code == 1 and err == "checked 6 graphs, 3 with violated verdicts\n"
+        lines = [json.loads(line) for line in out.splitlines()]
+        assert [line["graph6"] for line in lines] == [to_graph6(g) for g in builtin_corpus(3)]
+        assert (tmp_path / "r.csv").exists() == with_csv
 
     def test_corpus_file(self, tmp_path, capsys):
         p = tmp_path / "c.g6"

@@ -25,6 +25,7 @@ from monoconn.coloring import coloring_to_json
 from monoconn.solvers import reverify
 from monoconn.harness import (
     CHECK_KEYS,
+    Finding,
     HOLDS,
     NOT_APPLICABLE,
     SKIPPED,
@@ -228,6 +229,31 @@ class TestClassMemo:
         assert (replace(again, elapsed_ms=rec.elapsed_ms).to_json(),
                 _witness_rows(reports)) == expected
 
+    def test_check_all_relabels_no_report(self, monkeypatch):
+        # check_all returns the record alone, so it moves no witness onto
+        # the caller's labels; the record is check_all_detailed's
+        monkeypatch.setattr(harness, "_memo", {})
+
+        def refuse(*args):
+            raise AssertionError("check_all relabelled a report")
+
+        for g in self.CASES + [shuffled(path_graph(6), seed=1), path_graph(12)]:
+            with monkeypatch.context() as m:
+                m.setattr(harness, "_relabel_report", refuse)
+                rec = check_all(g)
+            detailed = check_all_detailed(g)[0]
+            assert replace(rec, elapsed_ms=0) == replace(detailed, elapsed_ms=0), g.edges
+
+    def test_one_table_build_per_miss(self, monkeypatch, table_builds):
+        monkeypatch.setattr(harness, "_memo", {})
+        cases = [path_graph(6), cycle_graph(7), random_connected(8, 3, p=0.4)]
+        for g in cases:
+            check_all(g)
+        assert table_builds == [relabel(g, canonical_order(g)[1]) for g in cases]
+        for g in cases:
+            check_all(shuffled(g))
+        assert len(table_builds) == len(cases)
+
     def test_memo_never_exceeds_cap(self, monkeypatch):
         monkeypatch.setattr(harness, "_memo", {})
         monkeypatch.setattr(harness, "MEMO_CAP", 4)
@@ -340,6 +366,25 @@ class TestSurvey:
         assert json.loads(rec.to_json())["n"] == 6
 
 
+def _labelled_copies():
+    """Labelled copies of n = 6-7 classes, some of them tmc <= mvc
+    findings, each class under three labellings."""
+    base = [path_graph(6), path_graph(7), cycle_graph(6), star_graph(7), wheel_graph(6),
+            from_edge_list(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)])]
+    base += [random_connected(6 + seed % 2, seed, p=0.35) for seed in range(6)]
+    return [h for g in base for h in (g, shuffled(g, 1), g, shuffled(g, 2))]
+
+
+#: target: (corpus, the graphs it solves, the other solver, comparison)
+HUNTS = {
+    "tmc_le_mc": (lambda: list(builtin_corpus(5)), is_connected, solvers.mc_exact, "tmc<=mc"),
+    "tmc_le_mvc": (
+        _labelled_copies, lambda g: g.n >= 6 and not is_star(g) and is_connected(g),
+        solvers.mvc_exact, "tmc<=mvc",
+    ),
+}
+
+
 class TestHunts:
     def test_star_excluded(self):
         assert hunt_tmc_le_mvc([star_graph(6)]) == []
@@ -384,6 +429,30 @@ class TestHunts:
         for g in graphs:
             check_all(shuffled(g))
         assert seen == []
+
+    @pytest.mark.parametrize("target", sorted(HUNTS))
+    def test_one_solve_per_class(self, monkeypatch, target):
+        corpus, wanted, other, comparison = HUNTS[target]
+        corpus = corpus()
+        solved = []
+        real = harness.tmc_exact
+
+        def counted(g, *args):
+            solved.append((g.n, canonical_order(g)[0]))
+            return real(g, *args)
+
+        monkeypatch.setattr(harness, "tmc_exact", counted)
+        found = harness.HUNT_TARGETS[target](corpus)
+        classes = {(g.n, canonical_order(g)[0]) for g in corpus if wanted(g)}
+        assert sorted(solved) == sorted(classes)
+        # against a loop that solves every labelled graph
+        every = []
+        for g in corpus:
+            if wanted(g):
+                t, o = solvers.tmc_exact(g).value, other(g).value
+                if t <= o:
+                    every.append(Finding(to_graph6(g), g.n, g.m, t, o, comparison))
+        assert found == every
 
     def test_finding_json(self):
         f = hunt_tmc_le_mvc([path_graph(6)])[0]

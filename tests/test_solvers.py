@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -12,6 +13,7 @@ from monoconn.graphs import (
     complete_multipartite_graph,
     connected_labeled_graphs,
     cycle_graph,
+    _bits,
     diameter,
     from_edge_list,
     is_connected,
@@ -36,7 +38,7 @@ from monoconn.solvers import (
     reverify,
     tmc_exact,
 )
-from conftest import random_connected
+from conftest import random_connected, shuffled
 from oracles import (
     _count_lb_table as fixed_offset_lb_table,
     count_lb_reference,
@@ -364,12 +366,21 @@ class TestCandidates:
         for seed in range(6):
             yield random_connected(8, seed + 91, p=0.3 + 0.1 * seed)
 
+    @staticmethod
+    def far_pairs(g):
+        """The pairs at distance >= 3 as a list and as a mask over every
+        non-adjacent pair, and the map from their list positions to bits of
+        that mask."""
+        pairs = g.nonadjacent_pairs()
+        at = [j for j, (u, v) in enumerate(pairs) if not g.adj[u] & g.adj[v]]
+        return [pairs[j] for j in at], sum(1 << j for j in at), at
+
     def test_tmc_candidates_are_the_non_dominated_ones(self):
         checked = 0
         for g in self.graphs():
             pairs = g.nonadjacent_pairs()
             for cap in (g.n - 2, 2 * g.n - 4):
-                got = _candidates(g, pairs, cap, "tmc")
+                got = _candidates(g, (1 << len(pairs)) - 1, cap, "tmc")
                 assert got == tmc_candidates_reference(g, pairs, cap), (g.edges, cap)
                 checked += len(got)
         assert checked > 0
@@ -379,7 +390,7 @@ class TestCandidates:
         for g in self.graphs():
             pairs = g.nonadjacent_pairs()
             for cap in (g.n // 2 - 1, g.n - 2):
-                got = _candidates(g, pairs, cap, "mc")
+                got = _candidates(g, (1 << len(pairs)) - 1, cap, "mc")
                 assert got == mc_candidates_reference(g, pairs, cap), (g.edges, cap)
                 checked += len(got)
         assert checked > 0
@@ -387,10 +398,15 @@ class TestCandidates:
     def test_mvc_candidates_are_the_non_dominated_ones(self):
         checked = 0
         for g in self.graphs():
-            far = [(u, v) for u, v in g.nonadjacent_pairs() if not g.adj[u] & g.adj[v]]
+            far, mask, at = self.far_pairs(g)
             for cap in (g.n // 2 - 1, g.n - 1):
-                got = _candidates(g, far, cap, "mvc")
-                assert got == mvc_candidates_reference(g, far, cap), (g.edges, cap)
+                got = _candidates(g, mask, cap, "mvc")
+                # the reference's cover bit k is far pair k, bit at[k] here
+                want = [
+                    (w, em, im, vm, sum(1 << at[k] for k in range(len(at)) if cov >> k & 1))
+                    for w, em, im, vm, cov in mvc_candidates_reference(g, far, cap)
+                ]
+                assert got == want, (g.edges, cap)
                 checked += len(got)
         assert checked > 0
 
@@ -409,15 +425,50 @@ class TestCandidates:
                 ("mc", mc_exact, g.m, g.n - 2, mc_candidates_reference),
             ):
                 every = reference(g, pairs, ub - 1, reduced=False)
-                assert set(_candidates(g, pairs, ub - 1, variant)) <= set(every)
-                best, _, _ = _solve_cover(every, len(pairs), ub)
+                full = (1 << len(pairs)) - 1
+                assert set(_candidates(g, full, ub - 1, variant)) <= set(every)
+                best, _, _ = _solve_cover(every, full, ub)
                 assert top - best == solve(g).value, (variant, g.edges)
+
+
+class TestSharedTable:
+    def test_tmc_mc_and_mvc_build_one_table(self, table_builds):
+        g = cycle_graph(7)  # diameter 3: all three search
+        reports = [tmc_exact(g), mc_exact(g), mvc_exact(g)]
+        assert [r.method for r in reports] == ["tree_system"] * 3
+        assert table_builds == [g]
+        assert solvers._table.cache_info().currsize == 1
+
+    def test_relabelled_copy_gets_fresh_table(self, table_builds):
+        g = path_graph(6)
+        h = shuffled(g)
+        assert h != g
+        tmc_exact(g)
+        mc_exact(h)
+        mvc_exact(h)
+        tmc_exact(g)  # only the last graph's tables are kept
+        assert table_builds == [g, h, g]
+        assert solvers._table.cache_info().currsize == 1
+
+    def test_table_matches_definitions(self):
+        g = random_connected(7, 5, p=0.5)
+        pairs = g.nonadjacent_pairs()
+        t = solvers._table(g)
+        h = nx.Graph(g.edges)
+        for s in range(1 << g.n):
+            vs = set(_bits(s))
+            assert t.emask[s] == sum(1 << i for i, e in enumerate(g.edges) if set(e) <= vs)
+            assert t.cover[s] == sum(1 << j for j, p in enumerate(pairs) if set(p) <= vs)
+            assert t.nbr[s] == sum(1 << w for w in range(g.n) if any(g.has_edge(v, w) for v in vs))
+            closed = [g.adj[v] | 1 << v for v in vs]
+            assert t.common[s] == functools.reduce(int.__and__, closed, (1 << g.n) - 1)
+            assert t.connected[s] == bool(vs and nx.is_connected(h.subgraph(vs)))
 
 
 class TestCountBound:
     @staticmethod
     def cases():
-        """(variant, candidates, pairs) with every candidate of every
+        """(variant, candidates, pair count) with every candidate of every
         connected n <= 5 graph and of one graph per class at n = 6."""
         atlas = (h for h in nx.graph_atlas_g() if h.number_of_nodes() == 6)
         graphs = [g for n in range(3, 6) for g in connected_labeled_graphs(n)]
@@ -426,21 +477,22 @@ class TestCountBound:
             pairs = g.nonadjacent_pairs()
             if not pairs:
                 continue
-            yield "mc", _candidates(g, pairs, g.n - 2, "mc"), pairs
-            yield "tmc", _candidates(g, pairs, 2 * g.n - 4, "tmc"), pairs
-            far = [(u, v) for u, v in pairs if not g.adj[u] & g.adj[v]]
+            full = (1 << len(pairs)) - 1
+            yield "mc", _candidates(g, full, g.n - 2, "mc"), len(pairs)
+            yield "tmc", _candidates(g, full, 2 * g.n - 4, "tmc"), len(pairs)
+            _, far, _ = TestCandidates.far_pairs(g)
             if far:
-                yield "mvc", _candidates(g, far, g.n - 1, "mvc"), far
+                yield "mvc", _candidates(g, far, g.n - 1, "mvc"), far.bit_count()
 
     def test_admissible_and_exact_on_small_graphs(self):
         # every set of up to three compatible candidates costs at least
         # need[pairs it covers], and need is the least waste whose
         # candidates' cover sizes reach that count
         checked = 0
-        for variant, cands, pairs in self.cases():
+        for variant, cands, npairs in self.cases():
             limit = 3 * cands[-1][0] + 1
-            need = _count_lb_table(cands, len(pairs), limit)
-            assert need == count_lb_reference(cands, len(pairs), limit), variant
+            need = _count_lb_table(cands, npairs, limit)
+            assert need == count_lb_reference(cands, npairs, limit), variant
 
             def grow(start, waste, used_e, used_i, covered, depth):
                 nonlocal checked
