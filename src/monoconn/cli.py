@@ -133,6 +133,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
+    flag = {"wheel": "order", "complete": "order", "multipartite": "sizes", "tree": "graph"}
+    if getattr(args, flag[args.family]) is None:
+        raise ValueError(f"construct --family {args.family} needs --{flag[args.family]}")
     if args.family == "wheel":
         g, tc = wheel_tmc_coloring(args.order)
     elif args.family == "complete":
@@ -140,15 +143,13 @@ def cmd_construct(args: argparse.Namespace) -> int:
     elif args.family == "multipartite":
         sizes = [int(s) for s in args.sizes.split(",")]
         g, tc = multipartite_tmc_coloring(sizes)
-    elif args.family == "tree":
+    else:  # tree
         graphs = list(_load_graphs(args.graph, args.literal))
         if len(graphs) != 1:
             raise GraphFormatError("construct --family tree needs exactly one input graph")
         g = graphs[0]
         _guard_exact(g, "max_leaf_tmc_coloring")
         tc = max_leaf_tmc_coloring(g)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(args.family)
     _emit(
         {
             "graph6": to_graph6(g),

@@ -18,6 +18,7 @@ non-adjacent pair.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -64,6 +65,27 @@ class TotalColoring:
 
     def restrict_edges(self) -> EdgeColoring:
         return EdgeColoring(edge_color=dict(self.edge_color))
+
+
+def _fill(
+    g: Graph, variant: str, classes: Sequence[Sequence]
+) -> TotalColoring | EdgeColoring | VertexColoring:
+    """The coloring of ``variant`` ("tmc", "mc" or "mvc") in which the
+    items (vertices, edges) of class i get color i.  Then every vertex
+    (ascending), then every edge (lex), that the coloring has and no class
+    colored gets a fresh color, so no class at all gives the all-distinct
+    coloring."""
+    color = {x: c for c, members in enumerate(classes) for x in members}
+    vs = () if variant == "mc" else range(g.n)
+    es = () if variant == "mvc" else g.edges
+    fresh = itertools.count(len(classes))
+    vcol = tuple(color[v] if v in color else next(fresh) for v in vs)
+    ecol = {e: color[e] if e in color else next(fresh) for e in es}
+    if variant == "tmc":
+        return TotalColoring(vertex_color=vcol, edge_color=ecol)
+    if variant == "mc":
+        return EdgeColoring(edge_color=ecol)
+    return VertexColoring(vertex_color=vcol)
 
 
 def total_coloring(g: Graph, vertex_colors: Iterable[int], edge_colors: Mapping[Edge, int] | Iterable[int]) -> TotalColoring:
@@ -294,13 +316,24 @@ def coloring_to_json(tc: TotalColoring | EdgeColoring | VertexColoring) -> str:
 def coloring_from_json(text: str) -> TotalColoring | EdgeColoring | VertexColoring:
     """Decode a coloring; the key set decides which kind it is."""
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError("coloring JSON must be an object")
     has_v = "vertex_colors" in obj
     has_e = "edge_colors" in obj
     if not has_v and not has_e:
         raise ValueError("coloring JSON needs vertex_colors and/or edge_colors")
-    ecol = { _norm_edge(u, v): c for u, v, c in obj.get("edge_colors", []) }
+    vs, es = obj.get("vertex_colors", []), obj.get("edge_colors", [])
+    if not (_naturals(vs) and isinstance(es, list) and all(_naturals(e) and len(e) == 3 for e in es)):
+        raise ValueError("color ids must be non-negative integers, in a list for vertex_colors "
+                         "and in [u, v, c] integer triples for edge_colors")
+    ecol = { _norm_edge(u, v): c for u, v, c in es }
     if has_v and has_e:
-        return TotalColoring(vertex_color=tuple(obj["vertex_colors"]), edge_color=ecol)
+        return TotalColoring(vertex_color=tuple(vs), edge_color=ecol)
     if has_e:
         return EdgeColoring(edge_color=ecol)
-    return VertexColoring(vertex_color=tuple(obj["vertex_colors"]))
+    return VertexColoring(vertex_color=tuple(vs))
+
+
+def _naturals(xs: object) -> bool:
+    """Whether ``xs`` is a JSON list of non-negative integers."""
+    return isinstance(xs, list) and all(type(x) is int and x >= 0 for x in xs)

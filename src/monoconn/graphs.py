@@ -246,6 +246,17 @@ def _reach(adj: Sequence[int], start: int, allowed: int) -> int:
     return seen
 
 
+def _internal(edges: Iterable[Sequence[int]]) -> int:
+    """Mask of the vertices of degree >= 2 in an edge list: those an end
+    meets a second time."""
+    once = twice = 0
+    for u, v in edges:
+        bu, bv = 1 << u, 1 << v
+        twice |= once & bu | (once | bu) & bv
+        once |= bu | bv
+    return twice
+
+
 def is_connected(g: Graph) -> bool:
     if g.n == 0:
         return True

@@ -15,42 +15,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import Graph, _bits, _reach, is_connected
+from .graphs import Graph, _bits, _internal, _reach, is_connected
 
 
 @dataclass(frozen=True)
 class SpanningTreeResult:
-    """A spanning tree with its leaf statistics.
-
-    ``exact`` records whether ``leaf_count`` is the true optimum l(G) or just
-    a heuristic lower bound.  ``internal`` is the bitmask of the tree's
-    internal vertices, a connected dominating set when n >= 3.
-    """
+    """A spanning tree and ``internal``, the bitmask of its internal
+    vertices (degree >= 2), a connected dominating set when n >= 3."""
 
     tree: tuple[tuple[int, int], ...]
-    leaf_count: int
-    internal_count: int
-    exact: bool
     internal: int
 
     @property
-    def n(self) -> int:
-        return self.leaf_count + self.internal_count
+    def internal_count(self) -> int:
+        return self.internal.bit_count()
 
-
-def _tree_result(g: Graph, tree_edges: list[tuple[int, int]]) -> SpanningTreeResult:
-    deg = [0] * g.n
-    for u, v in tree_edges:
-        deg[u] += 1
-        deg[v] += 1
-    leaves = sum(1 for d in deg if d == 1)
-    return SpanningTreeResult(
-        tree=tuple(sorted(tree_edges)),
-        leaf_count=leaves,
-        internal_count=g.n - leaves,
-        exact=True,
-        internal=sum(1 << v for v, d in enumerate(deg) if d >= 2),
-    )
+    @property
+    def leaf_count(self) -> int:
+        return len(self.tree) + 1 - self.internal_count
 
 
 def _tree_from_cds(g: Graph, cds_mask: int, span_mask: int) -> list[tuple[int, int]]:
@@ -106,7 +88,7 @@ def max_leaf_exact(g: Graph) -> SpanningTreeResult:
     if not is_connected(g):
         raise ValueError("disconnected")
     if g.n == 2:
-        return _tree_result(g, [(0, 1)])
-    cds = minimum_connected_dominating_set(g)
-    tree = _tree_from_cds(g, cds, (1 << g.n) - 1)
-    return _tree_result(g, tree)
+        tree = [(0, 1)]
+    else:
+        tree = _tree_from_cds(g, minimum_connected_dominating_set(g), (1 << g.n) - 1)
+    return SpanningTreeResult(tree=tuple(sorted(tree)), internal=_internal(tree))

@@ -148,7 +148,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import os
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
@@ -157,11 +156,12 @@ from .coloring import (
     EdgeColoring,
     TotalColoring,
     VertexColoring,
+    _fill,
     verify_mc,
     verify_mvc,
     verify_tmc,
 )
-from .graphs import Graph, _bits, _reach, diameter, is_connected
+from .graphs import Graph, _bits, _internal, _reach, diameter, is_connected
 from .maxleaf import SpanningTreeResult, _tree_from_cds, max_leaf_exact
 
 Edge = tuple[int, int]
@@ -553,17 +553,6 @@ def _search(
     return best, None if pick is None else [cands[ci][2:4] for ci in pick], nodes
 
 
-def _internal(edges: Sequence[Edge]) -> int:
-    """Mask of the vertices of degree >= 2 in an edge list: those an end
-    meets a second time."""
-    once = twice = 0
-    for u, v in edges:
-        bu, bv = 1 << u, 1 << v
-        twice |= once & bu | (once | bu) & bv
-        once |= bu | bv
-    return twice
-
-
 def _system(g: Graph, picks: Sequence[tuple[int, int]]) -> TreeSystem:
     """Tree system of picked (I, S) masks, in edge order: each S realised
     as a BFS tree of G[I] with every other vertex of S hung on its smallest
@@ -574,26 +563,6 @@ def _system(g: Graph, picks: Sequence[tuple[int, int]]) -> TreeSystem:
         trees.append(SystemTree(tuple(edges), tuple(_bits(_internal(edges)))))
     trees.sort(key=lambda t: t.edges)
     return TreeSystem(trees=tuple(trees))
-
-
-def _coloring(
-    g: Graph, variant: str, classes: Sequence[Sequence]
-) -> TotalColoring | EdgeColoring | VertexColoring:
-    """Witness coloring in which the items (vertices, edges) of class i get
-    color i.  Then every vertex (ascending), then every edge (lex), that
-    the coloring has and no class colored gets a fresh color, so no class
-    at all gives the all-distinct shortcut witness."""
-    color = {x: c for c, members in enumerate(classes) for x in members}
-    vs = () if variant == "mc" else range(g.n)
-    es = () if variant == "mvc" else g.edges
-    fresh = itertools.count(len(classes))
-    vcol = tuple(color[v] if v in color else next(fresh) for v in vs)
-    ecol = {e: color[e] if e in color else next(fresh) for e in es}
-    if variant == "tmc":
-        return TotalColoring(vertex_color=vcol, edge_color=ecol)
-    if variant == "mc":
-        return EdgeColoring(edge_color=ecol)
-    return VertexColoring(vertex_color=vcol)
 
 
 def _pair_mask(g: Graph) -> int:
@@ -624,7 +593,7 @@ def tmc_exact(g: Graph, max_leaf: SpanningTreeResult | None = None) -> SolverRep
     total = g.m + g.n
     if g.is_complete():
         return SolverReport(
-            value=total, witness=_coloring(g, "tmc", []), nodes_explored=0, method="shortcut",
+            value=total, witness=_fill(g, "tmc", []), nodes_explored=0, method="shortcut",
             bounds_used={"value_lower": total, "value_upper": total},
             witness_system=TreeSystem(trees=()),
         )
@@ -635,7 +604,7 @@ def tmc_exact(g: Graph, max_leaf: SpanningTreeResult | None = None) -> SolverRep
         system = TreeSystem(trees=(SystemTree(ml.tree, tuple(_bits(ml.internal))),))
     else:
         system = _system(g, picks)
-    witness = _coloring(g, "tmc", [t.edges + t.internal_vertices for t in system.trees])
+    witness = _fill(g, "tmc", [t.edges + t.internal_vertices for t in system.trees])
     return SolverReport(
         value=total - best, witness=witness, nodes_explored=nodes, method="tree_system",
         bounds_used={"value_lower": g.m - g.n + 2 + ml.leaf_count, "value_upper": total},
@@ -653,14 +622,14 @@ def mc_exact(g: Graph) -> SolverReport:
         raise ValueError("disconnected")
     if g.is_complete():
         return SolverReport(
-            value=g.m, witness=_coloring(g, "mc", []), nodes_explored=0, method="shortcut",
+            value=g.m, witness=_fill(g, "mc", []), nodes_explored=0, method="shortcut",
             bounds_used={"value_lower": g.m, "value_upper": g.m},
         )
     _guard_exact(g, "mc_exact")
     full = (1 << g.n) - 1
     best, picks, nodes = _search(g, "mc", _pair_mask(g), g.n - 2)
     system = _system(g, [(full, full)] if picks is None else picks)
-    witness = _coloring(g, "mc", [t.edges for t in system.trees])
+    witness = _fill(g, "mc", [t.edges for t in system.trees])
     return SolverReport(
         value=g.m - best, witness=witness, nodes_explored=nodes, method="tree_system",
         bounds_used={"value_lower": g.m - g.n + 2, "value_upper": g.m}, witness_system=system,
@@ -686,7 +655,7 @@ def mvc_exact(
         d = diameter(g)
     if d <= 2:
         return SolverReport(
-            value=g.n, witness=_coloring(g, "mvc", []), nodes_explored=0, method="shortcut",
+            value=g.n, witness=_fill(g, "mvc", []), nodes_explored=0, method="shortcut",
             bounds_used={"value_upper": g.n},
         )
     _guard_exact(g, "mvc_exact")
@@ -695,7 +664,7 @@ def mvc_exact(
     best, picks, nodes = _search(g, "mvc", far, ml.internal_count - 1)
     classes = [ml.internal] if picks is None else [inner for inner, _ in picks]
     return SolverReport(
-        value=g.n - best, witness=_coloring(g, "mvc", [_bits(c) for c in classes]),
+        value=g.n - best, witness=_fill(g, "mvc", [_bits(c) for c in classes]),
         nodes_explored=nodes, method="tree_system",
         bounds_used={"value_lower": ml.leaf_count + 1, "value_upper": g.n - d + 2},
     )

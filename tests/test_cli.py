@@ -185,6 +185,26 @@ class TestConstructVerify:
         code, _, err = run_cli(capsys, "construct", "--family", "wheel", "--order", "4")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "family,flag", [("wheel", "--order"), ("complete", "--order"),
+                        ("multipartite", "--sizes"), ("tree", "--graph")],
+    )
+    def test_construct_missing_argument(self, capsys, family, flag):
+        code, out, err = run_cli(capsys, "construct", "--family", family)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and flag in err
+
+    @pytest.mark.parametrize(
+        "text",
+        ["null", '{"vertex_colors": 5}', '{"vertex_colors": [0, [1]]}',
+         '{"edge_colors": [[0, 1, "a"]]}'],
+    )
+    def test_verify_malformed_coloring(self, tmp_path, capsys, text):
+        col = tmp_path / "c.json"
+        col.write_text(text)
+        code, out, err = run_cli(capsys, "verify", "A_", "--literal", "--coloring", str(col))
+        assert code == 2 and out == "" and err.startswith("error:")
+
 
 class TestCheck:
     def test_builtin_n3_clean_except_known_families(self, capsys, tmp_path):

@@ -256,6 +256,27 @@ class TestJson:
         with pytest.raises(ValueError):
             coloring_from_json("{}")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "null",
+            "3",
+            '{"vertex_colors": 5}',
+            '{"vertex_colors": [0, [1], 0]}',
+            '{"vertex_colors": [0, -1]}',
+            '{"vertex_colors": [0, false]}',
+            '{"edge_colors": "x"}',
+            '{"edge_colors": [[0, 1, "a"]]}',
+            '{"edge_colors": [[0, 1]]}',
+            '{"edge_colors": [[0, 1, -1]]}',
+            '{"edge_colors": [["0", 1, 2]]}',
+            '{"edge_colors": [5]}',
+        ],
+    )
+    def test_malformed_json_rejected(self, text):
+        with pytest.raises(ValueError):
+            coloring_from_json(text)
+
 
 def test_total_coloring_validation():
     g = path_graph(3)

@@ -1,6 +1,9 @@
+import hashlib
+import itertools
+
 import pytest
 
-from monoconn.coloring import verify_tmc
+from monoconn.coloring import coloring_to_json, verify_tmc
 from monoconn.constructions import (
     complete_tmc_coloring,
     max_leaf_tmc_coloring,
@@ -10,6 +13,7 @@ from monoconn.constructions import (
 )
 from monoconn.graphs import (
     complete_graph,
+    connected_labeled_graphs,
     cycle_graph,
     from_edge_list,
     path_graph,
@@ -36,10 +40,7 @@ class TestTreeBased:
 
     def test_k4_star_lower_bound_only(self):
         g = complete_graph(4)
-        star = SpanningTreeResult(
-            tree=((0, 1), (0, 2), (0, 3)), leaf_count=3, internal_count=1, exact=True,
-            internal=0b1,
-        )
+        star = SpanningTreeResult(tree=((0, 1), (0, 2), (0, 3)), internal=0b1)
         tc = tree_based_tmc_coloring(g, star)
         assert tc.color_count == 6 - 4 + 2 + 3  # valid but below tmc(K_4) = 10
         assert verify_tmc(g, tc)[0]
@@ -54,9 +55,9 @@ class TestTreeBased:
                 deg[u] += 1
                 deg[v] += 1
             res = SpanningTreeResult(
-                tree=tuple(sorted(t)), leaf_count=l, internal_count=g.n - l, exact=False,
-                internal=sum(1 << v for v in range(g.n) if deg[v] >= 2),
+                tree=tuple(sorted(t)), internal=sum(1 << v for v in range(g.n) if deg[v] >= 2)
             )
+            assert res.leaf_count == l
             tc = tree_based_tmc_coloring(g, res)
             assert tc.color_count == g.m - g.n + 2 + l
             assert verify_tmc(g, tc)[0]
@@ -68,20 +69,22 @@ class TestTreeBased:
 
     def test_rejects_non_spanning_tree(self):
         g = cycle_graph(5)
-        bogus = SpanningTreeResult(
-            tree=((0, 1), (1, 2), (2, 3)), leaf_count=2, internal_count=3, exact=False,
-            internal=0b110,
-        )
+        bogus = SpanningTreeResult(tree=((0, 1), (1, 2), (2, 3)), internal=0b110)
         with pytest.raises(ValueError):
             tree_based_tmc_coloring(g, bogus)
 
     def test_rejects_non_subgraph(self):
         g = path_graph(4)
-        bogus = SpanningTreeResult(
-            tree=((0, 1), (1, 2), (0, 3)), leaf_count=3, internal_count=1, exact=False,
-            internal=0b11,
-        )
+        bogus = SpanningTreeResult(tree=((0, 1), (1, 2), (0, 3)), internal=0b11)
         with pytest.raises(ValueError):
+            tree_based_tmc_coloring(g, bogus)
+
+    def test_rejects_edges_that_do_not_connect(self):
+        # n - 1 graph edges touching every vertex, but a triangle plus a
+        # disjoint edge: the coloring would leave (0, 3) unjoined
+        g = from_edge_list(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
+        bogus = SpanningTreeResult(tree=((0, 1), (0, 2), (1, 2), (3, 4)), internal=0b111)
+        with pytest.raises(ValueError, match="does not span"):
             tree_based_tmc_coloring(g, bogus)
 
     def test_canonical_color_allocation(self):
@@ -152,3 +155,26 @@ class TestComplete:
 def test_disconnected_rejected():
     with pytest.raises(ValueError, match="disconnected"):
         max_leaf_tmc_coloring(from_edge_list(4, [(0, 1), (2, 3)]))
+
+
+# sha256 over coloring_to_json of every construction below, one per line:
+# wheels of order 5-11, K_1 to K_8, complete multipartite graphs over every
+# tuple of 2-4 class sizes in 1..3, and the max-leaf coloring of every
+# labelled connected graph with 2 <= n <= 5; any change to an output moves it
+CONSTRUCTION_DIGEST = "4f9907ae6ff1d7de28397aa7f179c64d76848bde94cd01ee2c087143e529324b"
+
+
+def test_constructions_match_golden_digest():
+    colorings = [wheel_tmc_coloring(n)[1] for n in range(5, 12)]
+    colorings += [complete_tmc_coloring(n)[1] for n in range(1, 9)]
+    colorings += [
+        multipartite_tmc_coloring(list(sizes))[1]
+        for r in range(2, 5)
+        for sizes in itertools.product((1, 2, 3), repeat=r)
+    ]
+    colorings += [max_leaf_tmc_coloring(g) for n in range(2, 6) for g in connected_labeled_graphs(n)]
+    h = hashlib.sha256()
+    for tc in colorings:
+        h.update((coloring_to_json(tc) + "\n").encode())
+    assert len(colorings) == 903
+    assert h.hexdigest() == CONSTRUCTION_DIGEST
