@@ -327,6 +327,8 @@ def coloring_from_json(text: str) -> TotalColoring | EdgeColoring | VertexColori
         raise ValueError("color ids must be non-negative integers, in a list for vertex_colors "
                          "and in [u, v, c] integer triples for edge_colors")
     ecol = { _norm_edge(u, v): c for u, v, c in es }
+    if len(ecol) != len(es):
+        raise ValueError("edge_colors names an edge more than once")
     if has_v and has_e:
         return TotalColoring(vertex_color=tuple(vs), edge_color=ecol)
     if has_e:

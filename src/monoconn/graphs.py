@@ -547,7 +547,6 @@ class GraphConditionSet:
     has_cut_vertex: bool
     diameter: int
     max_degree: int
-    complement_vertex_connectivity: int
 
     def any_holds(self) -> bool:
         return (
@@ -579,17 +578,16 @@ def tmc_identity_conditions(g: Graph, d: int | None = None) -> GraphConditionSet
     if d is None:
         d = diameter(g)
     delta = max_degree(g)
-    kappa_bar = vertex_connectivity(complement(g))
     bound = Fraction(g.n) - Fraction(2 * g.m - 3 * (g.n - 1), g.n - 3)
     return GraphConditionSet(
-        complement_4_connected=kappa_bar >= 4,
+        # kappa <= delta: a complement of minimum degree < 4 is never 4-connected
+        complement_4_connected=g.n - 1 - delta >= 4 and vertex_connectivity(complement(g)) >= 4,
         triangle_free=is_triangle_free(g),
         degree_bound_holds=Fraction(delta) < bound,
         diameter_ge_3=d >= 3,
         has_cut_vertex=has_cut_vertex(g),
         diameter=d,
         max_degree=delta,
-        complement_vertex_connectivity=kappa_bar,
     )
 
 

@@ -218,19 +218,26 @@ def _check(g: Graph) -> tuple[TheoremCheckRecord, dict[str, SolverReport], Seque
             verdicts={k: SKIPPED for k in CHECK_KEYS},
             elapsed_ms=(time.perf_counter() - t0) * 1000.0,
         ), {}, range(g.n)
-    code, order = canonical_order(g)
-    known = _memo.get((g.n, code))
-    if known is None:
-        known = _memo[g.n, code] = _check_canonical(relabel(g, order))
-        if len(_memo) > MEMO_CAP:
-            del _memo[next(iter(_memo))]
-    record, reports = known
+    record, reports, order = _class(g)
     flags = record.condition_flags
     return replace(
         record, graph6=to_graph6(g), verdicts=dict(record.verdicts),
         condition_flags=None if flags is None else dict(flags),
         elapsed_ms=(time.perf_counter() - t0) * 1000.0,
     ), reports, order
+
+
+def _class(g: Graph) -> tuple[TheoremCheckRecord, dict[str, SolverReport], Sequence[int]]:
+    """The memo's record and reports for g's isomorphism class, both on its
+    canonical relabelling, and the canonical order; a miss solves the class
+    (g within the solvers' range)."""
+    code, order = canonical_order(g)
+    known = _memo.get((g.n, code))
+    if known is None:
+        known = _memo[g.n, code] = _check_canonical(relabel(g, order))
+        if len(_memo) > MEMO_CAP:
+            del _memo[next(iter(_memo))]
+    return *known, order
 
 
 def _relabel_report(
@@ -416,30 +423,23 @@ class Finding:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-def _hunt(
-    graphs: Iterable[Graph],
-    wanted: Callable[[Graph], bool],
-    solve: Callable[[Graph], tuple[int, int]],
-    comparison: str,
-) -> list[Finding]:
+def _hunt(graphs: Iterable[Graph], wanted: Callable[[Graph], bool], other: str) -> list[Finding]:
     """Findings, in input order, for the graphs ``wanted`` accepts whose
-    (tmc, other) = solve(g) has tmc <= other.  Both values are unchanged by
-    relabelling, so each isomorphism class is solved once, on its first
-    graph, and only for the length of this call."""
+    tmc is at most their ``other`` ("mc" or "mvc"), both read from
+    check_all's class memo, so each isomorphism class is solved at most
+    once across hunts and checks."""
     findings = []
-    solved: dict[tuple[int, int], tuple[int, int]] = {}
     for g in graphs:
         if not wanted(g):
             continue
-        key = g.n, canonical_order(g)[0]
-        if key not in solved:
-            solved[key] = solve(g)
-        tmc, other = solved[key]
-        if tmc <= other:
+        _guard_exact(g, f"hunt_tmc_le_{other}")
+        record = _class(g)[0]
+        tmc, value = record.tmc, getattr(record, other)
+        if tmc <= value:
             findings.append(
                 Finding(
-                    graph6=to_graph6(g), n=g.n, m=g.m, tmc=tmc, other=other,
-                    comparison=comparison,
+                    graph6=to_graph6(g), n=g.n, m=g.m, tmc=tmc, other=value,
+                    comparison=f"tmc<={other}",
                 )
             )
     return findings
@@ -447,22 +447,12 @@ def _hunt(
 
 def hunt_tmc_le_mvc(graphs: Iterable[Graph]) -> list[Finding]:
     """Non-star connected graphs on n >= 6 vertices with tmc <= mvc."""
-
-    def solve(g: Graph) -> tuple[int, int]:
-        _guard_exact(g, "hunt_tmc_le_mvc")
-        ml = max_leaf_exact(g)
-        return tmc_exact(g, ml).value, mvc_exact(g, ml).value
-
-    return _hunt(
-        graphs, lambda g: g.n >= 6 and not is_star(g) and is_connected(g), solve, "tmc<=mvc"
-    )
+    return _hunt(graphs, lambda g: g.n >= 6 and not is_star(g) and is_connected(g), "mvc")
 
 
 def hunt_tmc_le_mc(graphs: Iterable[Graph]) -> list[Finding]:
     """Connected graphs with tmc <= mc (expected none)."""
-    return _hunt(
-        graphs, is_connected, lambda g: (tmc_exact(g).value, mc_exact(g).value), "tmc<=mc"
-    )
+    return _hunt(graphs, is_connected, "mc")
 
 
 HUNT_TARGETS = {

@@ -197,7 +197,8 @@ class TestConstructVerify:
     @pytest.mark.parametrize(
         "text",
         ["null", '{"vertex_colors": 5}', '{"vertex_colors": [0, [1]]}',
-         '{"edge_colors": [[0, 1, "a"]]}'],
+         '{"edge_colors": [[0, 1, "a"]]}', '{"edge_colors": [[0, 1, 2], [0, 1, 3]]}',
+         '{"vertex_colors": [0, 1], "edge_colors": [[0, 1, 2], [1, 0, 3]]}'],
     )
     def test_verify_malformed_coloring(self, tmp_path, capsys, text):
         col = tmp_path / "c.json"

@@ -271,6 +271,8 @@ class TestJson:
             '{"edge_colors": [[0, 1, -1]]}',
             '{"edge_colors": [["0", 1, 2]]}',
             '{"edge_colors": [5]}',
+            '{"edge_colors": [[0, 1, 2], [0, 1, 3]]}',
+            '{"vertex_colors": [0, 1], "edge_colors": [[0, 1, 2], [1, 0, 3]]}',
         ],
     )
     def test_malformed_json_rejected(self, text):

@@ -270,15 +270,26 @@ class TestIdentityConditions:
     def test_flags_match_definition_recomputation(self):
         from fractions import Fraction
 
-        for g in connected_labeled_graphs(5):
+        # at n = 5 the complement's minimum degree never reaches 4, so the
+        # flow is never run; sparse n = 9 graphs reach both branches, and
+        # the hand-built graph's complement has minimum degree 5 but the
+        # 3-cut {8, 9, 10} between {0..3} and {4..7}
+        cut = from_edge_list(
+            11, [(a, b) for a in range(4) for b in range(4, 8)] + [(0, 8), (1, 9), (2, 10)]
+        )
+        sparse = [random_connected(9, seed, p=0.3) for seed in range(12)] + [cut]
+        branches = set()
+        for g in list(connected_labeled_graphs(5)) + sparse:
             c = tmc_identity_conditions(g)
             n, m = g.n, g.m
             assert c.complement_4_connected == k_connected_bf(complement(g), 4)
+            branches.add((n - 1 - max_degree(g) >= 4, c.complement_4_connected))
             assert c.triangle_free == is_triangle_free(g)
             assert c.diameter_ge_3 == (diameter(g) >= 3)
             assert c.has_cut_vertex == has_cut_vertex(g)
             expected = Fraction(max_degree(g)) < n - Fraction(2 * m - 3 * (n - 1), n - 3)
             assert c.degree_bound_holds == expected
+        assert branches == {(False, False), (True, True), (True, False)}
 
 
 def rook_graph_3x3():

@@ -22,7 +22,7 @@ from monoconn.graphs import (
 )
 from monoconn import graphs, harness, solvers
 from monoconn.coloring import coloring_to_json
-from monoconn.solvers import reverify
+from monoconn.solvers import SolverRangeError, reverify
 from monoconn.harness import (
     CHECK_KEYS,
     Finding,
@@ -417,14 +417,18 @@ class TestHunts:
         for module in (harness, solvers):
             monkeypatch.setattr(module, "max_leaf_exact", counted)
         graphs = [path_graph(6), cycle_graph(7), wheel_graph(7)]
+        canonical = [relabel(g, canonical_order(g)[1]) for g in graphs]
+        # the hunt and check_all each solve a class once, on its canonical
+        # relabelling, and a relabelled repeat solves nothing
         hunt_tmc_le_mvc(graphs)
-        assert seen == graphs
-        # check_all solves each class once, on its canonical relabelling,
-        # and a relabelled repeat solves nothing
+        assert seen == canonical
         seen.clear()
+        hunt_tmc_le_mvc([shuffled(g) for g in graphs])
+        assert seen == []
+        monkeypatch.setattr(harness, "_memo", {})
         for g in graphs:
             check_all(g)
-        assert seen == [relabel(g, canonical_order(g)[1]) for g in graphs]
+        assert seen == canonical
         seen.clear()
         for g in graphs:
             check_all(shuffled(g))
@@ -432,6 +436,7 @@ class TestHunts:
 
     @pytest.mark.parametrize("target", sorted(HUNTS))
     def test_one_solve_per_class(self, monkeypatch, target):
+        monkeypatch.setattr(harness, "_memo", {})
         corpus, wanted, other, comparison = HUNTS[target]
         corpus = corpus()
         solved = []
@@ -453,6 +458,47 @@ class TestHunts:
                 if t <= o:
                     every.append(Finding(to_graph6(g), g.n, g.m, t, o, comparison))
         assert found == every
+
+    @pytest.mark.parametrize("target", sorted(HUNTS))
+    @pytest.mark.parametrize("hunt_first", [False, True])
+    def test_hunts_share_check_all_memo(self, monkeypatch, target, hunt_first):
+        # hunts and check_all read one class memo: whichever runs second
+        # over the graphs the hunt looks at solves nothing
+        monkeypatch.setattr(harness, "_memo", {})
+        corpus, wanted, _, _ = HUNTS[target]
+        corpus = [g for g in corpus() if wanted(g)]
+        hunt = harness.HUNT_TARGETS[target]
+
+        def check(graphs):
+            for g in graphs:
+                check_all(g)
+
+        first, second = (hunt, check) if hunt_first else (check, hunt)
+        first(corpus)
+        assert harness._memo
+
+        def unexpected(g):
+            raise AssertionError("solved a class already in the memo")
+
+        monkeypatch.setattr(harness, "_check_canonical", unexpected)
+        second(corpus)
+
+    @pytest.mark.parametrize("hunt", [hunt_tmc_le_mc, hunt_tmc_le_mvc])
+    def test_guard_before_canonical_labelling(self, monkeypatch, hunt):
+        monkeypatch.setenv("MONO_MAX_EXACT_N", "9")
+        labelled = []
+        real = harness.canonical_order
+
+        def counted(g):
+            labelled.append(g)
+            return real(g)
+
+        monkeypatch.setattr(harness, "canonical_order", counted)
+        with pytest.raises(SolverRangeError, match=hunt.__name__):
+            hunt([cycle_graph(10)])
+        assert labelled == []
+        # complete graphs are exempt from the guard
+        assert hunt([complete_graph(12)]) == []
 
     def test_finding_json(self):
         f = hunt_tmc_le_mvc([path_graph(6)])[0]
