@@ -7,11 +7,9 @@ formula and sufficient condition the library implements.
 """
 
 from .coloring import (
-    ColorClassReport,
     EdgeColoring,
     TotalColoring,
     VertexColoring,
-    analyze_color_classes,
     coloring_from_json,
     coloring_to_json,
     total_coloring,
@@ -73,7 +71,6 @@ from .solvers import (
     SolverReport,
     SystemTree,
     TreeSystem,
-    bounds,
     mc_exact,
     mvc_exact,
     reverify,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .graphs import Graph, _reach
@@ -63,9 +63,6 @@ class TotalColoring:
     def color_count(self) -> int:
         return len(set(self.vertex_color) | set(self.edge_color.values()))
 
-    def restrict_edges(self) -> EdgeColoring:
-        return EdgeColoring(edge_color=dict(self.edge_color))
-
 
 def _fill(
     g: Graph, variant: str, classes: Sequence[Sequence]
@@ -107,6 +104,8 @@ def total_coloring(g: Graph, vertex_colors: Iterable[int], edge_colors: Mapping[
 
 def _check_edge_domain(g: Graph, ecol: Mapping[Edge, int]) -> dict[Edge, int]:
     norm = { _norm_edge(*e): c for e, c in ecol.items() }
+    if len(norm) != len(ecol):
+        raise ValueError("edge color domain names an edge more than once")
     if set(norm) != set(g.edges):
         raise ValueError("edge color domain does not match the graph's edge set")
     return norm
@@ -202,102 +201,6 @@ def verify_mvc(g: Graph, vc: VertexColoring) -> tuple[bool, tuple[int, int] | No
         raise ValueError("vertex color domain does not match the graph")
     gap = _first_gap(g.n, g.adj, g.edges, g.nonadjacent_pairs(), vc.vertex_color, None)
     return gap is None, gap
-
-
-# ---------------------------------------------------------------------------
-# Color-class analysis: trees, waste and simplicity
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ColorClass:
-    color: int
-    edges: tuple[Edge, ...]
-    colored_vertices: tuple[int, ...]
-    is_tree: bool
-    is_nontrivial: bool
-    internal_vertices: tuple[int, ...]
-    internal_vertices_all_colored: bool
-    waste: int | None  # m' - 1 + q' for nontrivial tree classes, else None
-
-
-@dataclass(frozen=True)
-class ColorClassReport:
-    classes: tuple[ColorClass, ...]
-    color_count: int
-    total_waste: int
-    is_simple: bool
-    leaves_distinctly_colored: bool
-    is_valid_tmc: bool
-    failure_pair: tuple[int, int] | None = field(default=None)
-
-
-def analyze_color_classes(g: Graph, tc: TotalColoring) -> ColorClassReport:
-    """Per-color structure report: tree shape, waste bookkeeping, simplicity.
-
-    Waste is m'-1+q' for a nontrivial (>= 2 edges) tree class with m' edges
-    and q' internal vertices; when every class is a valid color tree the
-    identity color_count + total_waste = m + n holds.
-    """
-    ok, fail = verify_tmc(g, tc)
-    colors = sorted(set(tc.vertex_color) | set(tc.edge_color.values()))
-    classes = []
-    nontrivial_vsets: list[int] = []
-    leaves_ok = True
-    for c in colors:
-        es = tuple(sorted(e for e, cc in tc.edge_color.items() if cc == c))
-        vcolored = tuple(v for v in range(g.n) if tc.vertex_color[v] == c)
-        vmask = 0
-        cadj = [0] * g.n
-        deg: dict[int, int] = {}
-        for u, v in es:
-            vmask |= (1 << u) | (1 << v)
-            cadj[u] |= 1 << v
-            cadj[v] |= 1 << u
-            deg[u] = deg.get(u, 0) + 1
-            deg[v] = deg.get(v, 0) + 1
-        for v in vcolored:
-            vmask |= 1 << v
-        # a class (never empty: its color came from somewhere) is a tree when
-        # it is connected with one edge fewer than vertices
-        is_tree = (
-            _reach(cadj, (vmask & -vmask).bit_length() - 1, vmask) == vmask
-            and len(es) == vmask.bit_count() - 1
-        )
-        internal = tuple(sorted(v for v, d in deg.items() if d >= 2))
-        nontrivial = len(es) >= 2
-        internal_ok = all(tc.vertex_color[v] == c for v in internal)
-        waste = (len(es) - 1 + len(internal)) if (nontrivial and is_tree) else None
-        if nontrivial and is_tree:
-            nontrivial_vsets.append(vmask)
-            leaf_colors = [tc.vertex_color[v] for v, d in deg.items() if d == 1]
-            if len(set(leaf_colors)) != len(leaf_colors) or c in leaf_colors:
-                leaves_ok = False
-        classes.append(
-            ColorClass(
-                color=c,
-                edges=es,
-                colored_vertices=vcolored,
-                is_tree=is_tree,
-                is_nontrivial=nontrivial,
-                internal_vertices=internal,
-                internal_vertices_all_colored=internal_ok,
-                waste=waste,
-            )
-        )
-    simple = all(
-        bin(a & b).count("1") <= 1
-        for i, a in enumerate(nontrivial_vsets)
-        for b in nontrivial_vsets[i + 1:]
-    )
-    return ColorClassReport(
-        classes=tuple(classes),
-        color_count=len(colors),
-        total_waste=sum(cl.waste or 0 for cl in classes),
-        is_simple=simple,
-        leaves_distinctly_colored=leaves_ok,
-        is_valid_tmc=ok,
-        failure_pair=fail,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ graph sizes the exact solvers accept (n <= ~12).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
@@ -545,26 +545,12 @@ class GraphConditionSet:
     degree_bound_holds: bool
     diameter_ge_3: bool
     has_cut_vertex: bool
-    diameter: int
-    max_degree: int
 
     def any_holds(self) -> bool:
-        return (
-            self.complement_4_connected
-            or self.triangle_free
-            or self.degree_bound_holds
-            or self.diameter_ge_3
-            or self.has_cut_vertex
-        )
+        return any(self.flags().values())
 
     def flags(self) -> dict[str, bool]:
-        return {
-            "complement_4_connected": self.complement_4_connected,
-            "triangle_free": self.triangle_free,
-            "degree_bound_holds": self.degree_bound_holds,
-            "diameter_ge_3": self.diameter_ge_3,
-            "has_cut_vertex": self.has_cut_vertex,
-        }
+        return asdict(self)
 
 
 def tmc_identity_conditions(g: Graph, d: int | None = None) -> GraphConditionSet:
@@ -586,8 +572,6 @@ def tmc_identity_conditions(g: Graph, d: int | None = None) -> GraphConditionSet
         degree_bound_holds=Fraction(delta) < bound,
         diameter_ge_3=d >= 3,
         has_cut_vertex=has_cut_vertex(g),
-        diameter=d,
-        max_degree=delta,
     )
 
 

@@ -137,11 +137,19 @@ At the root, a diametral pair needs an I holding a path between the
 neighbourhoods of its ends, so its cheapest candidate already gives the
 bound d - 2 (mvc <= n - d + 2).
 
+Bounds.  Each report's bounds_used brackets its own value:
+m - n + 2 + l <= tmc <= m + n, m - n + 2 <= mc <= m and
+l + 1 <= mvc <= n - d + 2.  A complete graph states its exact value as both
+ends, and the mvc shortcut (d <= 2) states only value_upper n.  Bounds that
+join two invariants, tmc <= mc + l for non-complete G and tmc <= mc + mvc,
+need two solves; the tests check them on the solved values.
+
 Independent references live in tests/oracles.py: definition-level partition
 searches (tmc_naive, mc_naive, mvc_partition_reference) that maximize the
-color count and check each partition with the verifiers' coverage kernel,
-and a subtree-enumeration search that checks the vertex-set search on
-larger graphs.
+color count and check each partition with the verifiers' coverage kernel, a
+subtree-enumeration search that checks the vertex-set search on larger
+graphs, a checker of every tree-system invariant (validate_system) and a
+per-color-class structure report of a total coloring (analyze_color_classes).
 """
 
 from __future__ import annotations
@@ -161,7 +169,7 @@ from .coloring import (
     verify_mvc,
     verify_tmc,
 )
-from .graphs import Graph, _bits, _internal, _reach, diameter, is_connected
+from .graphs import Graph, _bits, _internal, diameter, is_connected
 from .maxleaf import SpanningTreeResult, _tree_from_cds, max_leaf_exact
 
 Edge = tuple[int, int]
@@ -197,14 +205,6 @@ class SystemTree:
     def internal_count(self) -> int:
         return len(self.internal_vertices)
 
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        vs = set()
-        for u, v in self.edges:
-            vs.add(u)
-            vs.add(v)
-        return tuple(sorted(vs))
-
     def waste(self) -> int:
         return self.edge_count - 1 + self.internal_count
 
@@ -225,45 +225,6 @@ class TreeSystem:
     @property
     def total_internal(self) -> int:
         return sum(t.internal_count for t in self.trees)
-
-    def validate(self, g: Graph, require_internal_disjoint: bool = True) -> None:
-        """Raise ValueError on any violated system invariant."""
-        seen_edges: set[Edge] = set()
-        seen_internal: set[int] = set()
-        for t in self.trees:
-            if t.edge_count < 2:
-                raise ValueError("system tree with fewer than 2 edges")
-            tadj = [0] * g.n
-            for e in t.edges:
-                if e not in g.edges and (e[1], e[0]) not in g.edges:
-                    raise ValueError(f"tree edge {e} not in graph")
-                if e in seen_edges:
-                    raise ValueError(f"edge {e} reused across trees")
-                seen_edges.add(e)
-                tadj[e[0]] |= 1 << e[1]
-                tadj[e[1]] |= 1 << e[0]
-            verts = [v for v in range(g.n) if tadj[v]]
-            if len(t.edges) != len(verts) - 1:
-                raise ValueError("system tree is not acyclic")
-            span = sum(1 << v for v in verts)
-            if _reach(tadj, verts[0], span) != span:
-                raise ValueError("system tree is not connected")
-            internal = {v for v in verts if tadj[v].bit_count() >= 2}
-            if internal != set(t.internal_vertices):
-                raise ValueError("internal set does not match tree degrees")
-            if require_internal_disjoint:
-                if internal & seen_internal:
-                    raise ValueError("vertex internal in two trees")
-                seen_internal.update(internal)
-        covered: set[Edge] = set()
-        for t in self.trees:
-            vs = t.vertices
-            for i in range(len(vs)):
-                for j in range(i + 1, len(vs)):
-                    covered.add((vs[i], vs[j]))
-        for p in g.nonadjacent_pairs():
-            if p not in covered:
-                raise ValueError(f"non-adjacent pair {p} not covered")
 
 
 @dataclass
@@ -668,39 +629,6 @@ def mvc_exact(
         nodes_explored=nodes, method="tree_system",
         bounds_used={"value_lower": ml.leaf_count + 1, "value_upper": g.n - d + 2},
     )
-
-
-def bounds(g: Graph, mc: int | None = None, mvc: int | None = None) -> dict[str, int | None]:
-    """Named bounds: tmc_lower m-n+2+l, tmc_upper (m+n for complete, else
-    mc + l when mc is supplied), mvc bounds l+1 and n-d+2, and the sum bound
-    mc + mvc when both are supplied.  l is exact, so a non-complete graph
-    past max_exact_n() raises SolverRangeError."""
-    if not is_connected(g):
-        raise ValueError("disconnected")
-    if g.n == 1:
-        return {
-            "tmc_lower": 1, "tmc_upper": 1,
-            "mvc_lower": 1, "mvc_upper": 1,
-            "sum_bound": None,
-        }
-    _guard_exact(g, "bounds")
-    ml = max_leaf_exact(g)
-    l = ml.leaf_count
-    d = diameter(g)
-    tmc_upper: int | None
-    if g.is_complete():
-        tmc_upper = g.m + g.n
-    elif mc is not None:
-        tmc_upper = mc + l
-    else:
-        tmc_upper = None
-    return {
-        "tmc_lower": g.m - g.n + 2 + l,
-        "tmc_upper": tmc_upper,
-        "mvc_lower": l + 1,
-        "mvc_upper": g.n - d + 2,
-        "sum_bound": (mc + mvc) if (mc is not None and mvc is not None) else None,
-    }
 
 
 def reverify(g: Graph, report: SolverReport) -> bool:

@@ -21,16 +21,23 @@ MAX_NAIVE_ITEMS, MAX_NAIVE_EDGES and MAX_MVC_ENUM_N) maximize the color
 count over set partitions of the colorable items by decreasing block count,
 checking each with the verifiers' coverage kernel, instead of minimizing
 waste over covering tree systems.
+
+validate_system checks a witness tree system against the definition of a
+covering tree system, and analyze_color_classes reports the structure of
+each color class of a total coloring (tree shape, waste, simplicity); both
+work on vertex and edge sets and per-tree graphs instead of the library's
+bitset tables.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from monoconn.coloring import EdgeColoring, TotalColoring, VertexColoring, _first_gap
+from monoconn.coloring import EdgeColoring, TotalColoring, VertexColoring, _first_gap, verify_tmc
 from monoconn.graphs import Graph, _bits, diameter, from_edge_list, is_connected
-from monoconn.solvers import SolverRangeError, SolverReport
+from monoconn.solvers import SolverRangeError, SolverReport, TreeSystem
 
 
 def spanning_trees(g: Graph):
@@ -696,3 +703,97 @@ def mvc_partition_reference(g: Graph) -> SolverReport:
                     bounds_used={"value_upper": g.n - d + 2},
                 )
     raise AssertionError("single-color vertex coloring must verify")  # pragma: no cover
+
+
+# ---------------------------------------------------------------------------
+# Witness structure: tree systems and color classes
+# ---------------------------------------------------------------------------
+
+def validate_system(g: Graph, system: TreeSystem, total: bool = True) -> None:
+    """Raise ValueError on any violated invariant of a covering tree system:
+    each tree has at least two edges of g, is a tree, and names exactly its
+    vertices of degree >= 2 as internal; no edge lies in two trees and, when
+    ``total`` (a total-coloring system), no vertex is internal to two; every
+    non-adjacent pair of g lies in some tree."""
+    seen_edges: set[tuple[int, int]] = set()
+    seen_internal: set[int] = set()
+    covered: set[tuple[int, int]] = set()
+    for t in system.trees:
+        if len(t.edges) < 2:
+            raise ValueError("system tree with fewer than 2 edges")
+        for u, v in t.edges:
+            e = (min(u, v), max(u, v))
+            if e not in g.edges:
+                raise ValueError(f"tree edge {(u, v)} not in graph")
+            if e in seen_edges:
+                raise ValueError(f"edge {e} reused across trees")
+            seen_edges.add(e)
+        tree = from_edge_list(g.n, t.edges)
+        verts = {v for v in range(g.n) if tree.adj[v]}
+        if len(t.edges) != len(verts) - 1:
+            raise ValueError("system tree is not acyclic")
+        if not _connected_set(tree, verts):
+            raise ValueError("system tree is not connected")
+        internal = {v for v in verts if tree.degree(v) >= 2}
+        if internal != set(t.internal_vertices):
+            raise ValueError("internal set does not match tree degrees")
+        if total:
+            if internal & seen_internal:
+                raise ValueError("vertex internal in two trees")
+            seen_internal |= internal
+        covered.update(combinations(sorted(verts), 2))
+    for p in g.nonadjacent_pairs():
+        if p not in covered:
+            raise ValueError(f"non-adjacent pair {p} not covered")
+
+
+@dataclass(frozen=True)
+class ColorClass:
+    color: int
+    is_tree: bool
+    is_nontrivial: bool  # at least two edges
+    waste: int | None  # m' - 1 + q' for nontrivial tree classes, else None
+
+
+@dataclass(frozen=True)
+class ColorClassReport:
+    classes: tuple[ColorClass, ...]
+    color_count: int
+    total_waste: int
+    is_simple: bool  # nontrivial tree classes pairwise share at most one vertex
+    leaves_distinctly_colored: bool
+    is_valid_tmc: bool
+
+
+def analyze_color_classes(g: Graph, tc: TotalColoring) -> ColorClassReport:
+    """Per-color structure of a total coloring.  A class (its edges and
+    colored vertices) is a tree when it is connected with one edge fewer
+    than vertices; a nontrivial tree class with m' edges and q' vertices of
+    class degree >= 2 has waste m' - 1 + q', and when every class is a
+    valid color tree color_count + total_waste = m + n."""
+    colors = sorted(set(tc.vertex_color) | set(tc.edge_color.values()))
+    classes = []
+    tree_vsets: list[set[int]] = []
+    leaves_ok = True
+    for c in colors:
+        es = [e for e, cc in tc.edge_color.items() if cc == c]
+        part = from_edge_list(g.n, es)
+        vs = {v for v in range(g.n) if part.adj[v] or tc.vertex_color[v] == c}
+        is_tree = _connected_set(part, vs) and len(es) == len(vs) - 1
+        nontrivial = len(es) >= 2
+        waste = None
+        if nontrivial and is_tree:
+            waste = len(es) - 1 + sum(1 for v in vs if part.degree(v) >= 2)
+            tree_vsets.append(vs)
+            leaf_colors = [tc.vertex_color[v] for v in vs if part.degree(v) == 1]
+            if len(set(leaf_colors)) != len(leaf_colors) or c in leaf_colors:
+                leaves_ok = False
+        classes.append(ColorClass(color=c, is_tree=is_tree, is_nontrivial=nontrivial, waste=waste))
+    return ColorClassReport(
+        classes=tuple(classes),
+        color_count=len(colors),
+        total_waste=sum(cl.waste or 0 for cl in classes),
+        is_simple=all(len(a & b) <= 1 for a, b in combinations(tree_vsets, 2)),
+        leaves_distinctly_colored=leaves_ok,
+        is_valid_tmc=verify_tmc(g, tc)[0],
+    )

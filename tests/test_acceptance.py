@@ -23,6 +23,7 @@ from itertools import combinations, product
 
 import pytest
 
+import monoconn
 from monoconn.coloring import verify_tmc
 from monoconn.constructions import (
     complete_tmc_coloring,
@@ -54,7 +55,7 @@ from monoconn.harness import (
 from monoconn.maxleaf import max_leaf_exact
 from monoconn.solvers import mc_exact, mvc_exact, reverify, tmc_exact
 from conftest import random_connected
-from oracles import max_leaves_oracle, petersen, tmc_naive
+from oracles import max_leaves_oracle, petersen, tmc_naive, validate_system
 
 
 def report(name: str, ok: bool, detail: str = "") -> bool:
@@ -156,9 +157,7 @@ def sweep() -> SweepData:
                 integrity_failures.append((rec.graph6, kind))
             if rep.witness_system is not None:
                 try:
-                    rep.witness_system.validate(
-                        g, require_internal_disjoint=(kind == "tmc")
-                    )
+                    validate_system(g, rep.witness_system, total=(kind == "tmc"))
                 except ValueError as exc:
                     system_failures.append((rec.graph6, kind, str(exc)))
     return SweepData(records, integrity_failures, system_failures, count)
@@ -493,3 +492,23 @@ def test_max_leaf_oracle_agreement_n7_exhaustive():
         if not mismatches
         else f"{mismatches} mismatches, first {first_bad}",
     )
+
+
+def test_public_api_pinned():
+    # any name added to or removed from the package's public API shows up here
+    assert sorted(monoconn.__all__) == [
+        "EdgeColoring", "Finding", "Graph", "GraphConditionSet", "GraphFormatError",
+        "SolverRangeError", "SolverReport", "SpanningTreeResult", "SurveyRecord", "SystemTree",
+        "TheoremCheckRecord", "TotalColoring", "TreeSystem", "VertexColoring", "builtin_corpus",
+        "canonical_order", "check_all", "coloring", "coloring_from_json", "coloring_to_json",
+        "complement", "complete_graph", "complete_multipartite_graph", "complete_tmc_coloring",
+        "connected_labeled_graphs", "constructions", "cycle_graph", "diameter",
+        "diameter2_size_bound", "from_edge_list", "graphs", "harness", "has_cut_vertex",
+        "hunt_tmc_le_mc", "hunt_tmc_le_mvc", "is_connected", "is_star", "is_triangle_free",
+        "max_degree", "max_leaf_exact", "max_leaf_tmc_coloring", "maxleaf", "mc_exact",
+        "multipartite_sizes", "multipartite_tmc_coloring", "mvc_exact", "parse_edgelist",
+        "parse_graph6", "path_graph", "random_gnp", "relabel", "reverify", "solvers",
+        "star_graph", "survey_random", "tmc_exact", "tmc_identity_conditions", "to_graph6",
+        "total_coloring", "tree_based_tmc_coloring", "verify_mc", "verify_mvc", "verify_tmc",
+        "vertex_connectivity", "wheel_graph", "wheel_order", "wheel_tmc_coloring",
+    ]

@@ -6,7 +6,6 @@ from monoconn.coloring import (
     EdgeColoring,
     TotalColoring,
     VertexColoring,
-    analyze_color_classes,
     coloring_from_json,
     coloring_to_json,
     total_coloring,
@@ -24,6 +23,7 @@ from monoconn.graphs import (
 )
 from conftest import random_connected
 from oracles import (
+    analyze_color_classes,
     mono_edge_path_exists,
     mono_vertex_path_exists,
     tm_path_exists,
@@ -108,7 +108,7 @@ class TestVerifyMc:
         for seed in range(15):
             g = random_connected(3 + seed % 5, seed)
             tc = max_leaf_tmc_coloring(g)
-            assert verify_mc(g, tc.restrict_edges())[0]
+            assert verify_mc(g, EdgeColoring(edge_color=dict(tc.edge_color)))[0]
 
     def test_p3_two_colors_fails(self):
         g = path_graph(3)
@@ -290,3 +290,16 @@ def test_total_coloring_validation():
         total_coloring(g, [0, -1, 2], [0, 0])
     with pytest.raises(ValueError, match="domain"):
         total_coloring(g, [0, 1, 2], {(0, 2): 1, (0, 1): 0})
+
+
+def test_edge_named_twice_rejected():
+    # (0, 1) and (1, 0) name one edge: the checked coloring would have one
+    # color on it, not two
+    g = path_graph(3)
+    twice = {(0, 1): 5, (1, 0): 6, (1, 2): 6}
+    with pytest.raises(ValueError, match="more than once"):
+        verify_mc(g, EdgeColoring(edge_color=twice))
+    with pytest.raises(ValueError, match="more than once"):
+        verify_tmc(g, TotalColoring(vertex_color=(0, 1, 2), edge_color=twice))
+    with pytest.raises(ValueError, match="more than once"):
+        total_coloring(g, [0, 1, 2], twice)

@@ -46,7 +46,7 @@ from monoconn.harness import (
 )
 from monoconn.maxleaf import max_leaf_exact
 from conftest import random_connected, shuffled
-from oracles import k_connected_bf, petersen
+from oracles import k_connected_bf, petersen, validate_system
 
 
 def _survey_samples(n, p, trials, seed):
@@ -214,7 +214,7 @@ class TestClassMemo:
             for kind, rep in warm.items():
                 assert reverify(g, rep)
                 if rep.witness_system is not None:
-                    rep.witness_system.validate(g, require_internal_disjoint=(kind == "tmc"))
+                    validate_system(g, rep.witness_system, total=(kind == "tmc"))
 
     def test_results_are_fresh_per_call(self, monkeypatch):
         monkeypatch.setattr(harness, "_memo", {})

@@ -32,7 +32,6 @@ from monoconn.solvers import (
     _candidates,
     _count_lb_table,
     _solve_cover,
-    bounds,
     mc_exact,
     mvc_exact,
     reverify,
@@ -50,6 +49,7 @@ from oracles import (
     tmc_candidates_reference,
     tmc_naive,
     tree_system_reference,
+    validate_system,
 )
 
 
@@ -97,7 +97,7 @@ class TestTmcExact:
             g = random_connected(4 + seed % 4, seed + 23)
             rep = tmc_exact(g)
             assert rep.witness_system is not None
-            rep.witness_system.validate(g)
+            validate_system(g, rep.witness_system)
             assert rep.value == g.m + g.n - rep.witness_system.total_waste
 
     def test_deterministic(self):
@@ -183,7 +183,7 @@ class TestMcExact:
             g = random_connected(4 + seed % 4, seed + 67)
             rep = mc_exact(g)
             if rep.witness_system is not None:
-                rep.witness_system.validate(g, require_internal_disjoint=False)
+                validate_system(g, rep.witness_system, total=False)
                 assert rep.value == g.m - sum(
                     t.edge_count - 1 for t in rep.witness_system.trees
                 )
@@ -550,48 +550,66 @@ class TestTreeSystemValidate:
         g = from_edge_list(5, edges)
         system = TreeSystem(trees=(SystemTree(edges=edges, internal_vertices=(0, 1, 2)),))
         with pytest.raises(ValueError, match="not connected"):
-            system.validate(g)
+            validate_system(g, system)
+
+
+def _assert_bracketed(g):
+    """Each report's bounds_used brackets its value, and the paper's
+    bounds hold on the solved values (n >= 3: on K_2, l + 1 = 3 > mvc)."""
+    reps = [solve(g) for solve in (tmc_exact, mc_exact, mvc_exact)]
+    for rep in reps:
+        v = rep.value
+        assert rep.bounds_used.get("value_lower", v) <= v <= rep.bounds_used["value_upper"], g.edges
+    tmc, mc, mvc = (rep.value for rep in reps)
+    l = max_leaf_exact(g).leaf_count
+    assert g.m - g.n + 2 + l <= tmc, g.edges
+    assert g.is_complete() or tmc <= mc + l, g.edges
+    assert l + 1 <= mvc <= g.n - diameter(g) + 2, g.edges
+    assert tmc <= mc + mvc, g.edges
 
 
 class TestBounds:
     def test_guard(self):
         t0 = time.perf_counter()
-        with pytest.raises(SolverRangeError, match="bounds accepts n <= 9"):
-            bounds(cycle_graph(40))
+        with pytest.raises(SolverRangeError, match="tmc_exact accepts n <= 9"):
+            tmc_exact(cycle_graph(40))
         assert time.perf_counter() - t0 < 1.0
-        assert bounds(complete_graph(12))["tmc_upper"] == 66 + 12
+        assert tmc_exact(complete_graph(12)).bounds_used["value_upper"] == 66 + 12
 
     def test_c5(self):
-        b = bounds(cycle_graph(5))
-        assert b["tmc_lower"] == 4 and b["mvc_upper"] == 5
+        g = cycle_graph(5)
+        assert tmc_exact(g).bounds_used["value_lower"] == 4
+        assert mvc_exact(g).bounds_used["value_upper"] == 5
 
     def test_k4(self):
-        b = bounds(complete_graph(4))
-        assert b["tmc_lower"] == 6 - 4 + 2 + 3 == 7
-        assert b["tmc_upper"] == 10
+        g = complete_graph(4)
+        rep = tmc_exact(g)
+        assert rep.bounds_used == {"value_lower": 10, "value_upper": 10}
+        assert g.m - g.n + 2 + max_leaf_exact(g).leaf_count == 7 < rep.value
 
     def test_star(self):
-        b = bounds(star_graph(6), mc=1, mvc=6)
-        assert b["tmc_lower"] == 6 and b["mvc_lower"] == 6
-        assert b["sum_bound"] == 7
+        g = star_graph(6)
+        tmc, mc, mvc = tmc_exact(g), mc_exact(g), mvc_exact(g)
+        assert tmc.bounds_used["value_lower"] == tmc.value == 6
+        assert mvc.bounds_used == {"value_upper": 6} and mvc.value == 6
+        assert max_leaf_exact(g).leaf_count + 1 == 6
+        assert tmc.value <= mc.value + mvc.value == 7
 
     def test_mc_supplied_upper(self):
         g = cycle_graph(6)
-        b = bounds(g, mc=mc_exact(g).value)
-        assert b["tmc_upper"] == 2 + 2  # mc + l
+        mc_plus_l = mc_exact(g).value + max_leaf_exact(g).leaf_count
+        assert mc_plus_l == 2 + 2
+        assert tmc_exact(g).value <= mc_plus_l
 
     def test_bounds_bracket_solvers(self):
         for seed in range(20):
-            g = random_connected(3 + seed % 5, seed + 61)
-            mc = mc_exact(g).value
-            mvc = mvc_exact(g).value
-            tmc = tmc_exact(g).value
-            b = bounds(g, mc=mc, mvc=mvc)
-            assert b["tmc_lower"] <= tmc
-            if b["tmc_upper"] is not None:
-                assert tmc <= b["tmc_upper"]
-            assert b["mvc_lower"] <= mvc <= b["mvc_upper"]
-            assert tmc <= b["sum_bound"]
+            _assert_bracketed(random_connected(3 + seed % 5, seed + 61))
+
+    def test_bounds_bracket_every_small_graph(self):
+        graphs = [g for n in range(3, 6) for g in connected_labeled_graphs(n)]
+        assert len(graphs) == 4 + 38 + 728
+        for g in graphs:
+            _assert_bracketed(g)
 
 
 def test_methods_and_nodes():
