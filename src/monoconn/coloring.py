@@ -14,6 +14,16 @@ the edge variant).  Each component of those vertices along those edges,
 closed by its neighbours along those edges, joins every pair inside it; a
 coloring is accepted when the components of all colors join every
 non-adjacent pair.
+
+Two skip rules spare the colors that cannot join a non-adjacent pair, such
+as the fresh singleton colors that fill most of a solver's witness:
+- tmc and mc: only colors of two or more edges get components.  Proof: a
+  path joining a non-adjacent pair has at least two edges, all of its
+  color.
+- mvc: first every pair with a common neighbour is joined, and then
+  colors of one vertex get no components.  Proof: a path with one inner
+  vertex is vertex-monochromatic, and a color of one vertex x joins only
+  pairs through x, which x is a common neighbour of.
 """
 
 from __future__ import annotations
@@ -91,7 +101,7 @@ def total_coloring(g: Graph, vertex_colors: Iterable[int], edge_colors: Mapping[
     if len(vcol) != g.n:
         raise ValueError(f"expected {g.n} vertex colors, got {len(vcol)}")
     if isinstance(edge_colors, Mapping):
-        ecol = _check_edge_domain(g, edge_colors)
+        ecol = dict(_check_edge_domain(g, edge_colors))
     else:
         seq = list(edge_colors)
         if len(seq) != g.m:
@@ -102,8 +112,17 @@ def total_coloring(g: Graph, vertex_colors: Iterable[int], edge_colors: Mapping[
     return TotalColoring(vertex_color=vcol, edge_color=ecol)
 
 
-def _check_edge_domain(g: Graph, ecol: Mapping[Edge, int]) -> dict[Edge, int]:
-    norm = { _norm_edge(*e): c for e, c in ecol.items() }
+def _check_edge_domain(g: Graph, ecol: Mapping[Edge, int]) -> Mapping[Edge, int]:
+    """``ecol`` itself when its keys are exactly g's edges, else a copy
+    keyed by g's edges; ValueError when its keys name other edges, an edge
+    twice, or anything but a vertex pair."""
+    if len(ecol) == g.m and all(map(ecol.__contains__, g.edges)):
+        return ecol
+    norm = {}
+    for e, c in ecol.items():
+        if not (isinstance(e, tuple) and len(e) == 2):
+            raise ValueError(f"edge color key {e!r} is not a vertex pair")
+        norm[_norm_edge(*e)] = c
     if len(norm) != len(ecol):
         raise ValueError("edge color domain names an edge more than once")
     if set(norm) != set(g.edges):
@@ -115,41 +134,57 @@ def _first_gap(
     n: int,
     adj: Sequence[int],
     edges: Sequence[Edge],
-    pairs: Sequence[Edge],
     vcol: Sequence[int] | None,
     ecol: Sequence[int] | None,
 ) -> Edge | None:
-    """First pair of ``pairs``, non-adjacent vertex pairs, that no
-    monochromatic path joins, or None.
+    """The lexicographically least non-adjacent pair that no monochromatic
+    path joins, or None.
 
     ``ecol`` colors ``edges`` in order and ``vcol`` colors the vertices.  A
     path of color c uses only edges of color c (every edge when ecol is
     None) and has its internal vertices among those of color c (any vertex
     when vcol is None).  Each component of those inner vertices, closed by
-    its neighbours along those edges, joins all of its pairs.
+    its neighbours along those edges, joins all of its pairs.  Colors that
+    cannot join a pair get no components (the skip rules of the module
+    docstring).  Pair (u, v), u < v, is bit u*n + v of ``unc``.
     """
-    unc = (1 << len(pairs)) - 1
+    full = (1 << n) - 1
+    unc = 0
+    for u in range(n - 1, -1, -1):
+        row = full & ~adj[u] & -(2 << u)
+        if ecol is None:  # drop the pairs with a common neighbour
+            nbrs = adj[u]
+            while row and nbrs:
+                b = nbrs & -nbrs
+                row &= ~adj[b.bit_length() - 1]
+                nbrs ^= b
+        unc = unc << n | row
     if not unc:
         return None
-    if ecol is None:
-        layers = dict.fromkeys(vcol, adj)
-    else:
+    inner_of: dict[int, int] = {}
+    if vcol is not None:
+        for v, c in enumerate(vcol):
+            inner_of[c] = inner_of.get(c, 0) | 1 << v
+    if ecol is None:  # a one-vertex color joins only pairs dropped above
+        layers = {c: adj for c, inner in inner_of.items() if inner & (inner - 1)}
+    else:  # a one-edge color joins only adjacent pairs
+        once: set[int] = set()
+        many: set[int] = set()
+        for c in ecol:
+            if c in once:
+                many.add(c)
+            else:
+                once.add(c)
         layers = {}
         for (u, v), c in zip(edges, ecol):
-            a = layers.get(c)
-            if a is None:
-                a = layers[c] = [0] * n
-            a[u] |= 1 << v
-            a[v] |= 1 << u
-    # vertices a path of color c may pass through; without vertex colors,
-    # those touched by an edge of color c
-    inner_of: dict[int, int] = {}
-    if vcol is None:
-        for (u, v), c in zip(edges, ecol):
-            inner_of[c] = inner_of.get(c, 0) | (1 << u) | (1 << v)
-    else:
-        for v, c in enumerate(vcol):
-            inner_of[c] = inner_of.get(c, 0) | (1 << v)
+            if c in many:
+                a = layers.get(c)
+                if a is None:
+                    a = layers[c] = [0] * n
+                a[u] |= 1 << v
+                a[v] |= 1 << u
+                if vcol is None:
+                    inner_of[c] = inner_of.get(c, 0) | 1 << u | 1 << v
     for c, cadj in layers.items():
         inner = inner_of.get(c, 0)
         while inner:
@@ -164,16 +199,14 @@ def _first_gap(
                 comp ^= b
             if closed.bit_count() < 3:
                 continue  # holds no non-adjacent pair
-            todo = unc
-            while todo:
-                b = todo & -todo
-                u, v = pairs[b.bit_length() - 1]
-                if closed >> u & closed >> v & 1:
-                    unc ^= b
-                todo ^= b
+            rest = closed
+            while rest:
+                b = rest & -rest
+                unc &= ~(closed << n * (b.bit_length() - 1))
+                rest ^= b
             if not unc:
                 return None
-    return pairs[(unc & -unc).bit_length() - 1]
+    return divmod((unc & -unc).bit_length() - 1, n)
 
 
 def verify_tmc(g: Graph, tc: TotalColoring) -> tuple[bool, tuple[int, int] | None]:
@@ -182,16 +215,14 @@ def verify_tmc(g: Graph, tc: TotalColoring) -> tuple[bool, tuple[int, int] | Non
     if len(tc.vertex_color) != g.n:
         raise ValueError("vertex color domain does not match the graph")
     ecol = _check_edge_domain(g, tc.edge_color)
-    gap = _first_gap(g.n, g.adj, g.edges, g.nonadjacent_pairs(), tc.vertex_color,
-                     [ecol[e] for e in g.edges])
+    gap = _first_gap(g.n, g.adj, g.edges, tc.vertex_color, [ecol[e] for e in g.edges])
     return gap is None, gap
 
 
 def verify_mc(g: Graph, ec: EdgeColoring) -> tuple[bool, tuple[int, int] | None]:
     """Edge variant: a path qualifies when all its edges share one color."""
     ecol = _check_edge_domain(g, ec.edge_color)
-    gap = _first_gap(g.n, g.adj, g.edges, g.nonadjacent_pairs(), None,
-                     [ecol[e] for e in g.edges])
+    gap = _first_gap(g.n, g.adj, g.edges, None, [ecol[e] for e in g.edges])
     return gap is None, gap
 
 
@@ -199,7 +230,7 @@ def verify_mvc(g: Graph, vc: VertexColoring) -> tuple[bool, tuple[int, int] | No
     """Vertex variant: internal vertices of the path must share one color."""
     if len(vc.vertex_color) != g.n:
         raise ValueError("vertex color domain does not match the graph")
-    gap = _first_gap(g.n, g.adj, g.edges, g.nonadjacent_pairs(), vc.vertex_color, None)
+    gap = _first_gap(g.n, g.adj, g.edges, vc.vertex_color, None)
     return gap is None, gap
 
 

@@ -419,28 +419,42 @@ def _refine(adj: Sequence[int], cells: list[int], todo: list[int]) -> list[int]:
     the vertices of a cell have equally many neighbours in every cell.
 
     Each splitter of ``todo`` splits every cell by neighbour count, parts
-    in ascending count, and the parts become splitters.  Nothing reads a
-    vertex label, so relabelling the input relabels the output."""
+    in ascending count, and the parts become splitters; a one-vertex
+    splitter's counts are 0 and 1, so it splits a cell into its
+    non-neighbours and its neighbours.  Nothing reads a vertex label, so
+    relabelling the input relabels the output."""
     cells = list(cells)
-    while todo:
+    n = len(adj)
+    while todo and len(cells) < n:  # a discrete partition splits no further
         w = todo.pop()
+        one = None if w & (w - 1) else adj[w.bit_length() - 1]
         i = 0
         while i < len(cells):
             x = cells[i]
             i += 1
             if not x & (x - 1):
                 continue
-            parts: dict[int, int] = {}
-            for v in _bits(x):
-                k = (adj[v] & w).bit_count()
-                parts[k] = parts.get(k, 0) | 1 << v
-            if len(parts) > 1:
+            if one is not None:
+                near = x & one
+                if not near or near == x:
+                    continue
+                split = [x ^ near, near]
+            else:
+                parts: dict[int, int] = {}
+                rest = x
+                while rest:
+                    b = rest & -rest
+                    k = (adj[b.bit_length() - 1] & w).bit_count()
+                    parts[k] = parts.get(k, 0) | b
+                    rest ^= b
+                if len(parts) < 2:
+                    continue
                 split = [parts[k] for k in sorted(parts)]
-                cells[i - 1:i] = split
-                i += len(split) - 1
-                if x in todo:
-                    todo.remove(x)
-                todo.extend(split)
+            cells[i - 1:i] = split
+            i += len(split) - 1
+            if x in todo:
+                todo.remove(x)
+            todo.extend(split)
     return cells
 
 
@@ -479,9 +493,11 @@ def canonical_order(g: Graph) -> tuple[int, tuple[int, ...]]:
             pos[v] = i
         code = 0
         for v in order:
-            row = 0
-            for u in _bits(adj[v]):
-                row |= 1 << pos[u]
+            row, rest = 0, adj[v]
+            while rest:
+                b = rest & -rest
+                row |= 1 << pos[b.bit_length() - 1]
+                rest ^= b
             code = code << n | row
         if first[0] is None:
             first[:] = best[:] = code, order
@@ -498,11 +514,12 @@ def canonical_order(g: Graph) -> tuple[int, tuple[int, ...]]:
 
     def search(cells: list[int], fixed: tuple[int, ...]) -> None:
         while True:
-            i = next((i for i, x in enumerate(cells) if x & (x - 1)), -1)
-            if i < 0:
+            for i, x in enumerate(cells):
+                if x & (x - 1):
+                    break
+            else:
                 leaf(cells)
                 return
-            x = cells[i]
             members = _bits(x)
             if (len({adj[v] for v in members}) > 1
                     and len({adj[v] | 1 << v for v in members}) > 1):

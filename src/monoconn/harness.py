@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
+from .coloring import Edge, EdgeColoring, TotalColoring, VertexColoring
 from .graphs import (
     Graph,
     _bits,
@@ -200,7 +201,8 @@ def check_all_detailed(g: Graph):
     pos = [0] * g.n
     for i, v in enumerate(order):
         pos[v] = i
-    return record, {key: _relabel_report(rep, g, order, pos) for key, rep in reports.items()}
+    back = {(pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u]): (u, v) for u, v in g.edges}
+    return record, {key: _relabel_report(rep, g, order, pos, back) for key, rep in reports.items()}
 
 
 def _check(g: Graph) -> tuple[TheoremCheckRecord, dict[str, SolverReport], Sequence[int]]:
@@ -241,32 +243,33 @@ def _class(g: Graph) -> tuple[TheoremCheckRecord, dict[str, SolverReport], Seque
 
 
 def _relabel_report(
-    rep: SolverReport, g: Graph, order: Sequence[int], pos: Sequence[int]
+    rep: SolverReport, g: Graph, order: Sequence[int], pos: Sequence[int], back: dict[Edge, Edge]
 ) -> SolverReport:
     """A copy of a report on relabel(g, order) with its witness and tree
-    system moved onto g's vertices: canonical vertex i is g's order[i], and
-    g's vertex v is canonical vertex pos[v]."""
+    system moved onto g's vertices: canonical vertex i is g's order[i], g's
+    vertex v is canonical vertex pos[v], and ``back`` maps each canonical
+    edge to g's, keyed in the order of g.edges."""
     w = rep.witness
-    moved = {}
-    if hasattr(w, "vertex_color"):
-        moved["vertex_color"] = tuple(w.vertex_color[p] for p in pos)
-    if hasattr(w, "edge_color"):
-        ecol = w.edge_color
-        moved["edge_color"] = {
-            (u, v): ecol[(pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u])]
-            for u, v in g.edges
-        }
+    if isinstance(w, VertexColoring):
+        witness = VertexColoring(tuple(map(w.vertex_color.__getitem__, pos)))
+    else:
+        ecol = dict(zip(g.edges, map(w.edge_color.__getitem__, back)))
+        if isinstance(w, EdgeColoring):
+            witness = EdgeColoring(ecol)
+        else:
+            witness = TotalColoring(tuple(map(w.vertex_color.__getitem__, pos)), ecol)
     system = rep.witness_system
     if system is not None:
-        trees = []
-        for t in system.trees:
-            edges = sorted((order[a], order[b]) if order[a] < order[b] else (order[b], order[a])
-                           for a, b in t.edges)
-            internal = sorted(order[v] for v in t.internal_vertices)
-            trees.append(SystemTree(tuple(edges), tuple(internal)))
-        system = TreeSystem(trees=tuple(sorted(trees, key=lambda t: t.edges)))
+        trees = [
+            SystemTree(tuple(sorted(map(back.__getitem__, t.edges))),
+                       tuple(sorted(map(order.__getitem__, t.internal_vertices))))
+            for t in system.trees
+        ]
+        if len(trees) > 1:
+            trees.sort(key=lambda t: t.edges)
+        system = TreeSystem(trees=tuple(trees))
     return SolverReport(
-        value=rep.value, witness=type(w)(**moved), nodes_explored=rep.nodes_explored,
+        value=rep.value, witness=witness, nodes_explored=rep.nodes_explored,
         method=rep.method, bounds_used=dict(rep.bounds_used), witness_system=system,
     )
 

@@ -27,6 +27,11 @@ covering tree system, and analyze_color_classes reports the structure of
 each color class of a total coloring (tree shape, waste, simplicity); both
 work on vertex and edge sets and per-tree graphs instead of the library's
 bitset tables.
+
+relabel_report_reference moves a report on relabel(g, order) onto g's
+vertices by relabelling each edge's endpoints and sorting every system,
+instead of through one canonical-to-caller edge map shared by the three
+reports and sorting only systems of several trees.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from typing import Iterator, Sequence
 
 from monoconn.coloring import EdgeColoring, TotalColoring, VertexColoring, _first_gap, verify_tmc
 from monoconn.graphs import Graph, _bits, diameter, from_edge_list, is_connected
-from monoconn.solvers import SolverRangeError, SolverReport, TreeSystem
+from monoconn.solvers import SolverRangeError, SolverReport, SystemTree, TreeSystem
 
 
 def spanning_trees(g: Graph):
@@ -616,14 +621,13 @@ def tmc_naive(g: Graph) -> SolverReport:
         raise SolverRangeError(
             f"tmc_naive accepts m + n <= {MAX_NAIVE_ITEMS}, got {items}"
         )
-    pairs = g.nonadjacent_pairs()
     nodes = 0
     for blocks in range(items, 0, -1):
         for rgs in _rgs_with_block_count(items, blocks):
             nodes += 1
             vcol = rgs[: g.n]
             ecol = rgs[g.n:]
-            if _first_gap(g.n, g.adj, g.edges, pairs, vcol, ecol) is None:
+            if _first_gap(g.n, g.adj, g.edges, vcol, ecol) is None:
                 witness = TotalColoring(
                     vertex_color=tuple(vcol),
                     edge_color=dict(zip(g.edges, ecol)),
@@ -651,12 +655,11 @@ def mc_naive(g: Graph) -> SolverReport:
             nodes_explored=0,
             method="naive_partition",
         )
-    pairs = g.nonadjacent_pairs()
     nodes = 0
     for blocks in range(g.m, 0, -1):
         for rgs in _rgs_with_block_count(g.m, blocks):
             nodes += 1
-            if _first_gap(g.n, g.adj, g.edges, pairs, None, rgs) is None:
+            if _first_gap(g.n, g.adj, g.edges, None, rgs) is None:
                 return SolverReport(
                     value=blocks,
                     witness=EdgeColoring(edge_color=dict(zip(g.edges, rgs))),
@@ -689,12 +692,11 @@ def mvc_partition_reference(g: Graph) -> SolverReport:
         raise SolverRangeError(
             f"mvc_partition_reference accepts n <= {MAX_MVC_ENUM_N}, got {g.n}"
         )
-    pairs = g.nonadjacent_pairs()
     nodes = 0
     for blocks in range(min(g.n - d + 2, g.n), 0, -1):
         for rgs in _rgs_with_block_count(g.n, blocks):
             nodes += 1
-            if _first_gap(g.n, g.adj, g.edges, pairs, rgs, None) is None:
+            if _first_gap(g.n, g.adj, g.edges, rgs, None) is None:
                 return SolverReport(
                     value=blocks,
                     witness=VertexColoring(vertex_color=rgs),
@@ -796,4 +798,40 @@ def analyze_color_classes(g: Graph, tc: TotalColoring) -> ColorClassReport:
         is_simple=all(len(a & b) <= 1 for a, b in combinations(tree_vsets, 2)),
         leaves_distinctly_colored=leaves_ok,
         is_valid_tmc=verify_tmc(g, tc)[0],
+    )
+
+
+# ---------------------------------------------------------------------------
+# Reports moved between labellings
+# ---------------------------------------------------------------------------
+
+def relabel_report_reference(rep: SolverReport, g: Graph, order: Sequence[int]) -> SolverReport:
+    """A copy of a report on relabel(g, order) with its witness and tree
+    system moved onto g's vertices: canonical vertex i is g's order[i], and
+    g's vertex v is canonical vertex pos[v]."""
+    pos = [0] * g.n
+    for i, v in enumerate(order):
+        pos[v] = i
+    w = rep.witness
+    moved = {}
+    if hasattr(w, "vertex_color"):
+        moved["vertex_color"] = tuple(w.vertex_color[p] for p in pos)
+    if hasattr(w, "edge_color"):
+        ecol = w.edge_color
+        moved["edge_color"] = {
+            (u, v): ecol[(pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u])]
+            for u, v in g.edges
+        }
+    system = rep.witness_system
+    if system is not None:
+        trees = []
+        for t in system.trees:
+            edges = sorted((order[a], order[b]) if order[a] < order[b] else (order[b], order[a])
+                           for a, b in t.edges)
+            internal = sorted(order[v] for v in t.internal_vertices)
+            trees.append(SystemTree(tuple(edges), tuple(internal)))
+        system = TreeSystem(trees=tuple(sorted(trees, key=lambda t: t.edges)))
+    return SolverReport(
+        value=rep.value, witness=type(w)(**moved), nodes_explored=rep.nodes_explored,
+        method=rep.method, bounds_used=dict(rep.bounds_used), witness_system=system,
     )

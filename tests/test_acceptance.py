@@ -500,14 +500,14 @@ def test_public_api_pinned():
         "EdgeColoring", "Finding", "Graph", "GraphConditionSet", "GraphFormatError",
         "SolverRangeError", "SolverReport", "SpanningTreeResult", "SurveyRecord", "SystemTree",
         "TheoremCheckRecord", "TotalColoring", "TreeSystem", "VertexColoring", "builtin_corpus",
-        "canonical_order", "check_all", "coloring", "coloring_from_json", "coloring_to_json",
+        "canonical_order", "check_all", "coloring_from_json", "coloring_to_json",
         "complement", "complete_graph", "complete_multipartite_graph", "complete_tmc_coloring",
-        "connected_labeled_graphs", "constructions", "cycle_graph", "diameter",
-        "diameter2_size_bound", "from_edge_list", "graphs", "harness", "has_cut_vertex",
+        "connected_labeled_graphs", "cycle_graph", "diameter",
+        "diameter2_size_bound", "from_edge_list", "has_cut_vertex",
         "hunt_tmc_le_mc", "hunt_tmc_le_mvc", "is_connected", "is_star", "is_triangle_free",
-        "max_degree", "max_leaf_exact", "max_leaf_tmc_coloring", "maxleaf", "mc_exact",
+        "max_degree", "max_leaf_exact", "max_leaf_tmc_coloring", "mc_exact",
         "multipartite_sizes", "multipartite_tmc_coloring", "mvc_exact", "parse_edgelist",
-        "parse_graph6", "path_graph", "random_gnp", "relabel", "reverify", "solvers",
+        "parse_graph6", "path_graph", "random_gnp", "relabel", "reverify",
         "star_graph", "survey_random", "tmc_exact", "tmc_identity_conditions", "to_graph6",
         "total_coloring", "tree_based_tmc_coloring", "verify_mc", "verify_mvc", "verify_tmc",
         "vertex_connectivity", "wheel_graph", "wheel_order", "wheel_tmc_coloring",

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -6,6 +7,7 @@ from monoconn.coloring import (
     EdgeColoring,
     TotalColoring,
     VertexColoring,
+    _fill,
     coloring_from_json,
     coloring_to_json,
     total_coloring,
@@ -303,3 +305,72 @@ def test_edge_named_twice_rejected():
         verify_tmc(g, TotalColoring(vertex_color=(0, 1, 2), edge_color=twice))
     with pytest.raises(ValueError, match="more than once"):
         total_coloring(g, [0, 1, 2], twice)
+
+
+@pytest.mark.parametrize("key", [(0, 1, 2), (0,), 7])
+def test_malformed_edge_key_rejected(key):
+    g = path_graph(3)
+    ecol = {key: 0, (1, 2): 1}
+    with pytest.raises(ValueError, match="not a vertex pair"):
+        verify_mc(g, EdgeColoring(edge_color=ecol))
+    with pytest.raises(ValueError, match="not a vertex pair"):
+        verify_tmc(g, TotalColoring(vertex_color=(0, 1, 2), edge_color=ecol))
+    with pytest.raises(ValueError, match="not a vertex pair"):
+        total_coloring(g, [0, 1, 2], ecol)
+
+
+def test_total_coloring_copies_its_edge_colors():
+    g = path_graph(3)
+    given = {(0, 1): 0, (1, 2): 0}
+    tc = total_coloring(g, [1, 0, 2], given)
+    given[(0, 1)] = 3
+    assert tc.edge_color == {(0, 1): 0, (1, 2): 0}
+
+
+def _witness_shaped(g, variant, rng):
+    """Classes shaped like a solver witness's for ``variant``: one to three
+    classes of several items, a class of one edge and (tmc) some vertices,
+    and a class of one vertex; every other item gets a fresh color."""
+    vertices = [] if variant == "mc" else list(range(g.n))
+    edges = [] if variant == "mvc" else list(g.edges)
+    items = vertices + edges
+    rng.shuffle(items)
+    classes = []
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randint(2, max(2, len(items) // 2))
+        if k > len(items):
+            break
+        classes.append(items[:k])
+        items = items[k:]
+    left_edges = [x for x in items if isinstance(x, tuple)]
+    left_vertices = [x for x in items if not isinstance(x, tuple)]
+    if left_edges:
+        classes.append([left_edges[0]] + left_vertices[:rng.randint(0, 2)])
+    elif left_vertices:
+        classes.append(left_vertices[:1])
+    return _fill(g, variant, classes)
+
+
+def test_skip_rules_match_path_search_oracle():
+    # witness-shaped colorings are mostly fresh singleton colors, the ones
+    # the kernel's skip rules never give components
+    outcomes = {variant: set() for variant in ("tmc", "mc", "mvc")}
+    for seed in range(90):
+        g = random_connected(2 + seed % 6, seed + 401, p=(0.3, 0.5, 0.7)[seed % 3])
+        rng = random.Random(seed)
+        for variant in ("tmc", "mc", "mvc"):
+            for _ in range(3):
+                c = _witness_shaped(g, variant, rng)
+                if variant == "tmc":
+                    got = verify_tmc(g, c)
+                    joined = lambda u, v: tm_path_exists(g, c.vertex_color, c.edge_color, u, v)
+                elif variant == "mc":
+                    got = verify_mc(g, c)
+                    joined = lambda u, v: mono_edge_path_exists(g, c.edge_color, u, v)
+                else:
+                    got = verify_mvc(g, c)
+                    joined = lambda u, v: mono_vertex_path_exists(g, c.vertex_color, u, v)
+                gaps = [p for p in g.nonadjacent_pairs() if not joined(*p)]
+                assert got == (not gaps, gaps[0] if gaps else None), (variant, g.edges, c)
+                outcomes[variant].add(got[0])
+    assert all(seen == {True, False} for seen in outcomes.values()), outcomes

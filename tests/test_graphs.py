@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from itertools import combinations, product
@@ -305,6 +306,12 @@ def cube_graph():
                               if bin(a ^ b).count("1") == 1])
 
 
+# sha256 of canonical_order(g), code and order, over every labelled
+# connected graph with n <= 6 and 600 seeded G(n, p) graphs with n = 7, 8
+# or 9; any change to a code or to an order moves it
+CANONICAL_DIGEST = "ad2b62cf5c2d9c478c51a9a405a5e1c62e792dfba8f1a770d928b7f2abdc5cce"
+
+
 class TestCanonicalOrder:
     def test_class_counts_match_oeis(self):
         # connected graphs on n unlabelled vertices, OEIS A001349
@@ -312,6 +319,17 @@ class TestCanonicalOrder:
         for g in builtin_corpus(6):
             codes.setdefault(g.n, set()).add(canonical_order(g)[0])
         assert [len(codes[n]) for n in range(1, 7)] == [1, 1, 2, 6, 21, 112]
+
+    def test_orders_match_golden_digest(self):
+        graphs = list(builtin_corpus(6))
+        graphs += [random_gnp(7 + i % 3, (0.2, 0.35, 0.5, 0.65, 0.8)[i % 5], 1000 + i)
+                   for i in range(600)]
+        h = hashlib.sha256()
+        for g in graphs:
+            code, order = canonical_order(g)
+            h.update(f"{code} {list(order)}\n".encode())
+        assert len(graphs) == 28076
+        assert h.hexdigest() == CANONICAL_DIGEST
 
     @given(st.integers(1, 10), st.floats(0.1, 0.9), st.integers(0, 10**6),
            st.randoms(use_true_random=False))

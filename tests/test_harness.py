@@ -46,7 +46,7 @@ from monoconn.harness import (
 )
 from monoconn.maxleaf import max_leaf_exact
 from conftest import random_connected, shuffled
-from oracles import k_connected_bf, petersen, validate_system
+from oracles import k_connected_bf, petersen, relabel_report_reference, validate_system
 
 
 def _survey_samples(n, p, trials, seed):
@@ -215,6 +215,22 @@ class TestClassMemo:
                 assert reverify(g, rep)
                 if rep.witness_system is not None:
                     validate_system(g, rep.witness_system, total=(kind == "tmc"))
+
+    def test_reports_match_relabel_reference(self, monkeypatch):
+        # every returned report is the class's canonical report moved onto
+        # the caller's labels, on a memo miss and on a hit alike
+        monkeypatch.setattr(harness, "_memo", {})
+        cases = self.CASES + [path_graph(1), path_graph(2), shuffled(wheel_graph(6), seed=2)]
+        cases += [random_connected(3 + i % 6, 700 + i, p=(0.3, 0.5, 0.7)[i % 3])
+                  for i in range(40)]
+        for g in cases:
+            harness._memo.clear()
+            for h in (g, shuffled(g, seed=4)):  # a miss, then a hit
+                _, reports = check_all_detailed(h)
+                _, canonical, order = harness._class(h)
+                assert len(harness._memo) == 1
+                assert reports == {key: relabel_report_reference(rep, h, order)
+                                   for key, rep in canonical.items()}, h.edges
 
     def test_results_are_fresh_per_call(self, monkeypatch):
         monkeypatch.setattr(harness, "_memo", {})
