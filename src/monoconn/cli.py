@@ -38,6 +38,7 @@ from .graphs import (
 )
 from .harness import (
     HUNT_TARGETS,
+    _require_solvable,
     builtin_corpus,
     check_all,
     records_to_csv,
@@ -91,16 +92,17 @@ def _emit(obj: dict) -> None:
 
 def cmd_compute(args: argparse.Namespace) -> int:
     for g in _load_graphs(args.input, args.literal):
+        _require_solvable(g)
         rec: dict = {"graph6": to_graph6(g), "n": g.n, "m": g.m}
         wanted = ["l", "tmc", "mc", "mvc"] if args.invariant == "all" else [args.invariant]
         ml = None  # l's max-leaf tree, shared with tmc and mvc
         for inv in wanted:
             if inv == "l":
                 _guard_exact(g, "max_leaf_exact")
-                ml = max_leaf_exact(g)
-                rec["l"] = ml.leaf_count
+                ml = max_leaf_exact(g) if g.n > 1 else None  # K_1: l = 0 and no tree
+                rec["l"] = ml.leaf_count if ml else 0
                 if args.witness:
-                    rec["l_tree"] = [list(e) for e in ml.tree]
+                    rec["l_tree"] = [list(e) for e in ml.tree] if ml else []
                 continue
             rep = mc_exact(g) if inv == "mc" else {"tmc": tmc_exact, "mvc": mvc_exact}[inv](g, ml)
             rec[inv] = rep.value

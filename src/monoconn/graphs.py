@@ -467,14 +467,14 @@ def canonical_order(g: Graph) -> tuple[int, tuple[int, ...]]:
     Colour refinement from the cells of equal degree (ascending) gives an
     equitable partition; the search then individualises each vertex of the
     first non-singleton cell in turn, refines, and recurses, and keeps the
-    least code over the discrete partitions it reaches.  Two leaves of equal
-    code give an automorphism, and a node skips a child that an automorphism
-    fixing the node's individualised vertices maps onto an explored child.
-    A cell of mutual twins (equal open or equal closed neighbourhoods) is
-    split into singletons in label order without branching: every
+    least code over the discrete partitions it reaches, the first one on a
+    tie.  A cell of mutual twins (equal open or equal closed neighbourhoods)
+    is split into singletons in label order without branching: every
     permutation of it is an automorphism fixing the partition, so all its
     orders give the same codes.  K_n, stars and complete multipartite
-    graphs therefore never branch on their twin classes.
+    graphs therefore never branch on their twin classes.  Nothing prunes by
+    automorphisms: within the solvers' guard (n <= 9) that saved no time on
+    the n <= 6 sweep and cost some on n = 7-9 graphs.
     """
     n, adj = g.n, g.adj
     by_degree: dict[int, int] = {}
@@ -482,70 +482,38 @@ def canonical_order(g: Graph) -> tuple[int, tuple[int, ...]]:
         k = adj[v].bit_count()
         by_degree[k] = by_degree.get(k, 0) | 1 << v
     cells = [by_degree[k] for k in sorted(by_degree)]
-    best: list = [None, ()]   # least code so far and its order
-    first: list = [None, ()]  # the first leaf's code and order
-    autos: list[tuple[int, ...]] = []
+    best: list = [1 << n * n, ()]  # least code so far, at first above every code, and its order
 
-    def leaf(cells: list[int]) -> None:
-        order = tuple(c.bit_length() - 1 for c in cells)
-        pos = [0] * n
-        for i, v in enumerate(order):
-            pos[v] = i
-        code = 0
-        for v in order:
-            row, rest = 0, adj[v]
-            while rest:
-                b = rest & -rest
-                row |= 1 << pos[b.bit_length() - 1]
-                rest ^= b
-            code = code << n | row
-        if first[0] is None:
-            first[:] = best[:] = code, order
-            return
-        for known in (first, best):
-            if code == known[0]:
-                image = [0] * n
-                for u, w in zip(order, known[1]):
-                    image[u] = w
-                autos.append(tuple(image))
-                return
-        if code < best[0]:
-            best[:] = code, order
-
-    def search(cells: list[int], fixed: tuple[int, ...]) -> None:
+    def search(cells: list[int]) -> None:
         while True:
             for i, x in enumerate(cells):
                 if x & (x - 1):
                     break
-            else:
-                leaf(cells)
+            else:  # discrete: a leaf
+                order = tuple(c.bit_length() - 1 for c in cells)
+                pos = [0] * n
+                for j, v in enumerate(order):
+                    pos[v] = j
+                code = 0
+                for v in order:
+                    row, rest = 0, adj[v]
+                    while rest:
+                        b = rest & -rest
+                        row |= 1 << pos[b.bit_length() - 1]
+                        rest ^= b
+                    code = code << n | row
+                if code < best[0]:
+                    best[:] = code, order
                 return
             members = _bits(x)
             if (len({adj[v] for v in members}) > 1
                     and len({adj[v] | 1 << v for v in members}) > 1):
                 break
             cells = cells[:i] + [1 << v for v in members] + cells[i + 1:]
-        done = 0
         for v in members:
-            if done:
-                # skip v when an automorphism found so far that fixes every
-                # individualised vertex maps an explored child onto it
-                gens = [a for a in autos if all(a[f] == f for f in fixed)]
-                seen = frontier = done
-                while frontier and not seen >> v & 1:
-                    nxt = 0
-                    for u in _bits(frontier):
-                        for a in gens:
-                            nxt |= 1 << a[u]
-                    frontier = nxt & ~seen
-                    seen |= frontier
-                if seen >> v & 1:
-                    continue
-            search(_refine(adj, cells[:i] + [1 << v, x ^ 1 << v] + cells[i + 1:], [1 << v]),
-                   fixed + (v,))
-            done |= 1 << v
+            search(_refine(adj, cells[:i] + [1 << v, x ^ 1 << v] + cells[i + 1:], [1 << v]))
 
-    search(_refine(adj, cells, list(cells)), ())
+    search(_refine(adj, cells, list(cells)))
     return best[0], best[1]
 
 

@@ -14,7 +14,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -208,8 +208,7 @@ def check_all_detailed(g: Graph):
 def _check(g: Graph) -> tuple[TheoremCheckRecord, dict[str, SolverReport], Sequence[int]]:
     """check_all's record, the reports on the canonical relabelling and its
     order (no reports and the identity order past the solvers' guard)."""
-    if not is_connected(g):
-        raise ValueError("disconnected")
+    _require_solvable(g)
     t0 = time.perf_counter()
     # the solvers refuse non-complete graphs past max_exact_n(): decide that
     # before any exponential work
@@ -220,13 +219,22 @@ def _check(g: Graph) -> tuple[TheoremCheckRecord, dict[str, SolverReport], Seque
             verdicts={k: SKIPPED for k in CHECK_KEYS},
             elapsed_ms=(time.perf_counter() - t0) * 1000.0,
         ), {}, range(g.n)
-    record, reports, order = _class(g)
-    flags = record.condition_flags
-    return replace(
-        record, graph6=to_graph6(g), verdicts=dict(record.verdicts),
-        condition_flags=None if flags is None else dict(flags),
-        elapsed_ms=(time.perf_counter() - t0) * 1000.0,
+    r, reports, order = _class(g)
+    flags = r.condition_flags
+    return TheoremCheckRecord(
+        graph6=to_graph6(g), n=r.n, m=r.m, l=r.l, diameter=r.diameter, max_degree=r.max_degree,
+        tmc=r.tmc, mc=r.mc, mvc=r.mvc, condition_flags=None if flags is None else dict(flags),
+        verdicts=dict(r.verdicts), elapsed_ms=(time.perf_counter() - t0) * 1000.0,
     ), reports, order
+
+
+def _require_solvable(g: Graph) -> None:
+    """Refuse, naming it by its graph6, a graph the solvers do not take:
+    one with no vertices or a disconnected one."""
+    if g.n == 0:
+        raise ValueError(f"graph {to_graph6(g)!r} has no vertices")
+    if not is_connected(g):
+        raise ValueError(f"graph {to_graph6(g)!r} is disconnected")
 
 
 def _class(g: Graph) -> tuple[TheoremCheckRecord, dict[str, SolverReport], Sequence[int]]:
@@ -435,6 +443,8 @@ def _hunt(graphs: Iterable[Graph], wanted: Callable[[Graph], bool], other: str) 
     for g in graphs:
         if not wanted(g):
             continue
+        if g.n == 0:  # the filters take it as connected, but no solver does
+            _require_solvable(g)
         _guard_exact(g, f"hunt_tmc_le_{other}")
         record = _class(g)[0]
         tmc, value = record.tmc, getattr(record, other)

@@ -67,6 +67,15 @@ class TestCompute:
         code, _, err = run_cli(capsys, "compute", "/nonexistent/path.g6")
         assert code == 2
 
+    @pytest.mark.parametrize("invariant", ["all", "l"])
+    def test_single_vertex_has_no_leaves(self, capsys, invariant):
+        # K_1 takes check's n = 1 convention: l = 0 and an empty tree
+        code, out, _ = run_cli(capsys, "compute", "@", "--literal", "--invariant", invariant, "--witness")
+        rec = json.loads(out)
+        assert code == 0 and rec["l"] == 0 and rec["l_tree"] == []
+        if invariant == "all":
+            assert (rec["tmc"], rec["mc"], rec["mvc"]) == (1, 0, 1)
+
     def test_max_leaf_past_guard_refused(self, capsys):
         g6 = to_graph6(path_graph(12))
         code, out, err = run_cli(capsys, "compute", g6, "--literal", "--invariant", "l")
@@ -265,6 +274,24 @@ class TestCheck:
         code, out, err = run_cli(capsys, command, *extra, "--corpus", spec)
         assert code == 2 and out == ""
         assert f"bad corpus {spec!r}" in err and reason in err
+
+
+REFUSING = ["check --corpus", "hunt --target tmc_le_mc --corpus", "compute", "compute --invariant tmc"]
+
+
+@pytest.mark.parametrize("command,graph6,reason", [
+    *((c, "?", "has no vertices") for c in REFUSING),
+    # a hunt skips a disconnected graph instead
+    *((c, "A?", "is disconnected") for c in REFUSING if not c.startswith("hunt")),
+])
+def test_unsolvable_graph_refused_by_name(tmp_path, capsys, command, graph6, reason):
+    p = tmp_path / "c.g6"
+    p.write_text(f"C~\n{graph6}\n")
+    code, out, err = run_cli(capsys, *command.split(), str(p))
+    assert code == 2 and err == f"error: graph {graph6!r} {reason}\n"
+    # K_4 before it went through; a hunt finds nothing on it
+    written = [json.loads(line)["graph6"] for line in out.splitlines()]
+    assert written == ([] if command.startswith("hunt") else ["C~"])
 
 
 class TestSurveyHunt:

@@ -301,6 +301,12 @@ def rook_graph_3x3():
     ])
 
 
+def paley_graph_13():
+    # vertices Z_13, adjacent when their difference is a nonzero square
+    squares = {x * x % 13 for x in range(1, 13)}
+    return from_edge_list(13, [(a, b) for a, b in combinations(range(13), 2) if b - a in squares])
+
+
 def cube_graph():
     return from_edge_list(8, [(a, b) for a, b in combinations(range(8), 2)
                               if bin(a ^ b).count("1") == 1])
@@ -369,6 +375,8 @@ class TestCanonicalOrder:
         ("rook_3x3", rook_graph_3x3()),
         ("Q_3", cube_graph()),
         ("C_9", cycle_graph(9)),
+        ("Petersen", petersen()),
+        ("Paley_13", paley_graph_13()),
     ])
     def test_symmetric_graphs_within_budget(self, name, g):
         t0 = time.perf_counter()
