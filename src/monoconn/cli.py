@@ -38,13 +38,13 @@ from .graphs import (
 )
 from .harness import (
     HUNT_TARGETS,
+    _leaf_stats,
     _require_solvable,
     builtin_corpus,
     check_all,
     records_to_csv,
     survey_random,
 )
-from .maxleaf import max_leaf_exact
 from .solvers import SolverRangeError, _guard_exact, mc_exact, mvc_exact, tmc_exact
 
 
@@ -99,8 +99,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
         for inv in wanted:
             if inv == "l":
                 _guard_exact(g, "max_leaf_exact")
-                ml = max_leaf_exact(g) if g.n > 1 else None  # K_1: l = 0 and no tree
-                rec["l"] = ml.leaf_count if ml else 0
+                rec["l"], _, ml = _leaf_stats(g)
                 if args.witness:
                     rec["l_tree"] = [list(e) for e in ml.tree] if ml else []
                 continue
@@ -150,6 +149,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         if len(graphs) != 1:
             raise GraphFormatError("construct --family tree needs exactly one input graph")
         g = graphs[0]
+        _require_solvable(g)
         _guard_exact(g, "max_leaf_tmc_coloring")
         tc = max_leaf_tmc_coloring(g)
     _emit(

@@ -33,7 +33,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .graphs import Graph, _reach
+from .graphs import Graph, _nbr, _reach
 
 
 Edge = tuple[int, int]
@@ -153,11 +153,7 @@ def _first_gap(
     for u in range(n - 1, -1, -1):
         row = full & ~adj[u] & -(2 << u)
         if ecol is None:  # drop the pairs with a common neighbour
-            nbrs = adj[u]
-            while row and nbrs:
-                b = nbrs & -nbrs
-                row &= ~adj[b.bit_length() - 1]
-                nbrs ^= b
+            row &= ~_nbr(adj, adj[u])
         unc = unc << n | row
     if not unc:
         return None
@@ -192,11 +188,7 @@ def _first_gap(
             # a vertex with no inner neighbour is a component on its own
             comp = _reach(cadj, s, inner) if cadj[s] & inner else 1 << s
             inner ^= comp
-            closed = comp
-            while comp:
-                b = comp & -comp
-                closed |= cadj[b.bit_length() - 1]
-                comp ^= b
+            closed = comp | _nbr(cadj, comp)
             if closed.bit_count() < 3:
                 continue  # holds no non-adjacent pair
             rest = closed

@@ -232,16 +232,22 @@ def format_edgelist(g: Graph) -> str:
 # Structural queries
 # ---------------------------------------------------------------------------
 
+def _nbr(adj: Sequence[int], mask: int) -> int:
+    """Union of adj[v] over the bits v of mask: one breadth-first step
+    from the vertex set ``mask``."""
+    out = 0
+    while mask:
+        b = mask & -mask
+        out |= adj[b.bit_length() - 1]
+        mask ^= b
+    return out
+
+
 def _reach(adj: Sequence[int], start: int, allowed: int) -> int:
     """Bitmask of vertices reachable from start inside the allowed mask."""
     seen = frontier = 1 << start
     while frontier:
-        nxt = 0
-        while frontier:
-            b = frontier & -frontier
-            nxt |= adj[b.bit_length() - 1]
-            frontier ^= b
-        frontier = nxt & allowed & ~seen
+        frontier = _nbr(adj, frontier) & allowed & ~seen
         seen |= frontier
     return seen
 
@@ -265,21 +271,17 @@ def is_connected(g: Graph) -> bool:
 
 
 def diameter(g: Graph) -> int:
-    """Maximum over vertex pairs of the shortest-path length."""
-    if not is_connected(g):
-        raise ValueError("disconnected")
+    """Maximum over vertex pairs of the shortest-path length; ValueError
+    when a BFS stalls short of every vertex."""
     best = 0
     adj, full = g.adj, (1 << g.n) - 1
     for s in range(g.n):
         seen = frontier = 1 << s
         dist = 0
         while seen != full:
-            nxt = 0
-            while frontier:
-                b = frontier & -frontier
-                nxt |= adj[b.bit_length() - 1]
-                frontier ^= b
-            frontier = nxt & ~seen
+            frontier = _nbr(adj, frontier) & ~seen
+            if not frontier:
+                raise ValueError("disconnected")
             seen |= frontier
             dist += 1
         best = max(best, dist)
@@ -342,13 +344,8 @@ def _disjoint_paths(adj: Sequence[int], s: int, t: int, cap: int) -> int:
         seen_in, seen_out = common | 1 << s, 1 << s
         while not (seen_in >> t) & 1:
             f_in, f_out = layers[-1]
-            new_in, new_out = f_out & used, f_in & ~used
-            for v in _bits(f_out):
-                new_in |= adj[v]
-            for v in _bits(f_in & used):
-                new_out |= prv[v]
-            new_in &= ~seen_in
-            new_out &= ~seen_out
+            new_in = (f_out & used | _nbr(adj, f_out)) & ~seen_in
+            new_out = (f_in & ~used | _nbr(prv, f_in & used)) & ~seen_out
             if not new_in | new_out:
                 return flow
             seen_in |= new_in

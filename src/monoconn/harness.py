@@ -21,7 +21,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .coloring import Edge, EdgeColoring, TotalColoring, VertexColoring
 from .graphs import (
     Graph,
-    _bits,
     _reach,
     canonical_order,
     complement,
@@ -96,22 +95,13 @@ def wheel_order(g: Graph) -> int | None:
 def multipartite_sizes(g: Graph) -> list[int] | None:
     """Class sizes (descending) when g is complete multipartite, else None.
 
-    A graph is complete multipartite exactly when every component of its
-    complement is a clique.
+    A graph is complete multipartite exactly when the sets V - N(v)
+    partition V, and then they are its classes.  Each holds its own v, so
+    they cover V, and they are disjoint exactly when their sizes sum to n.
     """
     full = (1 << g.n) - 1
-    co = [full & ~g.adj[v] & ~(1 << v) for v in range(g.n)]  # complement adjacency
-    todo = full
-    sizes = []
-    while todo:
-        seen = _reach(co, (todo & -todo).bit_length() - 1, full)
-        members = _bits(seen)
-        for v in members:
-            if (co[v] & seen) != seen ^ (1 << v):
-                return None
-        sizes.append(len(members))
-        todo &= ~seen
-    return sorted(sizes, reverse=True)
+    sizes = [c.bit_count() for c in {full & ~a for a in g.adj}]
+    return sorted(sizes, reverse=True) if sum(sizes) == g.n else None
 
 
 def diameter2_size_bound(g: Graph, d: int | None = None) -> tuple[str, int | None]:

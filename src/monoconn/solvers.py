@@ -561,10 +561,8 @@ def tmc_exact(g: Graph, max_leaf: SpanningTreeResult | None = None) -> SolverRep
     _guard_exact(g, "tmc_exact")
     ml = max_leaf if max_leaf is not None else max_leaf_exact(g)
     best, picks, nodes = _search(g, "tmc", _pair_mask(g), g.n - 2 + ml.internal_count)
-    if picks is None:  # the max-leaf tree itself is optimal
-        system = TreeSystem(trees=(SystemTree(ml.tree, tuple(_bits(ml.internal))),))
-    else:
-        system = _system(g, picks)
+    # nothing beat the max-leaf tree: its internal set rebuilds it
+    system = _system(g, [(ml.internal, (1 << g.n) - 1)] if picks is None else picks)
     witness = _fill(g, "tmc", [t.edges + t.internal_vertices for t in system.trees])
     return SolverReport(
         value=total - best, witness=witness, nodes_explored=nodes, method="tree_system",

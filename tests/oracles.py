@@ -13,7 +13,9 @@ instead of private leaf sets and a common-neighbourhood mask, non-dominated
 mc and mvc candidates by enumerating vertex sets and dropping those with a
 one-vertex-smaller candidate of the same cover instead of per-set table
 lookups, the cover search's count bound by a recurrence over single
-candidates instead of a knapsack over the largest cover of each waste.
+candidates instead of a knapsack over the largest cover of each waste,
+complete multipartite class sizes by checking that every component of the
+complement is a clique instead of a partition test on the non-neighbourhoods.
 
 The definition-level partition searches tmc_naive, mc_naive and
 mvc_partition_reference (with _rgs_with_block_count and the guards
@@ -251,6 +253,26 @@ def vertex_connectivity_reference(g: Graph) -> int:
     return min(
         _local_vertex_connectivity(g, u, v) for u, v in g.nonadjacent_pairs()
     )
+
+
+def multipartite_sizes_reference(g: Graph) -> list[int] | None:
+    """Class sizes (descending) when g is complete multipartite, else None:
+    the components of the complement, found by DFS over vertex sets, must
+    each be a clique of the complement."""
+    non = {v: {u for u in range(g.n) if u != v and not g.has_edge(u, v)} for v in range(g.n)}
+    left, sizes = set(range(g.n)), []
+    while left:
+        stack = [min(left)]
+        comp = set(stack)
+        while stack:
+            for u in non[stack.pop()] - comp:
+                comp.add(u)
+                stack.append(u)
+        if any(non[v] != comp - {v} for v in comp):
+            return None
+        left -= comp
+        sizes.append(len(comp))
+    return sorted(sizes, reverse=True)
 
 
 def petersen() -> Graph:

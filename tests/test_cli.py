@@ -4,7 +4,7 @@ import weakref
 
 import pytest
 
-from monoconn import cli, solvers
+from monoconn import cli, harness, solvers
 from monoconn.cli import main
 from monoconn.graphs import (
     complete_graph,
@@ -99,7 +99,7 @@ class TestCompute:
             seen.append(g)
             return max_leaf_exact(g)
 
-        for module in (cli, solvers):
+        for module in (harness, solvers):
             monkeypatch.setattr(module, "max_leaf_exact", counted)
         code, out, _ = run_cli(capsys, "compute", to_graph6(graph), "--literal", "--invariant", invariant)
         assert code == 0 and len(seen) == calls
@@ -167,6 +167,18 @@ class TestConstructVerify:
         p.write_text("Dhc\n")
         code, out, _ = run_cli(capsys, "construct", "--family", "tree", "--graph", str(p))
         assert code == 0 and json.loads(out.strip())["colors"] == 4
+
+    @pytest.mark.parametrize("graph6,refusal", [
+        ("@", None), ("?", "has no vertices"), ("A?", "is disconnected"),
+    ], ids=["K_1", "order_zero", "disconnected"])
+    def test_construct_tree_edge_graphs(self, capsys, graph6, refusal):
+        code, out, err = run_cli(capsys, "construct", "--family", "tree", "--graph", graph6, "--literal")
+        if refusal is None:  # tmc(K_1) = 1: the one vertex's one color
+            rec = json.loads(out)
+            assert code == 0 and err == "" and rec["colors"] == 1
+            assert rec["coloring"] == {"vertex_colors": [0], "edge_colors": []}
+        else:
+            assert code == 2 and out == "" and err == f"error: graph {graph6!r} {refusal}\n"
 
     def test_construct_tree_past_guard_refused_fast(self, capsys):
         g6 = to_graph6(path_graph(20))

@@ -11,6 +11,7 @@ import networkx as nx
 
 from monoconn.graphs import (
     GraphFormatError,
+    _nbr,
     canonical_order,
     complement,
     complete_graph,
@@ -137,8 +138,24 @@ class TestStructure:
         assert diameter(complete_graph(6)) == 1
 
     def test_diameter_disconnected(self):
-        with pytest.raises(ValueError, match="disconnected"):
-            diameter(from_edge_list(3, [(0, 1)]))
+        for g in [
+            from_edge_list(2, []),                    # K_1 + K_1
+            from_edge_list(3, [(0, 1)]),              # K_2 + K_1
+            from_edge_list(4, [(0, 1), (1, 2)]),      # P_3 + K_1
+            from_edge_list(4, [(1, 2), (2, 3)]),      # K_1 + P_3: the first BFS stalls at once
+            from_edge_list(5, [(0, 1), (2, 3), (3, 4), (2, 4)]),  # K_2 + K_3
+        ]:
+            with pytest.raises(ValueError, match="disconnected"):
+                diameter(g)
+
+    @given(st.lists(st.integers(0, 2**12 - 1), max_size=12), st.integers(0, 2**12 - 1))
+    def test_nbr_is_the_union_of_rows(self, adj, mask):
+        mask &= (1 << len(adj)) - 1
+        union = 0
+        for v in range(len(adj)):
+            if mask >> v & 1:
+                union |= adj[v]
+        assert _nbr(adj, mask) == union
 
     def test_complement_k4(self):
         assert complement(complete_graph(4)).m == 0

@@ -1,6 +1,7 @@
 import json
 import time
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
@@ -46,7 +47,13 @@ from monoconn.harness import (
 )
 from monoconn.maxleaf import max_leaf_exact
 from conftest import random_connected, shuffled
-from oracles import k_connected_bf, petersen, relabel_report_reference, validate_system
+from oracles import (
+    k_connected_bf,
+    multipartite_sizes_reference,
+    petersen,
+    relabel_report_reference,
+    validate_system,
+)
 
 
 def _survey_samples(n, p, trials, seed):
@@ -74,6 +81,14 @@ class TestDetectors:
         assert multipartite_sizes(star_graph(5)) == [4, 1]
         assert multipartite_sizes(path_graph(4)) is None
         assert multipartite_sizes(petersen()) is None
+
+    def test_multipartite_sizes_match_reference(self):
+        # every labelled graph with n <= 6, disconnected ones and n = 0 included
+        for n in range(7):
+            pairs = list(combinations(range(n), 2))
+            for mask in range(1 << len(pairs)):
+                g = from_edge_list(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+                assert multipartite_sizes(g) == multipartite_sizes_reference(g), to_graph6(g)
 
 
 class TestDiameter2SizeBound:
