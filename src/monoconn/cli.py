@@ -1,7 +1,8 @@
 """Command-line interface: compute, verify, construct, check, survey, hunt.
 
 Output is JSON lines (one record per graph).  Exit status is 0 on success,
-1 when a corpus check produced a "violated" verdict, 2 on malformed input.
+1 when a corpus check produced a "violated" verdict, 2 on malformed input or
+an unreadable path.
 The MONO_MAX_EXACT_N environment variable overrides the exact-solver guard.
 """
 
@@ -90,12 +91,14 @@ def _emit(obj: dict) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
+SOLVERS = {"tmc": tmc_exact, "mc": mc_exact, "mvc": mvc_exact}
+
+
 def cmd_compute(args: argparse.Namespace) -> int:
     for g in _load_graphs(args.input, args.literal):
         _require_solvable(g)
         rec: dict = {"graph6": to_graph6(g), "n": g.n, "m": g.m}
-        wanted = ["l", "tmc", "mc", "mvc"] if args.invariant == "all" else [args.invariant]
-        ml = None  # l's max-leaf tree, shared with tmc and mvc
+        wanted = ["l", *SOLVERS] if args.invariant == "all" else [args.invariant]
         for inv in wanted:
             if inv == "l":
                 _guard_exact(g, "max_leaf_exact")
@@ -103,7 +106,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
                 if args.witness:
                     rec["l_tree"] = [list(e) for e in ml.tree] if ml else []
                 continue
-            rep = mc_exact(g) if inv == "mc" else {"tmc": tmc_exact, "mvc": mvc_exact}[inv](g, ml)
+            rep = SOLVERS[inv](g)
             rec[inv] = rep.value
             rec[f"{inv}_method"] = rep.method
             if args.witness:
@@ -251,10 +254,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphFormatError, FileNotFoundError, json.JSONDecodeError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (ValueError, SolverRangeError) as exc:
+    except (OSError, ValueError, SolverRangeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -152,7 +152,7 @@ def _first_gap(
     unc = 0
     for u in range(n - 1, -1, -1):
         row = full & ~adj[u] & -(2 << u)
-        if ecol is None:  # drop the pairs with a common neighbour
+        if ecol is None and row:  # drop the pairs with a common neighbour
             row &= ~_nbr(adj, adj[u])
         unc = unc << n | row
     if not unc:

@@ -8,6 +8,7 @@ graph sizes the exact solvers accept (n <= ~12).
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -270,9 +271,11 @@ def is_connected(g: Graph) -> bool:
     return _reach(g.adj, 0, full) == full
 
 
+@functools.lru_cache(maxsize=1)
 def diameter(g: Graph) -> int:
     """Maximum over vertex pairs of the shortest-path length; ValueError
-    when a BFS stalls short of every vertex."""
+    when a BFS stalls short of every vertex.  Only the last graph's value is
+    kept, which serves mvc and the checks that read it on one graph."""
     best = 0
     adj, full = g.adj, (1 << g.n) - 1
     for s in range(g.n):
@@ -535,16 +538,13 @@ class GraphConditionSet:
         return asdict(self)
 
 
-def tmc_identity_conditions(g: Graph, d: int | None = None) -> GraphConditionSet:
+def tmc_identity_conditions(g: Graph) -> GraphConditionSet:
     """Evaluate the five sufficient conditions for tmc = m - n + 2 + l(G)
-    (requires connected input and n > 3).  ``d`` is diameter(g) when the
-    caller already has it."""
+    (requires connected input and n > 3)."""
     if g.n <= 3:
         raise ValueError("theorem hypothesis requires n > 3")
     if not is_connected(g):
         raise ValueError("disconnected")
-    if d is None:
-        d = diameter(g)
     delta = max_degree(g)
     bound = Fraction(g.n) - Fraction(2 * g.m - 3 * (g.n - 1), g.n - 3)
     return GraphConditionSet(
@@ -552,7 +552,7 @@ def tmc_identity_conditions(g: Graph, d: int | None = None) -> GraphConditionSet
         complement_4_connected=g.n - 1 - delta >= 4 and vertex_connectivity(complement(g)) >= 4,
         triangle_free=is_triangle_free(g),
         degree_bound_holds=Fraction(delta) < bound,
-        diameter_ge_3=d >= 3,
+        diameter_ge_3=diameter(g) >= 3,
         has_cut_vertex=has_cut_vertex(g),
     )
 

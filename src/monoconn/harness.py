@@ -104,12 +104,11 @@ def multipartite_sizes(g: Graph) -> list[int] | None:
     return sorted(sizes, reverse=True) if sum(sizes) == g.n else None
 
 
-def diameter2_size_bound(g: Graph, d: int | None = None) -> tuple[str, int | None]:
+def diameter2_size_bound(g: Graph) -> tuple[str, int | None]:
     """Diameter-2 minimum-size check: with (n+1)/2 <= max degree <= n-2 the
-    edge count must reach a case bound selected by exact rational ranges.
-    ``d`` is diameter(g) when the caller already has it."""
+    edge count must reach a case bound selected by exact rational ranges."""
     n = g.n
-    if n < 2 or not is_connected(g) or (diameter(g) if d is None else d) != 2:
+    if n < 2 or not is_connected(g) or diameter(g) != 2:
         return NOT_APPLICABLE, None
     delta = max_degree(g)
     if not (Fraction(n + 1, 2) <= delta <= n - 2):
@@ -279,17 +278,17 @@ def _check_canonical(g: Graph) -> tuple[TheoremCheckRecord, dict[str, SolverRepo
     d = diameter(g)
     delta = max_degree(g)
     complete = g.is_complete()
-    l, q, ml = _leaf_stats(g)
-    rep_tmc = tmc_exact(g, ml)
+    l, q, _ = _leaf_stats(g)
+    rep_tmc = tmc_exact(g)
     rep_mc = mc_exact(g)
-    rep_mvc = mvc_exact(g, ml, d)
+    rep_mvc = mvc_exact(g)
     tmc, mc, mvc = rep_tmc.value, rep_mc.value, rep_mvc.value
     identity = m - n + 2 + l
 
-    conditions = tmc_identity_conditions(g, d) if n > 3 else None
+    conditions = tmc_identity_conditions(g) if n > 3 else None
     sizes = multipartite_sizes(g) or []
     r, t = len(sizes), sum(1 for s in sizes if s >= 2)
-    diameter2 = diameter2_size_bound(g, d)[0]
+    diameter2 = diameter2_size_bound(g)[0]
     table = (  # (key, hypothesis applies, conclusion holds), in CHECK_KEYS order
         ("tmc_lower_bound", True, tmc >= identity),
         ("identity_conditions", conditions is not None and conditions.any_holds(), tmc == identity),
@@ -384,8 +383,8 @@ def survey_random(n: int, p: float, trials: int, seed: int) -> SurveyRecord:
             rec.identity_confirmed += 1
             rec.mc_identity_confirmed += 1
         elif n <= limit:
-            l, _, ml = _leaf_stats(g)
-            if tmc_exact(g, ml).value == g.m - g.n + 2 + l:
+            l = _leaf_stats(g)[0]
+            if tmc_exact(g).value == g.m - g.n + 2 + l:
                 rec.identity_confirmed += 1
             else:
                 rec.identity_refuted += 1

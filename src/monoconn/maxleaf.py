@@ -12,6 +12,7 @@ the tests.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -81,8 +82,10 @@ def minimum_connected_dominating_set(g: Graph) -> int:
     raise ValueError("disconnected")
 
 
+@functools.lru_cache(maxsize=1)
 def max_leaf_exact(g: Graph) -> SpanningTreeResult:
-    """l(G) with a witness tree attaining it (connected input, n >= 2)."""
+    """l(G) with a witness tree attaining it (connected input, n >= 2); only
+    the last graph's result is kept, so l, tmc and mvc on one graph share it."""
     if g.n < 2:
         raise ValueError("max-leaf needs n >= 2")
     if not is_connected(g):

@@ -94,7 +94,8 @@ the common closed neighbourhood and connectivity.  They depend on G alone,
 and so do the mc candidates, since mc's incumbent is always a spanning
 tree of waste n - 2; one pass over the sets in increasing order builds
 them all (_table).  Only the last graph's tables are kept, so tmc, mc and
-mvc solved one after another on one graph build them once.  Pairs to cover
+mvc solved one after another on one graph build them once; max_leaf_exact
+and diameter keep their last graph's result the same way.  Pairs to cover
 are a mask over the same bits: every pair for tmc and mc, the pairs at
 distance >= 3 for mvc, whose covers are the shared ones masked to those.
 The masked pairs keep their lexicographic order, so branching and its ties
@@ -170,7 +171,7 @@ from .coloring import (
     verify_tmc,
 )
 from .graphs import Graph, _bits, _internal, diameter, is_connected
-from .maxleaf import SpanningTreeResult, _tree_from_cds, max_leaf_exact
+from .maxleaf import _tree_from_cds, max_leaf_exact
 
 Edge = tuple[int, int]
 
@@ -541,13 +542,12 @@ def _guard_exact(g: Graph, solver: str) -> None:
         )
 
 
-def tmc_exact(g: Graph, max_leaf: SpanningTreeResult | None = None) -> SolverReport:
+def tmc_exact(g: Graph) -> SolverReport:
     """Total monochromatic connection number with witness coloring.
 
     Minimum-waste search over covering systems of (S, I) candidates, seeded
     with the single maximum-leaf spanning tree (waste n - 2 + q(G), the
-    generic lower bound m - n + 2 + l(G) on the value).  ``max_leaf`` is
-    max_leaf_exact(g) when the caller already has it.
+    generic lower bound m - n + 2 + l(G) on the value).
     """
     if not is_connected(g):
         raise ValueError("disconnected")
@@ -559,7 +559,7 @@ def tmc_exact(g: Graph, max_leaf: SpanningTreeResult | None = None) -> SolverRep
             witness_system=TreeSystem(trees=()),
         )
     _guard_exact(g, "tmc_exact")
-    ml = max_leaf if max_leaf is not None else max_leaf_exact(g)
+    ml = max_leaf_exact(g)
     best, picks, nodes = _search(g, "tmc", _pair_mask(g), g.n - 2 + ml.internal_count)
     # nothing beat the max-leaf tree: its internal set rebuilds it
     system = _system(g, [(ml.internal, (1 << g.n) - 1)] if picks is None else picks)
@@ -595,30 +595,25 @@ def mc_exact(g: Graph) -> SolverReport:
     )
 
 
-def mvc_exact(
-    g: Graph, max_leaf: SpanningTreeResult | None = None, d: int | None = None
-) -> SolverReport:
+def mvc_exact(g: Graph) -> SolverReport:
     """Monochromatic vertex connection number with witness coloring.
 
     Diameter <= 2 gives mvc = n outright.  Otherwise the same search over
     connected sets I of waste |I| - 1 covering the pairs at distance >= 3,
     seeded with the internal set of a maximum-leaf spanning tree (waste
     q(G) - 1, the lower bound l(G) + 1 on the value).  Each picked I is one
-    color class and every other vertex gets a fresh color.  ``max_leaf`` is
-    max_leaf_exact(g) and ``d`` is diameter(g) when the caller already has
-    them.
+    color class and every other vertex gets a fresh color.
     """
     if not is_connected(g):
         raise ValueError("disconnected")
-    if d is None:
-        d = diameter(g)
+    d = diameter(g)
     if d <= 2:
         return SolverReport(
             value=g.n, witness=_fill(g, "mvc", []), nodes_explored=0, method="shortcut",
             bounds_used={"value_upper": g.n},
         )
     _guard_exact(g, "mvc_exact")
-    ml = max_leaf if max_leaf is not None else max_leaf_exact(g)
+    ml = max_leaf_exact(g)
     far = sum(1 << j for j, (u, v) in enumerate(g.nonadjacent_pairs()) if not g.adj[u] & g.adj[v])
     best, picks, nodes = _search(g, "mvc", far, ml.internal_count - 1)
     classes = [ml.internal] if picks is None else [inner for inner, _ in picks]

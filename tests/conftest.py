@@ -44,16 +44,35 @@ def small_connected_pool():
 
 
 @pytest.fixture
-def table_builds(monkeypatch):
-    """The graphs whose solver tables get built, in order, through a fresh
-    cache of the same size as the solvers' own."""
-    built = []
-    build = solvers._table.__wrapped__
-    size = solvers._table.cache_info().maxsize
+def computations(monkeypatch):
+    """computations(producer) -> the graphs that the lru_cache'd
+    ``producer`` computes for, in order, cache hits left out.  Its
+    ``__wrapped__`` goes into one fresh cache of the same size, installed
+    under every monoconn module that imports the producer."""
 
-    def counted(g):
-        built.append(g)
-        return build(g)
+    def install(producer):
+        seen = []
+        compute = producer.__wrapped__
 
-    monkeypatch.setattr(solvers, "_table", functools.lru_cache(maxsize=size)(counted))
-    return built
+        def counted(g):
+            seen.append(g)
+            return compute(g)
+
+        fresh = functools.lru_cache(maxsize=producer.cache_info().maxsize)(counted)
+        name = compute.__name__
+        modules = [
+            mod for key, mod in list(sys.modules.items())
+            if key.split(".")[0] == "monoconn" and getattr(mod, name, None) is producer
+        ]
+        assert modules, f"no module imports {name}"
+        for mod in modules:
+            monkeypatch.setattr(mod, name, fresh)
+        return seen
+
+    return install
+
+
+@pytest.fixture
+def table_builds(computations):
+    """The graphs whose solver tables get built, in order."""
+    return computations(solvers._table)

@@ -4,7 +4,7 @@ import weakref
 
 import pytest
 
-from monoconn import cli, harness, solvers
+from monoconn import cli
 from monoconn.cli import main
 from monoconn.graphs import (
     complete_graph,
@@ -92,30 +92,16 @@ class TestCompute:
             (complete_graph(5), "all", 1),    # only l needs it
         ],
     )
-    def test_max_leaf_once_and_only_when_needed(self, capsys, monkeypatch, graph, invariant, calls):
-        seen = []
-
-        def counted(g):
-            seen.append(g)
-            return max_leaf_exact(g)
-
-        for module in (harness, solvers):
-            monkeypatch.setattr(module, "max_leaf_exact", counted)
+    def test_max_leaf_once_and_only_when_needed(self, capsys, computations, graph, invariant, calls):
+        seen = computations(max_leaf_exact)
         code, out, _ = run_cli(capsys, "compute", to_graph6(graph), "--literal", "--invariant", invariant)
         assert code == 0 and len(seen) == calls
         if invariant == "all":
             assert json.loads(out)["l"] == max_leaf_exact(graph).leaf_count
 
     @pytest.mark.parametrize("invariant", ["mvc", "all"])
-    def test_diameter_once_per_graph(self, tmp_path, capsys, monkeypatch, invariant):
-        seen = []
-
-        def counted(g):
-            seen.append(g)
-            return diameter(g)
-
-        for module in (cli, solvers):
-            monkeypatch.setattr(module, "diameter", counted, raising=False)
+    def test_diameter_once_per_graph(self, tmp_path, capsys, computations, invariant):
+        seen = computations(diameter)
         p = tmp_path / "graphs.g6"
         p.write_text(f"{to_graph6(path_graph(6))}\n{to_graph6(cycle_graph(7))}\n")
         code, out, _ = run_cli(capsys, "compute", str(p), "--invariant", invariant)
@@ -304,6 +290,17 @@ def test_unsolvable_graph_refused_by_name(tmp_path, capsys, command, graph6, rea
     # K_4 before it went through; a hunt finds nothing on it
     written = [json.loads(line)["graph6"] for line in out.splitlines()]
     assert written == ([] if command.startswith("hunt") else ["C~"])
+
+
+@pytest.mark.parametrize("command", [
+    "compute {dir}",
+    "verify Dhc --literal --coloring {dir}",
+    "check --corpus builtin:3 --csv {dir}",
+])
+def test_unreadable_path_exits_2(tmp_path, capsys, command):
+    code, _, err = run_cli(capsys, *command.format(dir=tmp_path).split())
+    assert code == 2 and err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 class TestSurveyHunt:

@@ -266,6 +266,9 @@ class TestIdentityConditions:
         assert c.triangle_free and c.diameter_ge_3 and c.has_cut_vertex
         assert not c.complement_4_connected
 
+    def test_c8_diameter_ge_3(self):
+        assert tmc_identity_conditions(cycle_graph(8)).diameter_ge_3
+
     def test_k5_all_false(self):
         c = tmc_identity_conditions(complete_graph(5))
         assert not c.any_holds()

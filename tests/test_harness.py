@@ -175,20 +175,12 @@ class TestCheckAll:
         rec = check_all(cycle_graph(6))
         assert set(rec.verdicts) == set(CHECK_KEYS)
 
-    def test_one_diameter_per_graph(self, monkeypatch):
+    def test_one_diameter_per_graph(self, monkeypatch, computations):
         # one per isomorphism class, on its canonical relabelling: the
         # identity conditions, the diameter-2 bound and mvc reuse it, and a
         # relabelled repeat reuses the class's result
         monkeypatch.setattr(harness, "_memo", {})
-        seen = []
-        real = graphs.diameter
-
-        def counted(g):
-            seen.append(g)
-            return real(g)
-
-        for module in (graphs, harness, solvers):
-            monkeypatch.setattr(module, "diameter", counted)
+        seen = computations(graphs.diameter)
         cases = [path_graph(6), cycle_graph(7), complete_multipartite_graph([3, 2])]
         for g in cases:
             check_all(g)
@@ -337,6 +329,11 @@ class TestSurvey:
         assert rec.identity_undecided == 0
         assert rec.identity_confirmed + rec.identity_refuted == rec.connected_samples
 
+    def test_one_max_leaf_per_solved_sample(self, computations):
+        seen = computations(max_leaf_exact)
+        rec = survey_random(7, 0.5, 25, 5)
+        assert len(seen) == rec.connected_samples - rec.complement_4_connected > 0
+
     def test_out_of_range_uses_certificate(self):
         rec = survey_random(12, 0.5, 20, 9)
         assert rec.identity_confirmed == rec.complement_4_connected
@@ -437,16 +434,9 @@ class TestHunts:
     def test_conjecture_hunt_named_graphs(self):
         assert hunt_tmc_le_mc([complete_graph(4), wheel_graph(6), cycle_graph(5)]) == []
 
-    def test_one_max_leaf_per_graph(self, monkeypatch):
+    def test_one_max_leaf_per_graph(self, monkeypatch, computations):
         monkeypatch.setattr(harness, "_memo", {})
-        seen = []
-
-        def counted(g):
-            seen.append(g)
-            return max_leaf_exact(g)
-
-        for module in (harness, solvers):
-            monkeypatch.setattr(module, "max_leaf_exact", counted)
+        seen = computations(max_leaf_exact)
         graphs = [path_graph(6), cycle_graph(7), wheel_graph(7)]
         canonical = [relabel(g, canonical_order(g)[1]) for g in graphs]
         # the hunt and check_all each solve a class once, on its canonical

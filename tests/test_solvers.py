@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import inspect
 import itertools
 import json
 import time
@@ -8,6 +9,7 @@ import networkx as nx
 import pytest
 
 from monoconn.coloring import coloring_to_json, verify_mc, verify_mvc, verify_tmc
+from monoconn.harness import diameter2_size_bound
 from monoconn.graphs import (
     complete_graph,
     complete_multipartite_graph,
@@ -21,9 +23,10 @@ from monoconn.graphs import (
     path_graph,
     random_gnp,
     star_graph,
+    tmc_identity_conditions,
     wheel_graph,
 )
-from monoconn import solvers
+from monoconn import maxleaf, solvers
 from monoconn.maxleaf import max_leaf_exact
 from monoconn.solvers import (
     SolverRangeError,
@@ -282,12 +285,6 @@ class TestMvcExact:
         monkeypatch.setenv("MONO_MAX_EXACT_N", "10")
         assert mvc_exact(cycle_graph(10)).value == 3
 
-    def test_precomputed_max_leaf_changes_nothing(self):
-        for seed in range(10):
-            g = random_connected(7, seed + 101, p=0.3)
-            a, b = mvc_exact(g), mvc_exact(g, max_leaf_exact(g))
-            assert a.value == b.value and a.witness == b.witness
-
 
 class TestRelations:
     def test_sum_bound_and_equality_iff_complete(self):
@@ -348,12 +345,6 @@ class TestTreeSystemReference:
             g = random_connected(8, seed + 83, p=(0.7, 0.85)[seed % 2])
             assert tmc_exact(g).value == tree_system_reference(g, total=True), g.edges
             assert mc_exact(g).value == tree_system_reference(g, total=False), g.edges
-
-    def test_precomputed_max_leaf_changes_nothing(self):
-        for seed in range(10):
-            g = random_connected(6, seed + 73)
-            a, b = tmc_exact(g), tmc_exact(g, max_leaf_exact(g))
-            assert a.value == b.value and a.witness == b.witness
 
 
 class TestCandidates:
@@ -449,6 +440,29 @@ class TestSharedTable:
         tmc_exact(g)  # only the last graph's tables are kept
         assert table_builds == [g, h, g]
         assert solvers._table.cache_info().currsize == 1
+
+    def test_max_leaf_then_tmc_and_mvc_compute_max_leaf_once(self, computations):
+        seen = computations(max_leaf_exact)
+        g = cycle_graph(7)
+        maxleaf.max_leaf_exact(g)
+        tmc_exact(g)
+        mvc_exact(g)
+        assert seen == [g]
+
+    def test_solvers_take_only_the_graph(self):
+        # the max-leaf tree and the diameter are computed inside, never handed in
+        for fn in (tmc_exact, mvc_exact, tmc_identity_conditions, diameter2_size_bound):
+            assert list(inspect.signature(fn).parameters) == ["g"], fn.__name__
+
+    def test_another_graphs_cached_results_change_nothing(self):
+        g = path_graph(5)
+        max_leaf_exact(star_graph(5))
+        diameter(cycle_graph(8))
+        got = [tmc_exact(g), mvc_exact(g)]
+        for producer in (max_leaf_exact, diameter, solvers._table):
+            producer.cache_clear()
+        assert got == [tmc_exact(g), mvc_exact(g)]
+        assert all(reverify(g, rep) for rep in got)
 
     def test_table_matches_definitions(self):
         g = random_connected(7, 5, p=0.5)
