@@ -9,6 +9,7 @@ The MONO_MAX_EXACT_N environment variable overrides the exact-solver guard.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from typing import Iterable, Iterator
@@ -61,12 +62,15 @@ def _load_graphs(spec: str, literal: bool) -> Iterator[Graph]:
 
     Files whose first line looks like an 'n m' header parse as a single
     edge-list graph; anything else parses as graph6, one graph per line.
+    Blank lines and '#' comments, which no graph6 line starts with, are
+    skipped when telling the two apart.
     """
     if literal:
         yield parse_graph6(spec)
         return
     text = _read_text(spec)
-    first = next((ln for ln in text.splitlines() if ln.strip()), "")
+    lines = (ln.strip() for ln in text.splitlines())
+    first = next((ln for ln in lines if ln and not ln.startswith("#")), "")
     parts = first.split()
     if len(parts) == 2 and all(p.lstrip("-").isdigit() for p in parts):
         yield parse_edgelist(text)
@@ -145,7 +149,10 @@ def cmd_construct(args: argparse.Namespace) -> int:
     elif args.family == "complete":
         g, tc = complete_tmc_coloring(args.order)
     elif args.family == "multipartite":
-        sizes = [int(s) for s in args.sizes.split(",")]
+        try:
+            sizes = [int(s) for s in args.sizes.split(",")]
+        except ValueError:
+            raise ValueError(f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
         g, tc = multipartite_tmc_coloring(sizes)
     else:  # tree
         graphs = list(_load_graphs(args.graph, args.literal))
@@ -170,16 +177,17 @@ def cmd_construct(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     checked = violations = 0
     records = [] if args.csv else None  # kept only for the CSV report
-    for g in _corpus(args.corpus):
-        rec = check_all(g)
-        checked += 1
+    # open the report first, so an unwritable path is refused before the sweep
+    with open(args.csv, "w", encoding="ascii") if args.csv else contextlib.nullcontext() as fh:
+        for g in _corpus(args.corpus):
+            rec = check_all(g)
+            checked += 1
+            if records is not None:
+                records.append(rec)
+            if rec.violated():
+                violations += 1
+            sys.stdout.write(rec.to_json() + "\n")
         if records is not None:
-            records.append(rec)
-        if rec.violated():
-            violations += 1
-        sys.stdout.write(rec.to_json() + "\n")
-    if records is not None:
-        with open(args.csv, "w", encoding="ascii") as fh:
             fh.write(records_to_csv(records))
     sys.stderr.write(f"checked {checked} graphs, {violations} with violated verdicts\n")
     return 1 if violations else 0

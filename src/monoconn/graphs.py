@@ -211,10 +211,11 @@ def parse_edgelist(text: str) -> Graph:
         raise GraphFormatError(f"edge-list header must be 'n m', got {lines[0]!r}") from exc
     pairs = []
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise GraphFormatError(f"edge line must be 'u v', got {ln!r}")
-        pairs.append((int(parts[0]), int(parts[1])))
+        try:
+            u, v = map(int, ln.split())
+        except ValueError:
+            raise GraphFormatError(f"edge line must be 'u v', got {ln!r}") from None
+        pairs.append((u, v))
     if len(pairs) != m:
         raise GraphFormatError(f"edge-list declares m={m} but has {len(pairs)} edge lines")
     try:

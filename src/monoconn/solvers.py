@@ -112,14 +112,14 @@ with sum w_i <= b (an unbounded knapsack), and need[u] the least b with
 reach[b] >= u.  Candidates c_1..c_k that cover u pairs between them satisfy
 u <= sum |cover(c_i)| <= sum most[w_i] <= reach[sum w_i], so they cost at
 least need[u].  A node with u uncovered pairs therefore needs at least
-need[u] more waste, beside the cheapest candidate of each uncovered pair.
-The bound holds for every variant, since it uses only what this graph's
-candidates cover; values of b at or past the incumbent's waste prune
-anyway, so the table stops there.  The root's bound, need[all pairs] beside
-the dearest cheapest candidate of a pair, is checked before the per-pair
-candidate lists are built; when it already proves the incumbent the search
-ends there with the one root node it would have counted anyway, so node
-counts are the same as when the root goes through the branch step.
+need[u] more waste, and it is tested before the node picks its branching
+pair.  The bound holds for every variant, since it uses only what this
+graph's candidates cover; values of b at or past the incumbent's waste
+prune anyway, so the table stops there.  The root's bound, need[all pairs],
+is checked before the per-pair candidate lists are built; when it already
+proves the incumbent the search ends there with the one root node it would
+have counted anyway, so node counts are the same as when the root goes
+through the branch step.
 
 mvc.  A vertex coloring joins u and v when some u-v path has all its inner
 vertices in one color.  Pairs at distance <= 2 always are, so only the pairs
@@ -134,9 +134,8 @@ cover search, with candidates (|I| - 1, no edges, I) and disjoint I, each
 covering the pairs of cover[N[I]] at distance >= 3.  The
 incumbent is the internal set of a max-leaf tree, a connected dominating
 set of q vertices; its waste q - 1 gives the known bound mvc >= l + 1.
-At the root, a diametral pair needs an I holding a path between the
-neighbourhoods of its ends, so its cheapest candidate already gives the
-bound d - 2 (mvc <= n - d + 2).
+A diametral pair needs an I holding a path between the neighbourhoods of
+its ends, so every cover costs at least d - 2 (mvc <= n - d + 2).
 
 Bounds.  Each report's bounds_used brackets its own value:
 m - n + 2 + l <= tmc <= m + n, m - n + 2 <= mc <= m and
@@ -432,36 +431,21 @@ def _solve_cover(
     the incumbent upper bound, nodes explored).
     """
     npairs = pairs.bit_count()
-    # pair k is bit k of the masks; only the bits of ``pairs`` are ever read
-    width = pairs.bit_length()
-    # the root's bound first: each pair's cheapest candidate is the first in
-    # the sorted list to cover it, and the last pair reached has the dearest
-    min_w = [0] * width
-    seen = top = 0
-    for w, _, _, _, cov in cands:
-        new = cov & ~seen
-        if new:
-            for k in _bits(new):
-                min_w[k] = w
-            seen |= new
-            if seen == pairs:
-                top = w
-                break
+    seen = 0
+    for _, _, _, _, cov in cands:
+        seen |= cov
     if seen != pairs:
         # some pair cannot be covered within the cap: incumbent is optimal
         return ub_waste, None, 0
     need = _count_lb_table(cands, npairs, ub_waste)
-    if max(need[npairs], top) >= ub_waste:
+    if need[npairs] >= ub_waste:
         return ub_waste, None, 1  # the root node's own bound proves it
-    by_pair: list[list[int]] = [[] for _ in range(width)]
+    # pair k is bit k of the masks; only the bits of ``pairs`` are ever read
+    by_pair: list[list[int]] = [[] for _ in range(pairs.bit_length())]
     for ci, (_, _, _, _, cov) in enumerate(cands):
-        cc = cov
-        while cc:
-            b = cc & -cc
-            by_pair[b.bit_length() - 1].append(ci)
-            cc ^= b
+        for k in _bits(cov):
+            by_pair[k].append(ci)
     count = [len(lst) for lst in by_pair]
-    most = len(cands) + 1
     best = ub_waste
     best_pick: list[int] | None = None
     nodes = 0
@@ -475,22 +459,10 @@ def _solve_cover(
                 best = waste
                 best_pick = pick.copy()
             return
-        lb = need[unc.bit_count()]
-        # branch on the uncovered pair with the fewest candidates
-        j, fewest = -1, most
-        cc = unc
-        while cc:
-            b = cc & -cc
-            k = b.bit_length() - 1
-            w = min_w[k]
-            if w > lb:
-                lb = w
-            if count[k] < fewest:
-                j, fewest = k, count[k]
-            cc ^= b
-        if waste + lb >= best:
+        if waste + need[unc.bit_count()] >= best:
             return
-        for ci in by_pair[j]:
+        # branch on the uncovered pair with the fewest candidates
+        for ci in by_pair[min(_bits(unc), key=count.__getitem__)]:
             w, em, im, _, cov = cands[ci]
             if waste + w >= best:
                 break

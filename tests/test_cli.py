@@ -44,6 +44,13 @@ class TestCompute:
         assert code == 0
         assert json.loads(out.strip())["mc"] == 7
 
+    def test_edgelist_file_with_leading_comment(self, tmp_path, capsys):
+        p = tmp_path / "triangle.txt"
+        p.write_text("# triangle\n3 3\n0 1\n1 2\n0 2\n")
+        code, out, err = run_cli(capsys, "compute", str(p), "--invariant", "tmc")
+        rec = json.loads(out)
+        assert code == 0 and err == "" and (rec["n"], rec["m"], rec["tmc"]) == (3, 3, 6)
+
     def test_graph6_file_multiple(self, tmp_path, capsys):
         p = tmp_path / "graphs.g6"
         p.write_text(">>graph6<<\nDhc\nC~\n")  # C_5 and K_4
@@ -143,6 +150,11 @@ class TestConstructVerify:
         code, out, _ = run_cli(capsys, "construct", "--family", "multipartite", "--sizes", "2,1,1")
         rec = json.loads(out.strip())
         assert code == 0 and rec["colors"] == 7
+
+    def test_construct_multipartite_bad_sizes_named(self, capsys):
+        code, out, err = run_cli(capsys, "construct", "--family", "multipartite", "--sizes", "3,x")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--sizes" in err and "'3,x'" in err
 
     def test_construct_complete(self, capsys):
         code, out, _ = run_cli(capsys, "construct", "--family", "complete", "--order", "4")
@@ -298,8 +310,10 @@ def test_unsolvable_graph_refused_by_name(tmp_path, capsys, command, graph6, rea
     "check --corpus builtin:3 --csv {dir}",
 ])
 def test_unreadable_path_exits_2(tmp_path, capsys, command):
-    code, _, err = run_cli(capsys, *command.format(dir=tmp_path).split())
-    assert code == 2 and err.startswith("error:") and err.count("\n") == 1
+    # check refuses its --csv path before the sweep writes any record
+    code, out, err = run_cli(capsys, *command.format(dir=tmp_path).split())
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
 
 

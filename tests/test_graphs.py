@@ -130,6 +130,11 @@ class TestEdgeList:
         with pytest.raises(GraphFormatError):
             parse_edgelist("3 2\n0 1\n")
 
+    @pytest.mark.parametrize("line", ["1 x", "0 1 2", "1.0 2"])
+    def test_bad_edge_line_named(self, line):
+        with pytest.raises(GraphFormatError, match=f"^edge line must be 'u v', got '{line}'$"):
+            parse_edgelist(f"3 1\n{line}\n")
+
 
 class TestStructure:
     def test_diameter(self):

@@ -656,3 +656,14 @@ def test_reports_match_golden_witness_digest():
             h.update((json.dumps(row, sort_keys=True) + "\n").encode())
     assert len(graphs) == 792
     assert h.hexdigest() == WITNESS_DIGEST
+
+
+def test_node_counts_pinned_past_the_digest(monkeypatch):
+    # the digest stops at n = 8; this dense n = 12 graph runs the search
+    # deep enough that a change to its pruning moves the node counts
+    monkeypatch.setenv("MONO_MAX_EXACT_N", "12")
+    g = random_gnp(12, 0.8, 1)
+    tmc, mc = tmc_exact(g), mc_exact(g)
+    assert (tmc.value, tmc.nodes_explored) == (54, 6_574)
+    assert (mc.value, mc.nodes_explored) == (46, 88_913)
+    assert reverify(g, tmc) and reverify(g, mc)
