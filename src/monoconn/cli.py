@@ -12,7 +12,7 @@ import argparse
 import contextlib
 import json
 import sys
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .coloring import (
     EdgeColoring,
@@ -33,20 +33,19 @@ from .constructions import (
 from .graphs import (
     Graph,
     GraphFormatError,
-    iter_graph6_lines,
-    parse_edgelist,
     parse_graph6,
+    parse_graphs,
     to_graph6,
 )
 from .harness import (
     HUNT_TARGETS,
-    _leaf_stats,
     _require_solvable,
     builtin_corpus,
     check_all,
     records_to_csv,
     survey_random,
 )
+from .maxleaf import max_leaf_exact
 from .solvers import SolverRangeError, _guard_exact, mc_exact, mvc_exact, tmc_exact
 
 
@@ -57,25 +56,10 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _load_graphs(spec: str, literal: bool) -> Iterator[Graph]:
-    """Load one or more graphs from a path, '-', or a literal graph6 string.
-
-    Files whose first line looks like an 'n m' header parse as a single
-    edge-list graph; anything else parses as graph6, one graph per line.
-    Blank lines and '#' comments, which no graph6 line starts with, are
-    skipped when telling the two apart.
-    """
-    if literal:
-        yield parse_graph6(spec)
-        return
-    text = _read_text(spec)
-    lines = (ln.strip() for ln in text.splitlines())
-    first = next((ln for ln in lines if ln and not ln.startswith("#")), "")
-    parts = first.split()
-    if len(parts) == 2 and all(p.lstrip("-").isdigit() for p in parts):
-        yield parse_edgelist(text)
-        return
-    yield from iter_graph6_lines(text.splitlines())
+def _load_graphs(spec: str, literal: bool) -> Iterable[Graph]:
+    """The graphs of a path or '-' (``graphs.parse_graphs``), or the one
+    literal graph6 string."""
+    return [parse_graph6(spec)] if literal else parse_graphs(_read_text(spec))
 
 
 def _corpus(spec: str) -> Iterable[Graph]:
@@ -106,9 +90,10 @@ def cmd_compute(args: argparse.Namespace) -> int:
         for inv in wanted:
             if inv == "l":
                 _guard_exact(g, "max_leaf_exact")
-                rec["l"], _, ml = _leaf_stats(g)
+                ml = max_leaf_exact(g)
+                rec["l"] = ml.leaf_count
                 if args.witness:
-                    rec["l_tree"] = [list(e) for e in ml.tree] if ml else []
+                    rec["l_tree"] = [list(e) for e in ml.tree]
                 continue
             rep = SOLVERS[inv](g)
             rec[inv] = rep.value
@@ -177,8 +162,9 @@ def cmd_construct(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     checked = violations = 0
     records = [] if args.csv else None  # kept only for the CSV report
-    # open the report first, so an unwritable path is refused before the sweep
-    with open(args.csv, "w", encoding="ascii") if args.csv else contextlib.nullcontext() as fh:
+    # open the report first, so an unwritable path is refused before the sweep,
+    # but empty it only once the sweep has finished
+    with open(args.csv, "a", encoding="ascii") if args.csv else contextlib.nullcontext() as fh:
         for g in _corpus(args.corpus):
             rec = check_all(g)
             checked += 1
@@ -188,6 +174,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                 violations += 1
             sys.stdout.write(rec.to_json() + "\n")
         if records is not None:
+            fh.truncate(0)
             fh.write(records_to_csv(records))
     sys.stderr.write(f"checked {checked} graphs, {violations} with violated verdicts\n")
     return 1 if violations else 0

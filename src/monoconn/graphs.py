@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -185,21 +184,32 @@ def to_graph6(g: Graph) -> str:
     return head + "".join(chars)
 
 
-def iter_graph6_lines(lines: Iterable[str]) -> Iterator[Graph]:
-    """Parse a stream of graph6 lines, skipping blanks and headers."""
+# ---------------------------------------------------------------------------
+# Graph text: an edge list (first line "n m", then one "u v" line per edge)
+# or graph6 lines, one graph each; blank lines and '#' comments are skipped.
+# ---------------------------------------------------------------------------
+
+def _content_lines(text: str) -> list[str]:
+    """The stripped lines of a graph text, without blanks and '#' comments."""
+    return [ln for ln in (s.strip() for s in text.splitlines()) if ln and not ln.startswith("#")]
+
+
+def parse_graphs(text: str) -> Iterator[Graph]:
+    """Every graph in a graph text: one edge-list graph when the first line
+    is an 'n m' header, else one graph per graph6 line ('>>graph6<<' lines
+    skipped).  No graph6 line starts with '#' or holds a space."""
+    lines = _content_lines(text)
+    head = lines[0].split() if lines else []
+    if len(head) == 2 and all(p.lstrip("-").isdigit() for p in head):
+        yield parse_edgelist(text)
+        return
     for line in lines:
-        line = line.strip()
-        if not line or line == GRAPH6_HEADER:
-            continue
-        yield parse_graph6(line)
+        if line != GRAPH6_HEADER:
+            yield parse_graph6(line)
 
-
-# ---------------------------------------------------------------------------
-# Edge-list text format: first line "n m", then one "u v" line per edge.
-# ---------------------------------------------------------------------------
 
 def parse_edgelist(text: str) -> Graph:
-    lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln and not ln.startswith("#")]
+    lines = _content_lines(text)
     if not lines:
         raise GraphFormatError("empty edge-list input")
     head = lines[0].split()
@@ -390,8 +400,6 @@ def vertex_connectivity(g: Graph) -> int:
     n, adj = g.n, g.adj
     if n <= 1 or not is_connected(g):
         return 0
-    if g.is_complete():
-        return n - 1
     degs = g.degrees()
     best = min(degs)
     v = degs.index(best)
@@ -522,8 +530,9 @@ def canonical_order(g: Graph) -> tuple[int, tuple[int, ...]]:
 class GraphConditionSet:
     """The five sufficient conditions under which tmc(G) = m - n + 2 + l(G).
 
-    ``degree_bound_holds`` is the exact rational comparison
-    max_degree < n - (2m - 3(n-1)) / (n-3); boundary cases are excluded.
+    ``degree_bound_holds`` is max_degree < n - (2m - 3(n-1)) / (n-3),
+    compared exactly in integers after multiplying through by n - 3 > 0;
+    boundary cases are excluded.
     """
 
     complement_4_connected: bool
@@ -546,13 +555,12 @@ def tmc_identity_conditions(g: Graph) -> GraphConditionSet:
         raise ValueError("theorem hypothesis requires n > 3")
     if not is_connected(g):
         raise ValueError("disconnected")
-    delta = max_degree(g)
-    bound = Fraction(g.n) - Fraction(2 * g.m - 3 * (g.n - 1), g.n - 3)
+    n, m, delta = g.n, g.m, max_degree(g)
     return GraphConditionSet(
         # kappa <= delta: a complement of minimum degree < 4 is never 4-connected
-        complement_4_connected=g.n - 1 - delta >= 4 and vertex_connectivity(complement(g)) >= 4,
+        complement_4_connected=n - 1 - delta >= 4 and vertex_connectivity(complement(g)) >= 4,
         triangle_free=is_triangle_free(g),
-        degree_bound_holds=Fraction(delta) < bound,
+        degree_bound_holds=delta * (n - 3) < n * (n - 3) - 2 * m + 3 * (n - 1),
         diameter_ge_3=diameter(g) >= 3,
         has_cut_vertex=has_cut_vertex(g),
     )
@@ -602,18 +610,9 @@ def complete_multipartite_graph(sizes: Sequence[int]) -> Graph:
         raise ValueError("complete multipartite needs r >= 2 classes")
     if any(s < 1 for s in sizes):
         raise ValueError("class sizes must be positive")
-    sizes = sorted(sizes, reverse=True)
-    n = sum(sizes)
-    cls = []
-    start = 0
-    for s in sizes:
-        cls.append(list(range(start, start + s)))
-        start += s
-    pairs = []
-    for i in range(len(cls)):
-        for j in range(i + 1, len(cls)):
-            pairs.extend((u, v) for u in cls[i] for v in cls[j])
-    return from_edge_list(n, pairs)
+    part = [i for i, s in enumerate(sorted(sizes, reverse=True)) for _ in range(s)]
+    n = len(part)
+    return from_edge_list(n, [(u, v) for u, v in combinations(range(n), 2) if part[u] != part[v]])
 
 
 def random_gnp(n: int, p: float, seed: int) -> Graph:

@@ -77,19 +77,13 @@ def is_star(g: Graph) -> bool:
 
 def wheel_order(g: Graph) -> int | None:
     """Order of g when it is a wheel on >= 5 vertices, else None."""
-    n = g.n
-    if n < 5 or g.m != 2 * (n - 1):
+    n, degs = g.n, g.degrees()
+    if n < 5 or sorted(degs) != [3] * (n - 1) + [n - 1]:
         return None
-    hubs = [v for v in range(n) if g.degree(v) == n - 1]
-    if len(hubs) != 1:
-        return None
-    hub = hubs[0]
-    rim = [v for v in range(n) if v != hub]
-    if any(g.degree(v) != 3 for v in rim):
-        return None
-    # rim must induce a single cycle: 2-regular and connected
+    # the rim is then 2-regular, so it is one cycle exactly when connected
+    hub = degs.index(n - 1)
     rim_mask = ((1 << n) - 1) & ~(1 << hub)
-    return n if _reach(g.adj, rim[0], rim_mask) == rim_mask else None
+    return n if _reach(g.adj, (hub + 1) % n, rim_mask) == rim_mask else None
 
 
 def multipartite_sizes(g: Graph) -> list[int] | None:
@@ -154,15 +148,6 @@ class TheoremCheckRecord:
     @classmethod
     def from_json(cls, text: str) -> "TheoremCheckRecord":
         return cls(**json.loads(text))
-
-
-def _leaf_stats(g: Graph):
-    """(l, q, max_leaf_exact(g)) with the n = 1 convention l = 0, q = 1 and
-    no tree."""
-    if g.n == 1:
-        return 0, 1, None
-    ml = max_leaf_exact(g)
-    return ml.leaf_count, ml.internal_count, ml
 
 
 def check_all(g: Graph) -> TheoremCheckRecord:
@@ -278,7 +263,8 @@ def _check_canonical(g: Graph) -> tuple[TheoremCheckRecord, dict[str, SolverRepo
     d = diameter(g)
     delta = max_degree(g)
     complete = g.is_complete()
-    l, q, _ = _leaf_stats(g)
+    ml = max_leaf_exact(g)
+    l, q = ml.leaf_count, ml.internal_count
     rep_tmc = tmc_exact(g)
     rep_mc = mc_exact(g)
     rep_mvc = mvc_exact(g)
@@ -383,7 +369,7 @@ def survey_random(n: int, p: float, trials: int, seed: int) -> SurveyRecord:
             rec.identity_confirmed += 1
             rec.mc_identity_confirmed += 1
         elif n <= limit:
-            l = _leaf_stats(g)[0]
+            l = max_leaf_exact(g).leaf_count
             if tmc_exact(g).value == g.m - g.n + 2 + l:
                 rec.identity_confirmed += 1
             else:

@@ -22,7 +22,8 @@ from .graphs import Graph, _bits, _internal, _reach, is_connected
 @dataclass(frozen=True)
 class SpanningTreeResult:
     """A spanning tree and ``internal``, the bitmask of its internal
-    vertices (degree >= 2), a connected dominating set when n >= 3."""
+    vertices (degree >= 2), a connected dominating set when n >= 3.  K_1's
+    tree has no edge and its one vertex is internal, so l = 0 and q = 1."""
 
     tree: tuple[tuple[int, int], ...]
     internal: int
@@ -63,7 +64,7 @@ def _tree_from_cds(g: Graph, cds_mask: int, span_mask: int) -> list[tuple[int, i
 
 
 def minimum_connected_dominating_set(g: Graph) -> int:
-    """Bitmask of a minimum connected dominating set (n >= 3, connected).
+    """Bitmask of a minimum connected dominating set (connected, n >= 1).
 
     Enumerates vertex sets by size, each size in lexicographic order, and
     returns the first one that dominates and is connected.
@@ -84,14 +85,13 @@ def minimum_connected_dominating_set(g: Graph) -> int:
 
 @functools.lru_cache(maxsize=1)
 def max_leaf_exact(g: Graph) -> SpanningTreeResult:
-    """l(G) with a witness tree attaining it (connected input, n >= 2); only
+    """l(G) with a witness tree attaining it (connected input, n >= 1); only
     the last graph's result is kept, so l, tmc and mvc on one graph share it."""
-    if g.n < 2:
-        raise ValueError("max-leaf needs n >= 2")
+    if g.n < 1:
+        raise ValueError("max-leaf needs n >= 1")
     if not is_connected(g):
         raise ValueError("disconnected")
-    if g.n == 2:
-        tree = [(0, 1)]
-    else:
-        tree = _tree_from_cds(g, minimum_connected_dominating_set(g), (1 << g.n) - 1)
+    if g.n == 1:
+        return SpanningTreeResult(tree=(), internal=1)
+    tree = _tree_from_cds(g, minimum_connected_dominating_set(g), (1 << g.n) - 1)
     return SpanningTreeResult(tree=tuple(sorted(tree)), internal=_internal(tree))

@@ -51,6 +51,13 @@ class TestCompute:
         rec = json.loads(out)
         assert code == 0 and err == "" and (rec["n"], rec["m"], rec["tmc"]) == (3, 3, 6)
 
+    def test_graph6_file_with_comment(self, tmp_path, capsys):
+        p = tmp_path / "graphs.g6"
+        p.write_text("# two graphs\nDhc\nC~\n")  # C_5 and K_4
+        code, out, err = run_cli(capsys, "compute", str(p), "--invariant", "tmc")
+        assert code == 0 and err == ""
+        assert [json.loads(l)["tmc"] for l in out.splitlines()] == [4, 10]
+
     def test_graph6_file_multiple(self, tmp_path, capsys):
         p = tmp_path / "graphs.g6"
         p.write_text(">>graph6<<\nDhc\nC~\n")  # C_5 and K_4
@@ -259,6 +266,17 @@ class TestCheck:
         lines = [json.loads(line) for line in out.splitlines()]
         assert [line["graph6"] for line in lines] == [to_graph6(g) for g in builtin_corpus(3)]
         assert (tmp_path / "r.csv").exists() == with_csv
+
+    def test_csv_replaced_only_by_a_finished_sweep(self, tmp_path, capsys):
+        p, report = tmp_path / "c.g6", tmp_path / "r.csv"
+        for _ in range(2):  # the second report replaces the first
+            assert run_cli(capsys, "check", "--corpus", "builtin:2", "--csv", str(report))[0] == 0
+        before = report.read_bytes()
+        assert before.startswith(b"graph6,") and len(before.splitlines()) == 1 + 2
+        p.write_text("Dhc\nA?\n")
+        code, _, err = run_cli(capsys, "check", "--corpus", str(p), "--csv", str(report))
+        assert code == 2 and "is disconnected" in err
+        assert report.read_bytes() == before
 
     def test_corpus_file(self, tmp_path, capsys):
         p = tmp_path / "c.g6"

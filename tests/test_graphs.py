@@ -26,6 +26,7 @@ from monoconn.graphs import (
     max_degree,
     parse_edgelist,
     parse_graph6,
+    parse_graphs,
     path_graph,
     random_gnp,
     relabel,
@@ -134,6 +135,20 @@ class TestEdgeList:
     def test_bad_edge_line_named(self, line):
         with pytest.raises(GraphFormatError, match=f"^edge line must be 'u v', got '{line}'$"):
             parse_edgelist(f"3 1\n{line}\n")
+
+
+class TestGraphText:
+    def test_graph6_lines_skip_comments_headers_and_blanks(self):
+        text = "# C_5, then K_4\n\n>>graph6<<\nDhc\n  # between\n\nC~\n"
+        assert [to_graph6(g) for g in parse_graphs(text)] == ["Dhc", "C~"]
+
+    def test_edgelist_after_comment(self):
+        (g,) = parse_graphs("# triangle\n\n3 3\n0 1\n# middle\n1 2\n0 2\n")
+        assert g == complete_graph(3)
+
+    @pytest.mark.parametrize("text", ["", "\n  \n", "# nothing\n", ">>graph6<<\n"])
+    def test_no_graphs(self, text):
+        assert list(parse_graphs(text)) == []
 
 
 class TestStructure:

@@ -81,8 +81,10 @@ class TestExact:
     def test_errors(self):
         with pytest.raises(ValueError, match="disconnected"):
             max_leaf_exact(from_edge_list(4, [(0, 1), (2, 3)]))
+        r = max_leaf_exact(complete_graph(1))
+        assert (r.tree, r.leaf_count, r.internal_count) == ((), 0, 1)
         with pytest.raises(ValueError):
-            max_leaf_exact(complete_graph(1))
+            max_leaf_exact(from_edge_list(0, []))
 
 
 def test_leaf_bounds():
