@@ -52,8 +52,11 @@ from .solvers import SolverRangeError, _guard_exact, mc_exact, mvc_exact, tmc_ex
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="ascii") as fh:
-        return fh.read()
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def _load_graphs(spec: str, literal: bool) -> Iterable[Graph]:

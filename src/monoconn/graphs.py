@@ -548,6 +548,12 @@ class GraphConditionSet:
         return asdict(self)
 
 
+def _complement_4_connected(g: Graph) -> bool:
+    """Whether the complement of g is 4-connected."""
+    # kappa <= delta: a complement of minimum degree < 4 is never 4-connected
+    return g.n - 1 - max_degree(g) >= 4 and vertex_connectivity(complement(g)) >= 4
+
+
 def tmc_identity_conditions(g: Graph) -> GraphConditionSet:
     """Evaluate the five sufficient conditions for tmc = m - n + 2 + l(G)
     (requires connected input and n > 3)."""
@@ -557,8 +563,7 @@ def tmc_identity_conditions(g: Graph) -> GraphConditionSet:
         raise ValueError("disconnected")
     n, m, delta = g.n, g.m, max_degree(g)
     return GraphConditionSet(
-        # kappa <= delta: a complement of minimum degree < 4 is never 4-connected
-        complement_4_connected=n - 1 - delta >= 4 and vertex_connectivity(complement(g)) >= 4,
+        complement_4_connected=_complement_4_connected(g),
         triangle_free=is_triangle_free(g),
         degree_bound_holds=delta * (n - 3) < n * (n - 3) - 2 * m + 3 * (n - 1),
         diameter_ge_3=diameter(g) >= 3,
@@ -634,25 +639,40 @@ def random_gnp(n: int, p: float, seed: int) -> Graph:
     return Graph(n=n, edges=tuple(pairs), adj=tuple(adj))
 
 
+def _subset_table(n: int, pairs: Sequence[tuple[int, int]]) -> list[tuple[tuple[int, ...], tuple]]:
+    """(adjacency rows, edge tuple) of every subset of ``pairs`` on n
+    vertices, at the index whose bit i stands for pairs[i].  The edge tuples
+    keep the order of ``pairs``."""
+    table = [((0,) * n, ())]
+    for u, v in pairs:
+        add = tuple(1 << v if w == u else 1 << u if w == v else 0 for w in range(n))
+        table += [(tuple(map(int.__or__, adj, add)), edges + ((u, v),)) for adj, edges in table]
+    return table
+
+
 def connected_labeled_graphs(n: int) -> Iterator[Graph]:
-    """All labeled connected graphs on n vertices, by adjacency-mask order.
+    """All labeled connected graphs on n vertices, by adjacency-mask order:
+    bit i of the mask stands for the i-th vertex pair in lexicographic order.
+
+    The pair list is split into a low and a high half, and each half gets a
+    table of the adjacency rows and sorted edge tuple of every sub-mask
+    (2^7 + 2^8 entries at n = 6).  A mask is then one OR of two rows per
+    vertex and one concatenation of two edge tuples; the high half runs in
+    the outer loop, so the masks come in increasing order.
 
     Intended for exhaustive sweeps with n <= 6 (2^15 masks); larger corpora
     should be ingested from external graph6 lists.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    allpairs = list(combinations(range(n), 2))
-    npairs = len(allpairs)
+    pairs = list(combinations(range(n), 2))
+    half = len(pairs) // 2
+    low, high = _subset_table(n, pairs[:half]), _subset_table(n, pairs[half:])
     full = (1 << n) - 1
-    for mask in range(1 << npairs):
-        adj = [0] * n
-        for i in range(npairs):
-            if (mask >> i) & 1:
-                u, v = allpairs[i]
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-        if _reach(adj, 0, full) != full:
-            continue
-        edges = tuple(allpairs[i] for i in range(npairs) if (mask >> i) & 1)
-        yield Graph(n=n, edges=edges, adj=tuple(adj))
+    for high_adj, high_edges in high:
+        for low_adj, low_edges in low:
+            adj = tuple(map(int.__or__, low_adj, high_adj))
+            # a 0 row is an isolated vertex, which only K_1 may have
+            if n > 1 and 0 in adj or _reach(adj, 0, full) != full:
+                continue
+            yield Graph(n, low_edges + high_edges, adj)

@@ -15,7 +15,10 @@ one-vertex-smaller candidate of the same cover instead of per-set table
 lookups, the cover search's count bound by a recurrence over single
 candidates instead of a knapsack over the largest cover of each waste,
 complete multipartite class sizes by checking that every component of the
-complement is a clique instead of a partition test on the non-neighbourhoods.
+complement is a clique instead of a partition test on the non-neighbourhoods,
+labelled connected graphs by building each pair mask's graph with
+from_edge_list and testing it by DFS instead of half-mask tables and the
+bitset closure.
 
 The definition-level partition searches tmc_naive, mc_naive and
 mvc_partition_reference (with _rgs_with_block_count and the guards
@@ -493,6 +496,16 @@ def _connected_set(g: Graph, vs: set[int]) -> bool:
                 seen.add(w)
                 stack.append(w)
     return seen == vs
+
+
+def labeled_connected_reference(n: int) -> Iterator[Graph]:
+    """The labelled connected graphs on n vertices, mask by mask in
+    increasing order; bit i of a mask is the i-th pair of combinations."""
+    pairs = list(combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        g = from_edge_list(n, [e for i, e in enumerate(pairs) if (mask >> i) & 1])
+        if _connected_set(g, set(range(n))):
+            yield g
 
 
 def _mask(vs) -> int:

@@ -52,11 +52,20 @@ class TestCompute:
         assert code == 0 and err == "" and (rec["n"], rec["m"], rec["tmc"]) == (3, 3, 6)
 
     def test_graph6_file_with_comment(self, tmp_path, capsys):
-        p = tmp_path / "graphs.g6"
-        p.write_text("# two graphs\nDhc\nC~\n")  # C_5 and K_4
-        code, out, err = run_cli(capsys, "compute", str(p), "--invariant", "tmc")
-        assert code == 0 and err == ""
-        assert [json.loads(l)["tmc"] for l in out.splitlines()] == [4, 10]
+        # a comment may hold any UTF-8 text
+        for comment in ("# two graphs", "# C₅ and K₄"):
+            p = tmp_path / "graphs.g6"
+            p.write_text(f"{comment}\nDhc\nC~\n", encoding="utf-8")  # C_5 and K_4
+            code, out, err = run_cli(capsys, "compute", str(p), "--invariant", "tmc")
+            assert code == 0 and err == "", comment
+            assert [json.loads(l)["tmc"] for l in out.splitlines()] == [4, 10]
+
+    def test_undecodable_file_named(self, tmp_path, capsys):
+        p = tmp_path / "latin1.g6"
+        p.write_bytes(b"# caf\xe9\nDhc\n")
+        code, out, err = run_cli(capsys, "compute", str(p))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {p}: not UTF-8 text") and err.count("\n") == 1
 
     def test_graph6_file_multiple(self, tmp_path, capsys):
         p = tmp_path / "graphs.g6"

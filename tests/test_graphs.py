@@ -38,7 +38,12 @@ from monoconn.graphs import (
 )
 from monoconn.harness import builtin_corpus
 from conftest import random_connected
-from oracles import k_connected_bf, petersen, vertex_connectivity_reference
+from oracles import (
+    k_connected_bf,
+    labeled_connected_reference,
+    petersen,
+    vertex_connectivity_reference,
+)
 
 
 class TestFromEdgeList:
@@ -464,7 +469,13 @@ class TestGenerators:
             assert g.degrees() == [sum(v in e for e in g.edges) for v in range(n)]
 
     def test_connected_corpus_counts(self):
-        # labeled connected graph counts: 1, 1, 4, 38, 728
-        assert [sum(1 for _ in connected_labeled_graphs(n)) for n in range(1, 6)] == [
-            1, 1, 4, 38, 728,
+        # labeled connected graph counts (OEIS A001187)
+        assert [sum(1 for _ in connected_labeled_graphs(n)) for n in range(1, 7)] == [
+            1, 1, 4, 38, 728, 26704,
         ]
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_connected_corpus_matches_reference(self, n):
+        def fields(graphs):
+            return [(g.n, g.edges, g.adj) for g in graphs]
+        assert fields(connected_labeled_graphs(n)) == fields(labeled_connected_reference(n))

@@ -378,9 +378,9 @@ class TestSurvey:
 
     def test_kappa_only_when_complement_min_degree_reaches_4(self, monkeypatch):
         calls = []
-        real = harness.vertex_connectivity
+        real = graphs.vertex_connectivity
         monkeypatch.setattr(
-            harness, "vertex_connectivity", lambda g: calls.append(g) or real(g)
+            graphs, "vertex_connectivity", lambda g: calls.append(g) or real(g)
         )
         rec = survey_random(12, 0.5, 200, 1)
         needed = sum(
