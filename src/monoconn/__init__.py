@@ -69,8 +69,6 @@ from .maxleaf import SpanningTreeResult, max_leaf_exact
 from .solvers import (
     SolverRangeError,
     SolverReport,
-    SystemTree,
-    TreeSystem,
     mc_exact,
     mvc_exact,
     reverify,
@@ -103,6 +101,6 @@ __all__ = [
     # maxleaf
     "SpanningTreeResult", "max_leaf_exact",
     # solvers
-    "SolverRangeError", "SolverReport", "SystemTree", "TreeSystem", "mc_exact",
-    "mvc_exact", "reverify", "tmc_exact",
+    "SolverRangeError", "SolverReport", "mc_exact", "mvc_exact", "reverify",
+    "tmc_exact",
 ]

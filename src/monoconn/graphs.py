@@ -44,9 +44,6 @@ class Graph:
     def degrees(self) -> list[int]:
         return [a.bit_count() for a in self.adj]
 
-    def neighbors(self, v: int) -> list[int]:
-        return _bits(self.adj[v])
-
     def nonadjacent_pairs(self) -> list[tuple[int, int]]:
         """All unordered non-adjacent vertex pairs, lexicographically."""
         return [

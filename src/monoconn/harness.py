@@ -15,7 +15,6 @@ import io
 import json
 import time
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .coloring import Edge, EdgeColoring, TotalColoring, VertexColoring
@@ -37,8 +36,6 @@ from .graphs import (
 from .maxleaf import max_leaf_exact
 from .solvers import (
     SolverReport,
-    SystemTree,
-    TreeSystem,
     _guard_exact,
     max_exact_n,
     mc_exact,
@@ -63,7 +60,7 @@ CHECK_KEYS = (
     "wheel_formula",              # wheels of order >= 5: tmc = m + 1
     "multipartite_formula",       # complete multipartite: tmc = m + r - t
     "diameter2_size_bound",       # diameter-2 minimum size in terms of max degree
-    "internal_vertex_audit",      # witness tree system: sum of q_i >= q(G)
+    "internal_vertex_audit",      # tmc witness: vertices colored like an edge (sum of q_i) >= q(G)
 )
 
 
@@ -100,28 +97,36 @@ def multipartite_sizes(g: Graph) -> list[int] | None:
 
 def diameter2_size_bound(g: Graph) -> tuple[str, int | None]:
     """Diameter-2 minimum-size check: with (n+1)/2 <= max degree <= n-2 the
-    edge count must reach a case bound selected by exact rational ranges."""
+    edge count must reach the case bound of _diameter2_case_bound."""
     n = g.n
     if n < 2 or not is_connected(g) or diameter(g) != 2:
         return NOT_APPLICABLE, None
-    delta = max_degree(g)
-    if not (Fraction(n + 1, 2) <= delta <= n - 2):
-        return NOT_APPLICABLE, None
-    if delta in (n - 2, n - 3):
-        bound = n + delta - 2
-    elif delta == n - 4:
-        bound = 2 * n - 5
-    elif Fraction(2 * n - 2, 3) <= delta <= n - 5:
-        bound = 2 * n - 4
-    elif Fraction(3 * n - 3, 5) <= delta < Fraction(2 * n - 2, 3):
-        bound = 3 * n - delta - 6
-    elif Fraction(5 * n - 3, 9) <= delta < Fraction(3 * n - 3, 5):
-        bound = 5 * n - 4 * delta - 10
-    elif Fraction(n + 1, 2) <= delta < Fraction(5 * n - 3, 9):
-        bound = 4 * n - 2 * delta - 11
-    else:  # printed ranges leave a gap at this (n, delta)
+    bound = _diameter2_case_bound(n, max_degree(g))
+    if bound is None:
         return NOT_APPLICABLE, None
     return (HOLDS if g.m >= bound else VIOLATED), bound
+
+
+def _diameter2_case_bound(n: int, delta: int) -> int | None:
+    """The case bound on the edge count of a diameter-2 graph of order n
+    and max degree delta, selected by the printed ranges of delta compared
+    in integers; None outside (n+1)/2 <= delta <= n-2."""
+    if not (2 * delta >= n + 1 and delta <= n - 2):
+        return None
+    # past delta = n - 4 every case has delta <= n - 5 and below the previous
+    # case's lower end, so only the lower ends are tested, times their
+    # denominators; the last case is what remains of (n + 1)/2 <= delta
+    if delta in (n - 2, n - 3):
+        return n + delta - 2
+    if delta == n - 4:
+        return 2 * n - 5
+    if 3 * delta >= 2 * n - 2:
+        return 2 * n - 4
+    if 5 * delta >= 3 * n - 3:
+        return 3 * n - delta - 6
+    if 9 * delta >= 5 * n - 3:
+        return 5 * n - 4 * delta - 10
+    return 4 * n - 2 * delta - 11
 
 
 @dataclass
@@ -176,7 +181,7 @@ def check_all_detailed(g: Graph):
     for i, v in enumerate(order):
         pos[v] = i
     back = {(pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u]): (u, v) for u, v in g.edges}
-    return record, {key: _relabel_report(rep, g, order, pos, back) for key, rep in reports.items()}
+    return record, {key: _relabel_report(rep, g, pos, back) for key, rep in reports.items()}
 
 
 def _check(g: Graph) -> tuple[TheoremCheckRecord, dict[str, SolverReport], Sequence[int]]:
@@ -225,12 +230,12 @@ def _class(g: Graph) -> tuple[TheoremCheckRecord, dict[str, SolverReport], Seque
 
 
 def _relabel_report(
-    rep: SolverReport, g: Graph, order: Sequence[int], pos: Sequence[int], back: dict[Edge, Edge]
+    rep: SolverReport, g: Graph, pos: Sequence[int], back: dict[Edge, Edge]
 ) -> SolverReport:
-    """A copy of a report on relabel(g, order) with its witness and tree
-    system moved onto g's vertices: canonical vertex i is g's order[i], g's
-    vertex v is canonical vertex pos[v], and ``back`` maps each canonical
-    edge to g's, keyed in the order of g.edges."""
+    """A copy of a report on g's canonical relabelling with its witness
+    moved onto g's vertices: g's vertex v is canonical vertex pos[v], and
+    ``back`` maps each canonical edge to g's, keyed in the order of
+    g.edges."""
     w = rep.witness
     if isinstance(w, VertexColoring):
         witness = VertexColoring(tuple(map(w.vertex_color.__getitem__, pos)))
@@ -240,19 +245,9 @@ def _relabel_report(
             witness = EdgeColoring(ecol)
         else:
             witness = TotalColoring(tuple(map(w.vertex_color.__getitem__, pos)), ecol)
-    system = rep.witness_system
-    if system is not None:
-        trees = [
-            SystemTree(tuple(sorted(map(back.__getitem__, t.edges))),
-                       tuple(sorted(map(order.__getitem__, t.internal_vertices))))
-            for t in system.trees
-        ]
-        if len(trees) > 1:
-            trees.sort(key=lambda t: t.edges)
-        system = TreeSystem(trees=tuple(trees))
     return SolverReport(
         value=rep.value, witness=witness, nodes_explored=rep.nodes_explored,
-        method=rep.method, bounds_used=dict(rep.bounds_used), witness_system=system,
+        method=rep.method, bounds_used=dict(rep.bounds_used),
     )
 
 
@@ -269,6 +264,10 @@ def _check_canonical(g: Graph) -> tuple[TheoremCheckRecord, dict[str, SolverRepo
     rep_mc = mc_exact(g)
     rep_mvc = mvc_exact(g)
     tmc, mc, mvc = rep_tmc.value, rep_mc.value, rep_mvc.value
+    # the witness colors its trees' internal vertices, and no other vertex,
+    # like some edge (SolverReport)
+    tree_colors = set(rep_tmc.witness.edge_color.values())
+    internal = sum(c in tree_colors for c in rep_tmc.witness.vertex_color)
     identity = m - n + 2 + l
 
     conditions = tmc_identity_conditions(g) if n > 3 else None
@@ -286,7 +285,7 @@ def _check_canonical(g: Graph) -> tuple[TheoremCheckRecord, dict[str, SolverRepo
         ("wheel_formula", wheel_order(g) is not None, tmc == m + 1),
         ("multipartite_formula", r >= 2, tmc == m + r - t),
         ("diameter2_size_bound", diameter2 != NOT_APPLICABLE, diameter2 == HOLDS),
-        ("internal_vertex_audit", not complete, rep_tmc.witness_system.total_internal >= q),
+        ("internal_vertex_audit", not complete, internal >= q),
     )
     verdicts = {
         key: (HOLDS if holds else VIOLATED) if applies else NOT_APPLICABLE

@@ -148,8 +148,10 @@ Independent references live in tests/oracles.py: definition-level partition
 searches (tmc_naive, mc_naive, mvc_partition_reference) that maximize the
 color count and check each partition with the verifiers' coverage kernel, a
 subtree-enumeration search that checks the vertex-set search on larger
-graphs, a checker of every tree-system invariant (validate_system) and a
-per-color-class structure report of a total coloring (analyze_color_classes).
+graphs, witness_trees, which reads a tmc or mc witness's covering tree
+system back off its coloring, a checker of every tree-system invariant
+(validate_system) and a per-color-class structure report of a total
+coloring (analyze_color_classes).
 """
 
 from __future__ import annotations
@@ -192,51 +194,19 @@ def max_exact_n() -> int:
         raise ValueError(f"MONO_MAX_EXACT_N must be an integer, got {env!r}") from None
 
 
-@dataclass(frozen=True)
-class SystemTree:
-    edges: tuple[Edge, ...]
-    internal_vertices: tuple[int, ...]
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    @property
-    def internal_count(self) -> int:
-        return len(self.internal_vertices)
-
-    def waste(self) -> int:
-        return self.edge_count - 1 + self.internal_count
-
-
-@dataclass(frozen=True)
-class TreeSystem:
-    """Edge-disjoint subtrees covering every non-adjacent pair; the solver's
-    canonical witness structure.  Total-coloring systems additionally keep
-    internal-vertex sets pairwise disjoint (a vertex can carry only one
-    color); edge-coloring systems have no such constraint."""
-
-    trees: tuple[SystemTree, ...]
-
-    @property
-    def total_waste(self) -> int:
-        return sum(t.waste() for t in self.trees)
-
-    @property
-    def total_internal(self) -> int:
-        return sum(t.internal_count for t in self.trees)
-
-
 @dataclass
 class SolverReport:
-    """Invariant value plus its certificate and search statistics."""
+    """Invariant value plus its certificate and search statistics.
+
+    A tmc or mc witness carries its covering tree system: each color with
+    at least two edges is one tree, and for tmc the tree's internal
+    vertices are exactly the vertices of its color."""
 
     value: int
     witness: TotalColoring | EdgeColoring | VertexColoring
     nodes_explored: int
     method: str  # "tree_system" | "shortcut"
     bounds_used: dict[str, int] = field(default_factory=dict)
-    witness_system: TreeSystem | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -487,16 +457,12 @@ def _search(
     return best, None if pick is None else [cands[ci][2:4] for ci in pick], nodes
 
 
-def _system(g: Graph, picks: Sequence[tuple[int, int]]) -> TreeSystem:
-    """Tree system of picked (I, S) masks, in edge order: each S realised
-    as a BFS tree of G[I] with every other vertex of S hung on its smallest
+def _system(g: Graph, picks: Sequence[tuple[int, int]]) -> list[list[Edge]]:
+    """Sorted edge lists of the trees of picked (I, S) masks, in edge
+    order, which fixes the witness's color of each tree: each S realised as
+    a BFS tree of G[I] with every other vertex of S hung on its smallest
     neighbour in I (for mc, I = S)."""
-    trees = []
-    for inner, span in picks:
-        edges = sorted(_tree_from_cds(g, inner or span, span))
-        trees.append(SystemTree(tuple(edges), tuple(_bits(_internal(edges)))))
-    trees.sort(key=lambda t: t.edges)
-    return TreeSystem(trees=tuple(trees))
+    return sorted(sorted(_tree_from_cds(g, inner or span, span)) for inner, span in picks)
 
 
 def _pair_mask(g: Graph) -> int:
@@ -528,18 +494,16 @@ def tmc_exact(g: Graph) -> SolverReport:
         return SolverReport(
             value=total, witness=_fill(g, "tmc", []), nodes_explored=0, method="shortcut",
             bounds_used={"value_lower": total, "value_upper": total},
-            witness_system=TreeSystem(trees=()),
         )
     _guard_exact(g, "tmc_exact")
     ml = max_leaf_exact(g)
     best, picks, nodes = _search(g, "tmc", _pair_mask(g), g.n - 2 + ml.internal_count)
     # nothing beat the max-leaf tree: its internal set rebuilds it
-    system = _system(g, [(ml.internal, (1 << g.n) - 1)] if picks is None else picks)
-    witness = _fill(g, "tmc", [t.edges + t.internal_vertices for t in system.trees])
+    trees = _system(g, [(ml.internal, (1 << g.n) - 1)] if picks is None else picks)
+    witness = _fill(g, "tmc", [edges + _bits(_internal(edges)) for edges in trees])
     return SolverReport(
         value=total - best, witness=witness, nodes_explored=nodes, method="tree_system",
         bounds_used={"value_lower": g.m - g.n + 2 + ml.leaf_count, "value_upper": total},
-        witness_system=system,
     )
 
 
@@ -559,11 +523,10 @@ def mc_exact(g: Graph) -> SolverReport:
     _guard_exact(g, "mc_exact")
     full = (1 << g.n) - 1
     best, picks, nodes = _search(g, "mc", _pair_mask(g), g.n - 2)
-    system = _system(g, [(full, full)] if picks is None else picks)
-    witness = _fill(g, "mc", [t.edges for t in system.trees])
+    witness = _fill(g, "mc", _system(g, [(full, full)] if picks is None else picks))
     return SolverReport(
         value=g.m - best, witness=witness, nodes_explored=nodes, method="tree_system",
-        bounds_used={"value_lower": g.m - g.n + 2, "value_upper": g.m}, witness_system=system,
+        bounds_used={"value_lower": g.m - g.n + 2, "value_upper": g.m},
     )
 
 

@@ -27,27 +27,33 @@ count over set partitions of the colorable items by decreasing block count,
 checking each with the verifiers' coverage kernel, instead of minimizing
 waste over covering tree systems.
 
-validate_system checks a witness tree system against the definition of a
-covering tree system, and analyze_color_classes reports the structure of
-each color class of a total coloring (tree shape, waste, simplicity); both
-work on vertex and edge sets and per-tree graphs instead of the library's
-bitset tables.
+witness_trees reads the covering tree system back off a tmc or mc witness
+coloring, one tree per color of at least two edges; validate_system checks
+those trees against the definition of a covering tree system, and for a tmc
+witness that the tree's color lies on exactly its internal vertices; and
+analyze_color_classes reports the structure of each color class of a total
+coloring (tree shape, waste, simplicity).  All three work on vertex and
+edge sets and per-tree graphs instead of the library's bitset tables.
 
 relabel_report_reference moves a report on relabel(g, order) onto g's
-vertices by relabelling each edge's endpoints and sorting every system,
-instead of through one canonical-to-caller edge map shared by the three
-reports and sorting only systems of several trees.
+vertices by relabelling each edge's endpoints, instead of through one
+canonical-to-caller edge map shared by the three reports.
+
+diameter2_bound_reference selects the diameter-2 size bound's case by the
+printed rational ranges of the max degree, with Fraction, instead of
+integer comparisons of the ranges' lower ends.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Sequence
 
 from monoconn.coloring import EdgeColoring, TotalColoring, VertexColoring, _first_gap, verify_tmc
 from monoconn.graphs import Graph, _bits, diameter, from_edge_list, is_connected
-from monoconn.solvers import SolverRangeError, SolverReport, SystemTree, TreeSystem
+from monoconn.solvers import SolverRangeError, SolverReport
 
 
 def spanning_trees(g: Graph):
@@ -106,7 +112,7 @@ def _simple_paths(g: Graph, u: int, v: int):
         if x == v:
             yield path
             continue
-        for y in g.neighbors(x):
+        for y in _bits(g.adj[x]):
             if y not in path:
                 stack.append((y, path + [y]))
 
@@ -746,35 +752,56 @@ def mvc_partition_reference(g: Graph) -> SolverReport:
 # Witness structure: tree systems and color classes
 # ---------------------------------------------------------------------------
 
-def validate_system(g: Graph, system: TreeSystem, total: bool = True) -> None:
-    """Raise ValueError on any violated invariant of a covering tree system:
-    each tree has at least two edges of g, is a tree, and names exactly its
-    vertices of degree >= 2 as internal; no edge lies in two trees and, when
-    ``total`` (a total-coloring system), no vertex is internal to two; every
-    non-adjacent pair of g lies in some tree."""
+Tree = tuple[list[tuple[int, int]], set[int] | None]  # (edges, internal)
+
+
+def witness_trees(g: Graph, coloring: TotalColoring | EdgeColoring) -> list[Tree]:
+    """The covering tree system a tmc or mc witness carries, as (edges,
+    internal) pairs in edge order: one tree per color of at least two
+    edges, its edges sorted.  For a TotalColoring the internal set is the
+    vertices of that color; for an EdgeColoring it is None."""
+    edges_of: dict[int, list[tuple[int, int]]] = {}
+    for e, c in coloring.edge_color.items():
+        edges_of.setdefault(c, []).append(e)
+    trees = []
+    for c, edges in edges_of.items():
+        if len(edges) >= 2:
+            internal = None
+            if isinstance(coloring, TotalColoring):
+                internal = {v for v in range(g.n) if coloring.vertex_color[v] == c}
+            trees.append((sorted(edges), internal))
+    return sorted(trees, key=lambda t: t[0])
+
+
+def validate_system(g: Graph, trees: Sequence[Tree]) -> None:
+    """Raise ValueError on any violated invariant of a covering tree system
+    of (edges, internal) pairs: each tree has at least two edges of g and
+    is a tree; no edge lies in two trees; every non-adjacent pair of g lies
+    in some tree.  Where ``internal`` is a set (a total-coloring system) it
+    is exactly the tree's vertices of degree >= 2, and no vertex is
+    internal to two trees."""
     seen_edges: set[tuple[int, int]] = set()
     seen_internal: set[int] = set()
     covered: set[tuple[int, int]] = set()
-    for t in system.trees:
-        if len(t.edges) < 2:
+    for edges, internal in trees:
+        if len(edges) < 2:
             raise ValueError("system tree with fewer than 2 edges")
-        for u, v in t.edges:
+        for u, v in edges:
             e = (min(u, v), max(u, v))
             if e not in g.edges:
                 raise ValueError(f"tree edge {(u, v)} not in graph")
             if e in seen_edges:
                 raise ValueError(f"edge {e} reused across trees")
             seen_edges.add(e)
-        tree = from_edge_list(g.n, t.edges)
+        tree = from_edge_list(g.n, edges)
         verts = {v for v in range(g.n) if tree.adj[v]}
-        if len(t.edges) != len(verts) - 1:
+        if len(edges) != len(verts) - 1:
             raise ValueError("system tree is not acyclic")
         if not _connected_set(tree, verts):
             raise ValueError("system tree is not connected")
-        internal = {v for v in verts if tree.degree(v) >= 2}
-        if internal != set(t.internal_vertices):
-            raise ValueError("internal set does not match tree degrees")
-        if total:
+        if internal is not None:
+            if internal != {v for v in verts if tree.degree(v) >= 2}:
+                raise ValueError("internal set does not match tree degrees")
             if internal & seen_internal:
                 raise ValueError("vertex internal in two trees")
             seen_internal |= internal
@@ -841,9 +868,9 @@ def analyze_color_classes(g: Graph, tc: TotalColoring) -> ColorClassReport:
 # ---------------------------------------------------------------------------
 
 def relabel_report_reference(rep: SolverReport, g: Graph, order: Sequence[int]) -> SolverReport:
-    """A copy of a report on relabel(g, order) with its witness and tree
-    system moved onto g's vertices: canonical vertex i is g's order[i], and
-    g's vertex v is canonical vertex pos[v]."""
+    """A copy of a report on relabel(g, order) with its witness moved onto
+    g's vertices: canonical vertex i is g's order[i], and g's vertex v is
+    canonical vertex pos[v]."""
     pos = [0] * g.n
     for i, v in enumerate(order):
         pos[v] = i
@@ -857,16 +884,32 @@ def relabel_report_reference(rep: SolverReport, g: Graph, order: Sequence[int]) 
             (u, v): ecol[(pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u])]
             for u, v in g.edges
         }
-    system = rep.witness_system
-    if system is not None:
-        trees = []
-        for t in system.trees:
-            edges = sorted((order[a], order[b]) if order[a] < order[b] else (order[b], order[a])
-                           for a, b in t.edges)
-            internal = sorted(order[v] for v in t.internal_vertices)
-            trees.append(SystemTree(tuple(edges), tuple(internal)))
-        system = TreeSystem(trees=tuple(sorted(trees, key=lambda t: t.edges)))
     return SolverReport(
         value=rep.value, witness=type(w)(**moved), nodes_explored=rep.nodes_explored,
-        method=rep.method, bounds_used=dict(rep.bounds_used), witness_system=system,
+        method=rep.method, bounds_used=dict(rep.bounds_used),
     )
+
+
+# ---------------------------------------------------------------------------
+# Diameter-2 size bound
+# ---------------------------------------------------------------------------
+
+def diameter2_bound_reference(n: int, delta: int) -> int | None:
+    """The diameter-2 size bound's case for order n and max degree delta,
+    selected by the printed ranges as exact rationals; None outside
+    (n+1)/2 <= delta <= n-2 and in any gap the ranges leave."""
+    if not (Fraction(n + 1, 2) <= delta <= n - 2):
+        return None
+    if delta in (n - 2, n - 3):
+        return n + delta - 2
+    if delta == n - 4:
+        return 2 * n - 5
+    if Fraction(2 * n - 2, 3) <= delta <= n - 5:
+        return 2 * n - 4
+    if Fraction(3 * n - 3, 5) <= delta < Fraction(2 * n - 2, 3):
+        return 3 * n - delta - 6
+    if Fraction(5 * n - 3, 9) <= delta < Fraction(3 * n - 3, 5):
+        return 5 * n - 4 * delta - 10
+    if Fraction(n + 1, 2) <= delta < Fraction(5 * n - 3, 9):
+        return 4 * n - 2 * delta - 11
+    return None

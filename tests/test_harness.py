@@ -48,11 +48,13 @@ from monoconn.harness import (
 from monoconn.maxleaf import max_leaf_exact
 from conftest import random_connected, shuffled
 from oracles import (
+    diameter2_bound_reference,
     k_connected_bf,
     multipartite_sizes_reference,
     petersen,
     relabel_report_reference,
     validate_system,
+    witness_trees,
 )
 
 
@@ -106,6 +108,12 @@ class TestDiameter2SizeBound:
     def test_high_degree_not_applicable(self):
         # max degree n-1 falls outside the case table
         assert diameter2_size_bound(star_graph(6))[0] == NOT_APPLICABLE
+
+    def test_case_bound_matches_rational_ranges(self):
+        for n in range(2, 401):
+            for delta in range(n):
+                got = harness._diameter2_case_bound(n, delta)
+                assert got == diameter2_bound_reference(n, delta), (n, delta)
 
 
 class TestCheckAll:
@@ -195,9 +203,7 @@ class TestCheckAll:
 def _witness_rows(reports) -> str:
     return json.dumps({
         key: (rep.value, rep.method, rep.nodes_explored, rep.bounds_used,
-              coloring_to_json(rep.witness),
-              None if rep.witness_system is None
-              else [(t.edges, t.internal_vertices) for t in rep.witness_system.trees])
+              coloring_to_json(rep.witness))
         for key, rep in reports.items()
     }, sort_keys=True)
 
@@ -220,8 +226,8 @@ class TestClassMemo:
             assert _witness_rows(warm) == _witness_rows(cold)
             for kind, rep in warm.items():
                 assert reverify(g, rep)
-                if rep.witness_system is not None:
-                    validate_system(g, rep.witness_system, total=(kind == "tmc"))
+                if kind != "mvc":
+                    validate_system(g, witness_trees(g, rep.witness))
 
     def test_reports_match_relabel_reference(self, monkeypatch):
         # every returned report is the class's canonical report moved onto

@@ -4,6 +4,7 @@ import inspect
 import itertools
 import json
 import time
+from dataclasses import replace
 
 import networkx as nx
 import pytest
@@ -30,8 +31,6 @@ from monoconn import maxleaf, solvers
 from monoconn.maxleaf import max_leaf_exact
 from monoconn.solvers import (
     SolverRangeError,
-    SystemTree,
-    TreeSystem,
     _candidates,
     _count_lb_table,
     _solve_cover,
@@ -53,6 +52,7 @@ from oracles import (
     tmc_naive,
     tree_system_reference,
     validate_system,
+    witness_trees,
 )
 
 
@@ -99,9 +99,10 @@ class TestTmcExact:
         for seed in range(20):
             g = random_connected(4 + seed % 4, seed + 23)
             rep = tmc_exact(g)
-            assert rep.witness_system is not None
-            validate_system(g, rep.witness_system)
-            assert rep.value == g.m + g.n - rep.witness_system.total_waste
+            trees = witness_trees(g, rep.witness)
+            validate_system(g, trees)
+            waste = sum(len(edges) - 1 + len(internal) for edges, internal in trees)
+            assert rep.value == g.m + g.n - waste
 
     def test_deterministic(self):
         g = random_connected(7, 4242)
@@ -185,11 +186,9 @@ class TestMcExact:
         for seed in range(20):
             g = random_connected(4 + seed % 4, seed + 67)
             rep = mc_exact(g)
-            if rep.witness_system is not None:
-                validate_system(g, rep.witness_system, total=False)
-                assert rep.value == g.m - sum(
-                    t.edge_count - 1 for t in rep.witness_system.trees
-                )
+            trees = witness_trees(g, rep.witness)
+            validate_system(g, trees)
+            assert rep.value == g.m - sum(len(edges) - 1 for edges, _ in trees)
 
     def test_naive_guard(self):
         with pytest.raises(SolverRangeError):
@@ -309,7 +308,8 @@ class TestRelations:
             if g.is_complete():
                 continue
             q = max_leaf_exact(g).internal_count
-            assert tmc_exact(g).witness_system.total_internal >= q
+            trees = witness_trees(g, tmc_exact(g).witness)
+            assert sum(len(internal) for _, internal in trees) >= q
 
     def test_spanning_subgraph_monotonicity(self):
         # tmc(G) >= e(G) - e(H) + tmc(H) for connected spanning subgraphs H
@@ -562,9 +562,19 @@ class TestTreeSystemValidate:
         # a triangle plus a disjoint edge passes the edge count, not connectivity
         edges = ((0, 1), (0, 2), (1, 2), (3, 4))
         g = from_edge_list(5, edges)
-        system = TreeSystem(trees=(SystemTree(edges=edges, internal_vertices=(0, 1, 2)),))
         with pytest.raises(ValueError, match="not connected"):
-            validate_system(g, system)
+            validate_system(g, [(list(edges), {0, 1, 2})])
+
+    def test_tree_color_on_a_leaf(self):
+        # P_4's witness is one tree 0-1-2-3 whose color lies on 1 and 2;
+        # moving it onto the leaf 0 breaks the internal-set match
+        g = path_graph(4)
+        w = tmc_exact(g).witness
+        validate_system(g, witness_trees(g, w))
+        tree_color = w.edge_color[(0, 1)]
+        moved = replace(w, vertex_color=(tree_color,) + w.vertex_color[1:])
+        with pytest.raises(ValueError, match="internal set"):
+            validate_system(g, witness_trees(g, moved))
 
 
 def _assert_bracketed(g):
@@ -633,11 +643,10 @@ def test_methods_and_nodes():
     assert rep.bounds_used["value_lower"] == 4
 
 
-# sha256 of each report's value, method, nodes, bounds, witness JSON and
-# witness-system trees for tmc, mc and mvc over every labelled connected
-# graph with n <= 5 and 20 seeded graphs with n = 7 or 8; any change to a
-# witness moves it
-WITNESS_DIGEST = "0b4bd57e430df8e03a8348816fd6c9089efdcee23ff8b882b68f12ba44ad1b91"
+# sha256 of each report's value, method, nodes, bounds and witness JSON
+# for tmc, mc and mvc over every labelled connected graph with n <= 5 and
+# 20 seeded graphs with n = 7 or 8; any change to a witness moves it
+WITNESS_DIGEST = "66ddfea39710476c9c9762c564c5a059ce9cc3a925744eff0fc7dcb046da81a3"
 
 
 def test_reports_match_golden_witness_digest():
@@ -647,11 +656,9 @@ def test_reports_match_golden_witness_digest():
     for g in graphs:
         for solve in (tmc_exact, mc_exact, mvc_exact):
             rep = solve(g)
-            system = rep.witness_system
             row = [
                 rep.value, rep.method, rep.nodes_explored, rep.bounds_used,
                 coloring_to_json(rep.witness),
-                None if system is None else [[t.edges, t.internal_vertices] for t in system.trees],
             ]
             h.update((json.dumps(row, sort_keys=True) + "\n").encode())
     assert len(graphs) == 792
