@@ -97,11 +97,14 @@ def from_edge_list(n: int, pairs: Iterable[Sequence[int]]) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# graph6 codec (bit-exact; 6-bit chunks offset by 63, upper triangle
-# column-major: for j in 1..n-1, for i in 0..j-1).
+# graph6 codec.  The body lists the upper triangle column by column (for j in
+# 1..n-1, for i in 0..j-1), so column j is the low j bits of adj[j].  Read as
+# one integer whose bit p is the p-th bit of that stream, character k holds
+# bits 6k..6k+5, most significant first, plus 63: _REV6 reverses those six.
 # ---------------------------------------------------------------------------
 
 GRAPH6_HEADER = ">>graph6<<"
+_REV6 = tuple(int(f"{v:06b}"[::-1], 2) for v in range(64))
 
 
 def _g6_size(text: str) -> tuple[int, int]:
@@ -135,26 +138,22 @@ def parse_graph6(text: str) -> Graph:
             f"malformed length header: n={n} needs {nchars} data characters, got {len(body)}"
         )
     bits = 0
-    for ch in body:
+    for k, ch in enumerate(body):
         v = ord(ch) - 63
         if v < 0 or v > 63:
             raise GraphFormatError(f"character out of graph6 range 63..126: {ch!r}")
-        bits = (bits << 6) | v
-    pad = nchars * 6 - nbits
-    if pad and bits & ((1 << pad) - 1):
+        bits |= _REV6[v] << 6 * k
+    if bits >> nbits:
         raise GraphFormatError("trailing padding bits are nonzero")
-    bits >>= pad
     adj = [0] * n
     edges = []
-    # bits now holds the upper triangle, most significant bit first
-    k = nbits
     for j in range(1, n):
-        for i in range(j):
-            k -= 1
-            if (bits >> k) & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-                edges.append((i, j))
+        col = bits & ((1 << j) - 1)
+        bits >>= j
+        adj[j] |= col
+        for i in _bits(col):
+            adj[i] |= 1 << j
+            edges.append((i, j))
     return Graph(n=n, edges=tuple(sorted(edges)), adj=tuple(adj))
 
 
@@ -168,17 +167,9 @@ def to_graph6(g: Graph) -> str:
     else:
         raise GraphFormatError("graph too large for this graph6 encoder")
     bits = 0
-    nbits = n * (n - 1) // 2
-    for j in range(1, n):
-        for i in range(j):
-            bits = (bits << 1) | ((g.adj[i] >> j) & 1)
-    pad = (-nbits) % 6
-    bits <<= pad
-    nchars = (nbits + 5) // 6
-    chars = []
-    for k in range(nchars - 1, -1, -1):
-        chars.append(chr(((bits >> (6 * k)) & 63) + 63))
-    return head + "".join(chars)
+    for j in range(n - 1, 0, -1):
+        bits = bits << j | g.adj[j] & ((1 << j) - 1)
+    return head + "".join([chr(_REV6[bits >> k & 63] + 63) for k in range(0, n * (n - 1) // 2, 6)])
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +220,6 @@ def parse_edgelist(text: str) -> Graph:
         return from_edge_list(n, pairs)
     except ValueError as exc:
         raise GraphFormatError(str(exc)) from exc
-
-
-def format_edgelist(g: Graph) -> str:
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +398,10 @@ def vertex_connectivity(g: Graph) -> int:
 # ---------------------------------------------------------------------------
 
 def relabel(g: Graph, order: Sequence[int]) -> Graph:
-    """The graph whose vertex i is g's vertex order[i]."""
+    """The graph whose vertex i is g's vertex order[i]; ValueError unless
+    order is a permutation of g's vertices."""
+    if sorted(order) != list(range(g.n)):
+        raise ValueError(f"order must be a permutation of 0..{g.n - 1}, got {list(order)}")
     pos = [0] * g.n
     for i, v in enumerate(order):
         pos[v] = i

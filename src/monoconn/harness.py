@@ -14,7 +14,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .coloring import Edge, EdgeColoring, TotalColoring, VertexColoring
@@ -180,7 +180,7 @@ def check_all_detailed(g: Graph):
     pos = [0] * g.n
     for i, v in enumerate(order):
         pos[v] = i
-    back = {(pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u]): (u, v) for u, v in g.edges}
+    back = [(pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u]) for u, v in g.edges]
     return record, {key: _relabel_report(rep, g, pos, back) for key, rep in reports.items()}
 
 
@@ -192,17 +192,16 @@ def _check(g: Graph) -> tuple[TheoremCheckRecord, dict[str, SolverReport], Seque
     # the solvers refuse non-complete graphs past max_exact_n(): decide that
     # before any exponential work
     if g.n > max_exact_n() and not g.is_complete():
-        return TheoremCheckRecord(
-            graph6=to_graph6(g), n=g.n, m=g.m, l=None, diameter=diameter(g),
-            max_degree=max_degree(g), tmc=None, mc=None, mvc=None, condition_flags=None,
-            verdicts={k: SKIPPED for k in CHECK_KEYS},
-            elapsed_ms=(time.perf_counter() - t0) * 1000.0,
+        r, reports, order = TheoremCheckRecord(
+            graph6="", n=g.n, m=g.m, l=None, diameter=diameter(g), max_degree=max_degree(g),
+            tmc=None, mc=None, mvc=None, condition_flags=None,
+            verdicts=dict.fromkeys(CHECK_KEYS, SKIPPED), elapsed_ms=0.0,
         ), {}, range(g.n)
-    r, reports, order = _class(g)
+    else:
+        r, reports, order = _class(g)
     flags = r.condition_flags
-    return TheoremCheckRecord(
-        graph6=to_graph6(g), n=r.n, m=r.m, l=r.l, diameter=r.diameter, max_degree=r.max_degree,
-        tmc=r.tmc, mc=r.mc, mvc=r.mvc, condition_flags=None if flags is None else dict(flags),
+    return replace(
+        r, graph6=to_graph6(g), condition_flags=None if flags is None else dict(flags),
         verdicts=dict(r.verdicts), elapsed_ms=(time.perf_counter() - t0) * 1000.0,
     ), reports, order
 
@@ -230,12 +229,11 @@ def _class(g: Graph) -> tuple[TheoremCheckRecord, dict[str, SolverReport], Seque
 
 
 def _relabel_report(
-    rep: SolverReport, g: Graph, pos: Sequence[int], back: dict[Edge, Edge]
+    rep: SolverReport, g: Graph, pos: Sequence[int], back: Sequence[Edge]
 ) -> SolverReport:
     """A copy of a report on g's canonical relabelling with its witness
     moved onto g's vertices: g's vertex v is canonical vertex pos[v], and
-    ``back`` maps each canonical edge to g's, keyed in the order of
-    g.edges."""
+    ``back`` lists the canonical image of each edge of g.edges, in order."""
     w = rep.witness
     if isinstance(w, VertexColoring):
         witness = VertexColoring(tuple(map(w.vertex_color.__getitem__, pos)))
@@ -252,8 +250,8 @@ def _relabel_report(
 
 
 def _check_canonical(g: Graph) -> tuple[TheoremCheckRecord, dict[str, SolverReport]]:
-    """check_all_detailed's record (``elapsed_ms`` left 0) and reports for
-    a graph within the solvers' range."""
+    """check_all_detailed's record (``graph6`` left empty and ``elapsed_ms``
+    0, for ``_check`` to fill) and reports for a graph within the solvers' range."""
     n, m = g.n, g.m
     d = diameter(g)
     delta = max_degree(g)
@@ -293,7 +291,7 @@ def _check_canonical(g: Graph) -> tuple[TheoremCheckRecord, dict[str, SolverRepo
     }
 
     record = TheoremCheckRecord(
-        graph6=to_graph6(g), n=n, m=m, l=l, diameter=d, max_degree=delta,
+        graph6="", n=n, m=m, l=l, diameter=d, max_degree=delta,
         tmc=tmc, mc=mc, mvc=mvc,
         condition_flags=conditions.flags() if conditions is not None else None,
         verdicts=verdicts, elapsed_ms=0.0,
@@ -452,30 +450,21 @@ HUNT_TARGETS = {
 
 def records_to_csv(records: Iterable[TheoremCheckRecord]) -> str:
     records = list(records)
-    out = io.StringIO()
     if not records:
         return ""
-    flag_keys = sorted(
-        {k for r in records if r.condition_flags for k in r.condition_flags}
+    flag_keys = sorted({k for r in records if r.condition_flags for k in r.condition_flags})
+    values = ["graph6", "n", "m", "l", "diameter", "max_degree", "tmc", "mc", "mvc"]
+    out = io.StringIO()
+    w = csv.writer(out)
+    w.writerow(
+        values + [f"cond_{k}" for k in flag_keys] + [f"verdict_{k}" for k in CHECK_KEYS] + ["elapsed_ms"]
     )
-    fields = (
-        ["graph6", "n", "m", "l", "diameter", "max_degree", "tmc", "mc", "mvc"]
-        + [f"cond_{k}" for k in flag_keys]
-        + [f"verdict_{k}" for k in CHECK_KEYS]
-        + ["elapsed_ms"]
-    )
-    w = csv.DictWriter(out, fieldnames=fields)
-    w.writeheader()
     for r in records:
-        row: dict[str, object] = {
-            "graph6": r.graph6, "n": r.n, "m": r.m, "l": r.l,
-            "diameter": r.diameter, "max_degree": r.max_degree,
-            "tmc": r.tmc, "mc": r.mc, "mvc": r.mvc,
-            "elapsed_ms": f"{r.elapsed_ms:.3f}",
-        }
-        for k in flag_keys:
-            row[f"cond_{k}"] = (r.condition_flags or {}).get(k, "")
-        for k in CHECK_KEYS:
-            row[f"verdict_{k}"] = r.verdicts.get(k, "")
-        w.writerow(row)
+        flags = r.condition_flags or {}
+        w.writerow(
+            [getattr(r, f) for f in values]
+            + [flags.get(k, "") for k in flag_keys]
+            + [r.verdicts.get(k, "") for k in CHECK_KEYS]
+            + [f"{r.elapsed_ms:.3f}"]
+        )
     return out.getvalue()

@@ -33,14 +33,11 @@ def shuffled(g: Graph, seed: int = 0) -> Graph:
     return g
 
 
-@pytest.fixture(scope="session")
-def small_connected_pool():
-    """A deterministic mixed pool of small connected graphs."""
-    pool = []
-    for seed in range(60):
-        n = 2 + seed % 7  # n in 2..8
-        pool.append(random_connected(n, seed=seed * 7 + 1))
-    return pool
+def format_edgelist(g: Graph) -> str:
+    """g as edge-list text: an "n m" line, then one "u v" line per edge."""
+    lines = [f"{g.n} {g.m}"]
+    lines.extend(f"{u} {v}" for u, v in g.edges)
+    return "\n".join(lines) + "\n"
 
 
 @pytest.fixture

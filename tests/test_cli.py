@@ -10,13 +10,13 @@ from monoconn.graphs import (
     complete_graph,
     cycle_graph,
     diameter,
-    format_edgelist,
     path_graph,
     to_graph6,
     wheel_graph,
 )
 from monoconn.harness import builtin_corpus
 from monoconn.maxleaf import max_leaf_exact
+from conftest import format_edgelist
 
 
 def run_cli(capsys, *argv):
@@ -216,6 +216,13 @@ class TestConstructVerify:
         ver = json.loads(out.strip())
         assert code == 0 and ver["kind"] == "mvc"
 
+    def test_verify_edge_coloring_dispatch(self, tmp_path, capsys):
+        col = tmp_path / "e.json"
+        col.write_text(json.dumps({"edge_colors": [[0, 1, 0], [1, 2, 0]]}))
+        code, out, _ = run_cli(capsys, "verify", "Bg", "--literal", "--coloring", str(col))
+        ver = json.loads(out.strip())
+        assert code == 0 and ver["kind"] == "mc" and ver["valid"] and ver["colors"] == 1
+
     def test_wheel_too_small(self, capsys):
         code, _, err = run_cli(capsys, "construct", "--family", "wheel", "--order", "4")
         assert code == 2
@@ -357,6 +364,16 @@ class TestSurveyHunt:
         p.write_text(to_graph6(wheel_graph(6)) + "\n")
         code, out, err = run_cli(capsys, "hunt", "--target", "tmc_le_mvc", "--corpus", str(p))
         assert code == 0 and out.strip() == "" and "0 finding" in err
+
+    def test_hunt_prints_finding(self, tmp_path, capsys):
+        p = tmp_path / "pk.g6"
+        p.write_text(f"{to_graph6(path_graph(6))}\n{to_graph6(complete_graph(6))}\n")
+        code, out, err = run_cli(capsys, "hunt", "--target", "tmc_le_mvc", "--corpus", str(p))
+        (line,) = out.splitlines()
+        found = json.loads(line)
+        assert code == 0 and "1 finding" in err
+        assert found["graph6"] == to_graph6(path_graph(6)) and found["comparison"] == "tmc<=mvc"
+        assert (found["tmc"], found["other"]) == (3, 3)
 
     def test_hunt_conjecture_target(self, capsys):
         code, out, err = run_cli(capsys, "hunt", "--target", "tmc_le_mc", "--corpus", "builtin:4")

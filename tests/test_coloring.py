@@ -307,6 +307,24 @@ def test_edge_named_twice_rejected():
         total_coloring(g, [0, 1, 2], twice)
 
 
+def test_reversed_edge_keys_verify_alike():
+    # keys written (v, u) name g's edges (u, v): the verifiers check a copy
+    # keyed by g.edges, with the same verdict and uncovered pair
+    verdicts = set()
+    for seed in range(40):
+        g = random_connected(3 + seed % 5, seed + 40)
+        rng = random.Random(seed)
+        ecol = {e: rng.randrange(2) for e in g.edges}
+        flipped = {(v, u): c for (u, v), c in ecol.items()}
+        vcol = tuple(rng.randrange(2) for _ in range(g.n))
+        mc = verify_mc(g, EdgeColoring(edge_color=ecol))
+        tmc = verify_tmc(g, TotalColoring(vertex_color=vcol, edge_color=ecol))
+        assert verify_mc(g, EdgeColoring(edge_color=flipped)) == mc
+        assert verify_tmc(g, TotalColoring(vertex_color=vcol, edge_color=flipped)) == tmc
+        verdicts |= {mc[0], tmc[0]}
+    assert verdicts == {True, False}
+
+
 @pytest.mark.parametrize("key", [(0, 1, 2), (0,), 7])
 def test_malformed_edge_key_rejected(key):
     g = path_graph(3)

@@ -4,7 +4,7 @@ import time
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import networkx as nx
@@ -37,7 +37,7 @@ from monoconn.graphs import (
     wheel_graph,
 )
 from monoconn.harness import builtin_corpus
-from conftest import random_connected
+from conftest import format_edgelist, random_connected
 from oracles import (
     k_connected_bf,
     labeled_connected_reference,
@@ -105,13 +105,21 @@ class TestGraph6:
         with pytest.raises(GraphFormatError):
             parse_graph6("D" + chr(30) + "c")
 
-    @given(st.integers(1, 11), st.integers(0, 10**6))
+    @given(st.integers(1, 13), st.integers(0, 10**6))
+    @example(62, 1)
+    @example(63, 2)  # n >= 63 takes the four-character size header
+    @example(64, 3)
+    @example(100, 4)
     @settings(max_examples=80, deadline=None)
     def test_round_trip(self, n, seed):
         g = random_gnp(n, 0.5, seed)
         assert parse_graph6(to_graph6(g)).edges == g.edges
 
-    @given(st.integers(1, 11), st.integers(0, 10**6))
+    @given(st.integers(1, 13), st.integers(0, 10**6))
+    @example(62, 1)
+    @example(63, 2)
+    @example(64, 3)
+    @example(100, 4)
     @settings(max_examples=60, deadline=None)
     def test_matches_reference_encoder(self, n, seed):
         g = random_gnp(n, 0.4, seed)
@@ -123,8 +131,6 @@ class TestGraph6:
 
 class TestEdgeList:
     def test_round_trip(self):
-        from monoconn.graphs import format_edgelist
-
         g = wheel_graph(6)
         assert parse_edgelist(format_edgelist(g)).edges == g.edges
 
@@ -364,6 +370,16 @@ CANONICAL_DIGEST = "ad2b62cf5c2d9c478c51a9a405a5e1c62e792dfba8f1a770d928b7f2abdc
 
 
 class TestCanonicalOrder:
+    @pytest.mark.parametrize("g,order", [
+        (path_graph(3), [1, 1, 2]),       # a repeated vertex
+        (cycle_graph(4), [0, 0, 2, 3]),   # a repeated vertex, then a missing one
+        (path_graph(3), [2, 1]),          # too short
+        (cycle_graph(3), [0, 1, 2, 3]),   # a vertex g does not have
+    ])
+    def test_relabel_rejects_non_permutation(self, g, order):
+        with pytest.raises(ValueError, match="permutation"):
+            relabel(g, order)
+
     def test_class_counts_match_oeis(self):
         # connected graphs on n unlabelled vertices, OEIS A001349
         codes: dict[int, set] = {}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 from dataclasses import replace
@@ -297,6 +298,10 @@ class TestClassMemo:
         assert list(harness._memo) == keys[-4:]  # the oldest went first
 
 
+#: sha256 of records_to_csv over builtin_corpus(5), elapsed_ms zeroed
+CSV_DIGEST = "16eb975bffc50877762b0a52f9428aa179104b7c5372796b83801e2f0f985a26"
+
+
 class TestCorpus:
     def test_builtin_counts(self):
         assert sum(1 for _ in builtin_corpus(4)) == 1 + 1 + 4 + 38
@@ -311,6 +316,12 @@ class TestCorpus:
         lines = text.strip().splitlines()
         assert len(lines) == len(recs) + 1
         assert lines[0].startswith("graph6,n,m,l,")
+        # from n = 4 on records carry condition flags, so the cond_* columns
+        # appear; elapsed_ms is zeroed to make the text reproducible
+        recs = [replace(check_all(g), elapsed_ms=0.0) for g in builtin_corpus(5)]
+        text = records_to_csv(recs)
+        assert len(recs) == 772 and len(text.splitlines()[0].split(",")) == 26
+        assert hashlib.sha256(text.encode()).hexdigest() == CSV_DIGEST
 
 
 class TestSurvey:
