@@ -285,7 +285,7 @@ def diameter(g: Graph) -> int:
 
 
 def max_degree(g: Graph) -> int:
-    return max((g.degree(v) for v in range(g.n)), default=0)
+    return max(map(int.bit_count, g.adj), default=0)
 
 
 def complement(g: Graph) -> Graph:
@@ -325,15 +325,45 @@ def _disjoint_paths(adj: Sequence[int], s: int, t: int, cap: int) -> int:
     otherwise the one path through x can be replaced by s-x-t.  So the
     common neighbours count up front, and the flow runs in G minus them.
 
+    Next, paths s-x-y-t are routed greedily: x runs over N(s) - N(t) in
+    ascending order, and y is the lowest unused vertex of N(x) & N(t)
+    outside the common neighbours.  These paths are only a starting flow,
+    not a claim about a maximum family.  Any valid flow can start the
+    augmenting search: a flow is maximum exactly when its residual graph
+    has no augmenting path (Ford-Fulkerson), and the residual search
+    reroutes a greedy path wherever it blocks a better family.
+
     Augmenting paths by BFS in the vertex-split residual graph, where each
     vertex v other than s and t is an arc v_in -> v_out of capacity 1.  The
     flow is kept as bitsets: ``nxt[v]``/``prv[v]`` hold the vertices that
     flow leaves v for / enters v from, and ``used`` the saturated vertices.
+    The greedy paths are written into them as the walk-back would.
     """
     n = len(adj)
-    common = adj[s] & adj[t]
+    nt = adj[t]
+    common = adj[s] & nt
     nxt, prv, used = [0] * n, [0] * n, 0
-    for flow in range(common.bit_count(), cap):
+    flow = common.bit_count()
+    ends = nt & ~common  # y candidates; N(s) - N(t) never meets them
+    starts = adj[s] & ~nt
+    while starts and flow < cap:
+        bx = starts & -starts
+        starts ^= bx
+        x = bx.bit_length() - 1
+        by = adj[x] & ends
+        if by:
+            by &= -by
+            ends ^= by
+            y = by.bit_length() - 1
+            nxt[s] |= bx
+            prv[x] = 1 << s
+            nxt[x] = by
+            prv[y] = bx
+            nxt[y] = 1 << t
+            prv[t] |= by
+            used |= bx | by
+            flow += 1
+    for flow in range(flow, cap):
         # layers[k] = (in-states, out-states) first reached in k steps from s_out;
         # the common neighbours count as reached, so no path enters them
         layers = [(0, 1 << s)]
@@ -376,8 +406,9 @@ def vertex_connectivity(g: Graph) -> int:
     cut either misses v, and so separates v from a non-neighbour, or contains
     v, and so separates two non-adjacent neighbours of v.  Only those pairs
     are flowed, each capped at the best cut so far, which starts at the
-    minimum degree, and each seeded with the pair's common neighbours
-    (``_disjoint_paths``).
+    minimum degree.  Each flow is seeded with the pair's common neighbours
+    and then with greedy three-edge paths, and augmenting paths grow it from
+    there (``_disjoint_paths``).
     """
     n, adj = g.n, g.adj
     if n <= 1 or not is_connected(g):

@@ -11,6 +11,7 @@ import networkx as nx
 
 from monoconn.graphs import (
     GraphFormatError,
+    _disjoint_paths,
     _nbr,
     canonical_order,
     complement,
@@ -39,6 +40,7 @@ from monoconn.graphs import (
 from monoconn.harness import builtin_corpus
 from conftest import format_edgelist, random_connected
 from oracles import (
+    _local_vertex_connectivity,
     k_connected_bf,
     labeled_connected_reference,
     petersen,
@@ -260,10 +262,26 @@ class TestStructure:
         graphs.append(from_edge_list(
             7, list(combinations(range(4), 2)) + list(combinations(range(3, 7), 2))
         ))
+        # the greedy start routes 0-1-2-5; the second 0-5 path, 0-4-2-5 beside
+        # 0-1-3-5, exists only once the search reroutes it (kappa(0, 5) = 2)
+        graphs.append(from_edge_list(6, [
+            (0, 1), (0, 4), (1, 2), (1, 3), (2, 4), (2, 5), (3, 5),
+        ]))
         # the survey's traffic: complements of G(12, 1/2)
         graphs.extend(complement(random_gnp(12, 0.5, seed)) for seed in range(100))
         for g in graphs:
             assert vertex_connectivity(g) == vertex_connectivity_reference(g), to_graph6(g)
+
+    def test_disjoint_paths_matches_local_connectivity(self):
+        graphs = [
+            random_gnp(4 + seed % 9, (0.3, 0.5, 0.7)[seed // 9 % 3], seed) for seed in range(270)
+        ]
+        graphs += [complement(random_gnp(12, 0.5, seed)) for seed in range(40)]
+        for g in graphs:
+            for s, t in g.nonadjacent_pairs():
+                k = _local_vertex_connectivity(g, s, t)
+                for cap in (1, 2, 4, g.n):
+                    assert _disjoint_paths(g.adj, s, t, cap) == min(cap, k), (to_graph6(g), s, t)
 
     def test_vertex_connectivity_dense_without_blowup(self):
         # a minimum cut of 12 or 27 vertices is out of reach of cut enumeration

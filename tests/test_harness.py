@@ -357,10 +357,10 @@ class TestSurvey:
         assert rec.identity_undecided == rec.connected_samples - rec.complement_4_connected
         assert rec.fraction_identity in (0.0, 1.0)
 
-    @pytest.mark.parametrize("n", [8, 10, 12])
+    @pytest.mark.parametrize("n", [8, 10, 12, 16])
     @pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
     def test_matches_record_from_cut_enumeration(self, monkeypatch, n, p):
-        # n = 8 is solved exactly, n = 10 and 12 are past the guard
+        # n = 8 is solved exactly, n = 10, 12 and 16 are past the guard
         monkeypatch.setenv("MONO_MAX_EXACT_N", "9")
         rec = SurveyRecord(n=n, p=p, trials=40, seed=2)
         for g in _survey_samples(n, p, 40, 2):
