@@ -121,6 +121,26 @@ proves the incumbent the search ends there with the one root node it would
 have counted anyway, so node counts are the same as when the root goes
 through the branch step.
 
+Relaxed root check (tmc).  The root tests (every pair has a candidate below
+the incumbent's waste ub, need[all pairs] >= ub) run first over the mc
+candidates, each S at waste |S| - 1 when it has a lonely vertex and |S|
+otherwise, and only when they fail are the (S, I) generated.  A tmc
+candidate costs |S| - 2 + |I| >= |S| - 1, with equality only when I = {x}
+and x is lonely in S.  Dropping lonely vertices whose removal keeps S
+connected leads to an mc candidate S' inside S with the same cover and
+relaxed waste at most |S'| <= |S|.  When I = {x}, either a vertex was
+dropped, so |S'| <= |S| - 1, or S' = S holds the lonely x and costs
+|S| - 1.  So every tmc
+candidate has a relaxed one of the same cover and no more waste: the
+relaxed union of covers holds the real one, the relaxed need is at most the
+real one, and a relaxed proof is a real proof.  It counts the same nodes.
+A relaxed uncovered pair is a real one (0 nodes); a real uncovered pair at
+distance d needs 2d - 2 >= ub (a u-v path is the cheapest tree holding the
+pair), and since the max-leaf tree has q >= d - 1 internal vertices,
+ub = n - 2 + q >= n + d - 3, which leaves only G = P_n.  There P_3 and P_4
+also lack a relaxed candidate for the end pair, and for n >= 5 the whole
+path's relaxed waste n < ub = 2n - 4 keeps the bound from proving it.
+
 mvc.  A vertex coloring joins u and v when some u-v path has all its inner
 vertices in one color.  Pairs at distance <= 2 always are, so only the pairs
 at distance >= 3 count.  A path's inner vertices induce a connected graph,
@@ -391,6 +411,22 @@ def _count_lb_table(cands: list[Candidate], npairs: int, limit: int) -> list[int
     return need
 
 
+def _root_proof(
+    cands: list[Candidate], pairs: int, ub_waste: int
+) -> tuple[list[int], int | None]:
+    """The count-bound table of ``cands`` capped at ``ub_waste``, and the
+    nodes the search counts when its root alone proves the incumbent of that
+    waste optimal: 0 when some pair of ``pairs`` has no candidate, 1 when
+    need[all pairs] reaches ``ub_waste``, None when the root must branch."""
+    need = _count_lb_table(cands, pairs.bit_count(), ub_waste)
+    seen = 0
+    for _, _, _, _, cov in cands:
+        seen |= cov
+    if seen != pairs:
+        return need, 0
+    return need, 1 if need[-1] >= ub_waste else None
+
+
 def _solve_cover(
     cands: list[Candidate], pairs: int, ub_waste: int
 ) -> tuple[int, list[int] | None, int]:
@@ -400,16 +436,9 @@ def _solve_cover(
     Returns (best_waste, chosen candidate indices or None when nothing beat
     the incumbent upper bound, nodes explored).
     """
-    npairs = pairs.bit_count()
-    seen = 0
-    for _, _, _, _, cov in cands:
-        seen |= cov
-    if seen != pairs:
-        # some pair cannot be covered within the cap: incumbent is optimal
-        return ub_waste, None, 0
-    need = _count_lb_table(cands, npairs, ub_waste)
-    if need[npairs] >= ub_waste:
-        return ub_waste, None, 1  # the root node's own bound proves it
+    need, proof = _root_proof(cands, pairs, ub_waste)
+    if proof is not None:
+        return ub_waste, None, proof
     # pair k is bit k of the masks; only the bits of ``pairs`` are ever read
     by_pair: list[list[int]] = [[] for _ in range(pairs.bit_length())]
     for ci, (_, _, _, _, cov) in enumerate(cands):
@@ -446,12 +475,30 @@ def _solve_cover(
     return best, best_pick, nodes
 
 
+def _relaxed_root_proof(g: Graph, pairs: int, ub: int) -> int | None:
+    """_root_proof's node count for tmc below the incumbent's waste ``ub``,
+    read off the mc candidates instead of the tmc ones: each S at waste
+    |S| - 1 when it has a lonely vertex and |S| otherwise, no more than any
+    tmc candidate of the same cover costs (module docstring)."""
+    t = _table(g)
+    relaxed = []
+    for w, _, _, s, cov in t.mc:
+        w += 1 if t.common[s] & s else 2
+        if w < ub:
+            relaxed.append((w, 0, 0, s, cov))
+    return _root_proof(relaxed, pairs, ub)[1]
+
+
 def _search(
     g: Graph, variant: str, pairs: int, ub: int
 ) -> tuple[int, list[tuple[int, int]] | None, int]:
     """(minimum waste, picked (I, S) masks, nodes explored) of the cover
     search over the pair mask ``pairs`` below the incumbent's waste ``ub``;
     the pick is None when nothing beats the incumbent."""
+    if variant == "tmc":
+        proof = _relaxed_root_proof(g, pairs, ub)
+        if proof is not None:
+            return ub, None, proof
     cands = _candidates(g, pairs, ub - 1, variant)
     best, pick, nodes = _solve_cover(cands, pairs, ub)
     return best, None if pick is None else [cands[ci][2:4] for ci in pick], nodes

@@ -481,13 +481,17 @@ class TestSharedTable:
 
 class TestCountBound:
     @staticmethod
-    def cases():
-        """(variant, candidates, pair count) with every candidate of every
-        connected n <= 5 graph and of one graph per class at n = 6."""
+    def graphs():
+        """Every connected n <= 5 graph and one graph per class at n = 6."""
         atlas = (h for h in nx.graph_atlas_g() if h.number_of_nodes() == 6)
         graphs = [g for n in range(3, 6) for g in connected_labeled_graphs(n)]
-        graphs += [from_edge_list(6, h.edges()) for h in atlas if nx.is_connected(h)]
-        for g in graphs:
+        return graphs + [from_edge_list(6, h.edges()) for h in atlas if nx.is_connected(h)]
+
+    @classmethod
+    def cases(cls):
+        """(variant, candidates, pair count) with every candidate of every
+        graph of graphs()."""
+        for g in cls.graphs():
             pairs = g.nonadjacent_pairs()
             if not pairs:
                 continue
@@ -548,13 +552,91 @@ class TestCountBound:
 
     def test_root_proof_on_dense_graph(self, monkeypatch):
         # tmc = m - n + 2 + l proved at the root: the max-leaf incumbent
-        # already meets the count bound
+        # already meets the count bound, over the relaxed mc candidates, so
+        # no tmc candidate is generated
         monkeypatch.setenv("MONO_MAX_EXACT_N", "10")
         g = random_connected(10, 2, p=0.7)
+        generated = _count_tmc_generations(monkeypatch)
         rep = tmc_exact(g)
         l = max_leaf_exact(g).leaf_count
         assert (rep.value, rep.nodes_explored) == (g.m - g.n + 2 + l, 1)
+        assert generated == []
         assert reverify(g, rep)
+
+    def test_searching_tmc_generates_candidates_once(self, monkeypatch):
+        g = random_connected(8, 4, p=0.7)
+        generated = _count_tmc_generations(monkeypatch)
+        rep = tmc_exact(g)
+        assert rep.nodes_explored > 1
+        assert generated == [g]
+
+    def test_relaxed_root_tuples_are_admissible(self, monkeypatch):
+        # every tmc candidate at cap 2n - 4 has a tuple of the relaxed root
+        # check with the same cover and no more waste, so the check's union
+        # and count bound are those of a superset of cheaper candidates
+        seeded = [random_connected(7 + i % 2, 300 + i, p=0.3 + 0.1 * (i % 6)) for i in range(12)]
+        seen = []
+        root_proof = solvers._root_proof
+
+        def recorded(cands, pairs, ub):
+            seen.append(cands)
+            return root_proof(cands, pairs, ub)
+
+        monkeypatch.setattr(solvers, "_root_proof", recorded)
+        checked = 0
+        for g in self.graphs() + seeded:
+            pairs = g.nonadjacent_pairs()
+            if not pairs:
+                continue
+            full, cap = (1 << len(pairs)) - 1, 2 * g.n - 4
+            seen.clear()
+            solvers._relaxed_root_proof(g, full, cap + 1)
+            (relaxed,) = seen
+            cheapest: dict[int, int] = {}
+            for w, _, _, _, cov in relaxed:
+                cheapest[cov] = min(w, cheapest.get(cov, w))
+            for w, _, _, _, cov in _candidates(g, full, cap, "tmc"):
+                assert cheapest.get(cov, w + 1) <= w, (g.edges, w, cov)
+                checked += 1
+        assert checked > 10_000
+
+    def test_relaxed_root_check_changes_no_report(self, monkeypatch):
+        # On P_3 and P_4 the max-leaf tree is optimal because the end pair has
+        # no candidate below the incumbent (0 nodes); a check that tested only
+        # the bound would report the root node (1) there.
+        atlas = (h for h in nx.graph_atlas_g() if 2 <= h.number_of_nodes() <= 6)
+        graphs = [from_edge_list(h.number_of_nodes(), h.edges()) for h in atlas]
+        graphs = [path_graph(3), path_graph(4)] + [g for g in graphs if is_connected(g)]
+        graphs += [
+            random_connected(n, 40 * n + seed, p=tenths / 10)
+            for n in (7, 8, 9) for tenths in range(2, 10) for seed in range(2)
+        ]
+
+        def row(rep):
+            return (
+                rep.value, rep.nodes_explored, rep.method, rep.bounds_used,
+                coloring_to_json(rep.witness),
+            )
+
+        for g in graphs:
+            with_check = row(tmc_exact(g))
+            with monkeypatch.context() as m:
+                m.setattr(solvers, "_relaxed_root_proof", lambda g, pairs, ub: None)
+                assert row(tmc_exact(g)) == with_check, g.edges
+
+
+def _count_tmc_generations(monkeypatch) -> list:
+    """The graphs that tmc candidate generation runs on, in order."""
+    seen = []
+    candidates = solvers._candidates
+
+    def counted(g, pairs, cap, variant):
+        if variant == "tmc":
+            seen.append(g)
+        return candidates(g, pairs, cap, variant)
+
+    monkeypatch.setattr(solvers, "_candidates", counted)
+    return seen
 
 
 class TestTreeSystemValidate:
