@@ -56,7 +56,7 @@ CHECK_KEYS = (
     "degree_condition_tmc_gt_mvc",  # d = 2 and 2*max_degree >= n + 1 => tmc > mvc
     "sum_upper_bound",            # tmc <= mc + mvc
     "sum_equality_iff_complete",  # equality above holds exactly for complete graphs
-    "tree_formula",               # trees: tmc = l + 1
+    "tree_formula",               # trees: tmc = l + 1; if n >= 3, mc = 1 and mvc = l + 1
     "wheel_formula",              # wheels of order >= 5: tmc = m + 1
     "multipartite_formula",       # complete multipartite: tmc = m + r - t
     "diameter2_size_bound",       # diameter-2 minimum size in terms of max degree
@@ -279,7 +279,8 @@ def _check_canonical(g: Graph) -> tuple[TheoremCheckRecord, dict[str, SolverRepo
         ("degree_condition_tmc_gt_mvc", n >= 2 and d == 2 and 2 * delta >= n + 1, tmc > mvc),
         ("sum_upper_bound", True, tmc <= mc + mvc),
         ("sum_equality_iff_complete", True, (tmc == mc + mvc) == complete),
-        ("tree_formula", m == n - 1 and n >= 2, tmc == l + 1),
+        ("tree_formula", m == n - 1 and n >= 2,
+         tmc == l + 1 and (n < 3 or mc == 1 and mvc == l + 1)),
         ("wheel_formula", wheel_order(g) is not None, tmc == m + 1),
         ("multipartite_formula", r >= 2, tmc == m + r - t),
         ("diameter2_size_bound", diameter2 != NOT_APPLICABLE, diameter2 == HOLDS),

@@ -106,6 +106,18 @@ candidates (ties to the lowest index).  Every cover covers that pair, and
 its candidate list is sorted by waste, so the search stops at the first
 candidate that cannot beat the incumbent.
 
+Start.  The candidate list is sorted by waste and capped below the
+incumbent's, so its first candidate whose cover is every pair to cover is
+the cheapest system of one candidate, and a valid one.  The search takes its
+waste as the incumbent's, and returns it as the pick when nothing beats it.
+When the universal vertices U of a non-complete G leave G - U connected,
+V - U is that mc candidate: every pair lies inside it, no vertex of it is
+adjacent to the rest of it, and any set holding every pair contains it.
+Its waste n - |U| - 2 is below a spanning tree's, and on many dense graphs
+the root's count bound proves it.  With no universal vertex, every vertex
+lies in a pair, so a single tmc or mc cover holds all of V and costs at
+least the incumbent's n - 2 + q or n - 2: there the start never exists.
+
 Count bound.  Let most[w] be the largest number of pairs one candidate of
 waste w covers, reach[b] the largest sum of most[w_i] over wastes w_i >= 1
 with sum w_i <= b (an unbounded knapsack), and need[u] the least b with
@@ -489,18 +501,31 @@ def _relaxed_root_proof(g: Graph, pairs: int, ub: int) -> int | None:
     return _root_proof(relaxed, pairs, ub)[1]
 
 
+def _single_cover(cands: list[Candidate], pairs: int) -> int | None:
+    """Index of the first, hence cheapest, of the sorted ``cands`` whose
+    cover alone is ``pairs``, or None."""
+    return next((ci for ci, c in enumerate(cands) if c[4] == pairs), None)
+
+
 def _search(
     g: Graph, variant: str, pairs: int, ub: int
 ) -> tuple[int, list[tuple[int, int]] | None, int]:
     """(minimum waste, picked (I, S) masks, nodes explored) of the cover
     search over the pair mask ``pairs`` below the incumbent's waste ``ub``;
-    the pick is None when nothing beats the incumbent."""
+    the pick is None when nothing beats the incumbent.  The search starts
+    from the cheapest single candidate covering every pair, when one is
+    below ``ub``, and picks it alone when no cover beats it."""
     if variant == "tmc":
         proof = _relaxed_root_proof(g, pairs, ub)
         if proof is not None:
             return ub, None, proof
     cands = _candidates(g, pairs, ub - 1, variant)
+    start = _single_cover(cands, pairs)
+    if start is not None:
+        ub = cands[start][0]
     best, pick, nodes = _solve_cover(cands, pairs, ub)
+    if pick is None and start is not None:
+        pick = [start]
     return best, None if pick is None else [cands[ci][2:4] for ci in pick], nodes
 
 
@@ -530,9 +555,10 @@ def _guard_exact(g: Graph, solver: str) -> None:
 def tmc_exact(g: Graph) -> SolverReport:
     """Total monochromatic connection number with witness coloring.
 
-    Minimum-waste search over covering systems of (S, I) candidates, seeded
-    with the single maximum-leaf spanning tree (waste n - 2 + q(G), the
-    generic lower bound m - n + 2 + l(G) on the value).
+    Minimum-waste search over covering systems of (S, I) candidates.  Its
+    incumbent is the maximum-leaf spanning tree (waste n - 2 + q(G), the
+    generic lower bound m - n + 2 + l(G) on the value), or the cheapest
+    single candidate covering every pair when that one is cheaper.
     """
     if not is_connected(g):
         raise ValueError("disconnected")
@@ -558,7 +584,8 @@ def mc_exact(g: Graph) -> SolverReport:
     """Monochromatic connection number (edge colorings) with witness.
 
     The same search over vertex sets S of waste |S| - 2, without internal
-    vertices, seeded with a BFS spanning tree (waste n - 2).
+    vertices.  Its incumbent is a BFS spanning tree (waste n - 2), or the
+    cheapest single S holding every pair when that one is cheaper.
     """
     if not is_connected(g):
         raise ValueError("disconnected")
@@ -581,10 +608,12 @@ def mvc_exact(g: Graph) -> SolverReport:
     """Monochromatic vertex connection number with witness coloring.
 
     Diameter <= 2 gives mvc = n outright.  Otherwise the same search over
-    connected sets I of waste |I| - 1 covering the pairs at distance >= 3,
-    seeded with the internal set of a maximum-leaf spanning tree (waste
-    q(G) - 1, the lower bound l(G) + 1 on the value).  Each picked I is one
-    color class and every other vertex gets a fresh color.
+    connected sets I of waste |I| - 1 covering the pairs at distance >= 3.
+    Its incumbent is the internal set of a maximum-leaf spanning tree
+    (waste q(G) - 1, the lower bound l(G) + 1 on the value), or the
+    cheapest single I whose N[I] holds every such pair when that one is
+    cheaper.  Each picked I is one color class and every other vertex gets
+    a fresh color.
     """
     if not is_connected(g):
         raise ValueError("disconnected")

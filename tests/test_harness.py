@@ -136,6 +136,26 @@ class TestCheckAll:
         assert rec.verdicts["identity_conditions"] == HOLDS
         assert rec.verdicts["tree_formula"] == HOLDS
 
+    @pytest.mark.parametrize("solver", ["tmc_exact", "mc_exact", "mvc_exact"])
+    def test_tree_formula_checks_all_three_values(self, monkeypatch, solver):
+        # a tree has tmc = l + 1, mc = 1 and mvc = l + 1; K_2 (mvc 2,
+        # l + 1 = 3) keeps only the tmc check, and a value one off breaks it
+        spider = from_edge_list(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
+        for g in (path_graph(6), star_graph(5), spider, complete_graph(2)):
+            rec = check_all(g)
+            assert rec.verdicts["tree_formula"] == HOLDS, g.edges
+        rec = check_all(spider)
+        assert (rec.tmc, rec.mc, rec.mvc) == (rec.l + 1, 1, rec.l + 1)
+        solve = getattr(harness, solver)
+
+        def one_more(g):
+            rep = solve(g)
+            return replace(rep, value=rep.value + 1)
+
+        monkeypatch.setattr(harness, "_memo", {})
+        monkeypatch.setattr(harness, solver, one_more)
+        assert check_all(spider).verdicts["tree_formula"] == VIOLATED
+
     def test_wheel_and_multipartite_formulas(self):
         rec = check_all(wheel_graph(6))
         assert rec.verdicts["wheel_formula"] == HOLDS

@@ -3,13 +3,20 @@ import hashlib
 import inspect
 import itertools
 import json
+import random
 import time
 from dataclasses import replace
 
 import networkx as nx
 import pytest
 
-from monoconn.coloring import coloring_to_json, verify_mc, verify_mvc, verify_tmc
+from monoconn.coloring import (
+    VertexColoring,
+    coloring_to_json,
+    verify_mc,
+    verify_mvc,
+    verify_tmc,
+)
 from monoconn.harness import diameter2_size_bound
 from monoconn.graphs import (
     complete_graph,
@@ -268,13 +275,29 @@ class TestMvcExact:
         assert reverify(g, rep)
 
     def test_two_class_witness_pinned(self):
-        # the optimum joins the far pairs through two classes, {0, 1} and
-        # {3, 4}, in the search's pick order; every other vertex is fresh
+        # an optimum joins the far pairs through two classes, {0, 1} and
+        # {3, 4}; the search starts from the one class {0, 1, 5} of the same
+        # waste, which its root proves optimal, and every other vertex is fresh
         g = parse_graph6("HglCR_U")
         rep = mvc_exact(g)
-        assert (g.n, rep.value, rep.method, rep.nodes_explored) == (9, 7, "tree_system", 6)
-        assert coloring_to_json(rep.witness) == '{"vertex_colors": [0, 0, 2, 1, 1, 3, 4, 5, 6]}'
+        assert (g.n, rep.value, rep.method, rep.nodes_explored) == (9, 7, "tree_system", 1)
+        assert coloring_to_json(rep.witness) == '{"vertex_colors": [0, 0, 1, 2, 3, 0, 4, 5, 6]}'
         assert reverify(g, rep)
+        two_classes = VertexColoring((0, 0, 2, 1, 1, 3, 4, 5, 6))
+        assert verify_mvc(g, two_classes) == (True, None)
+        assert two_classes.color_count == 7
+
+    def test_two_class_optimum_past_the_start(self):
+        # no single class of waste 2 joins every far pair here, so the
+        # optimum needs the two classes {0, 4} and {3, 5}
+        g = parse_graph6("GE_}@S")
+        rep = mvc_exact(g)
+        assert (g.n, rep.value, rep.method, rep.nodes_explored) == (8, 6, "tree_system", 4)
+        assert coloring_to_json(rep.witness) == '{"vertex_colors": [1, 2, 3, 0, 1, 0, 4, 5]}'
+        assert reverify(g, rep)
+        assert mvc_partition_reference(g).value == 6
+        _, far, _ = TestCandidates.far_pairs(g)
+        assert all(cov != far for _, _, _, _, cov in _candidates(g, far, 2, "mvc"))
 
     def test_guard(self, monkeypatch):
         with pytest.raises(SolverRangeError, match="mvc_exact accepts n <= 9"):
@@ -639,6 +662,53 @@ def _count_tmc_generations(monkeypatch) -> list:
     return seen
 
 
+class TestSingleCoverStart:
+    def test_values_match_without_the_start(self, monkeypatch):
+        # the cheapest candidate covering every pair alone is a valid system,
+        # so starting from it moves no value; a lower incumbent only prunes,
+        # so no node count rises
+        atlas = (h for h in nx.graph_atlas_g() if 1 <= h.number_of_nodes() <= 6)
+        graphs = [from_edge_list(h.number_of_nodes(), h.edges()) for h in atlas]
+        graphs = [g for g in graphs if is_connected(g)]
+        assert len(graphs) == 143
+        graphs += [
+            random_connected(7 + i % 3, 500 + i, p=(0.3, 0.5, 0.7, 0.9)[i % 4]) for i in range(36)
+        ]
+        solves = (tmc_exact, mc_exact, mvc_exact)
+        started = [[solve(g) for solve in solves] for g in graphs]
+        monkeypatch.setattr(solvers, "_single_cover", lambda cands, pairs: None)
+        moved = 0
+        for g, reps in zip(graphs, started):
+            for solve, rep in zip(solves, reps):
+                plain = solve(g)
+                assert rep.value == plain.value, (solve.__name__, g.edges)
+                assert rep.nodes_explored <= plain.nodes_explored, (solve.__name__, g.edges)
+                assert reverify(g, rep) and reverify(g, plain), (solve.__name__, g.edges)
+                moved += rep.nodes_explored < plain.nodes_explored
+        assert moved >= 20
+
+    def test_dense_batch_mc_proved_at_root(self):
+        # the first 4 connected G(9, 0.7) draws of Random(0) each have a
+        # universal vertex: the non-universal vertices form the cheapest
+        # single cover, and the root's count bound proves it optimal; tmc's
+        # root is proved too, on three graphs before any candidate is built
+        rng = random.Random(0)
+        graphs = []
+        while len(graphs) < 4:
+            g = random_gnp(9, 0.7, rng.randrange(2**31))
+            if is_connected(g):
+                graphs.append(g)
+        for g in graphs:
+            rep = mc_exact(g)
+            assert rep.nodes_explored == 1, g.edges
+            assert reverify(g, rep)
+            universal = {v for v in range(g.n) if g.adj[v] | 1 << v == (1 << g.n) - 1}
+            assert universal, g.edges
+            ((edges, _),) = witness_trees(g, rep.witness)
+            assert {v for e in edges for v in e} == set(range(g.n)) - universal
+            assert tmc_exact(g).nodes_explored == 1, g.edges
+
+
 class TestTreeSystemValidate:
     def test_disconnected_tree_with_one_edge_fewer_than_vertices(self):
         # a triangle plus a disjoint edge passes the edge count, not connectivity
@@ -728,7 +798,7 @@ def test_methods_and_nodes():
 # sha256 of each report's value, method, nodes, bounds and witness JSON
 # for tmc, mc and mvc over every labelled connected graph with n <= 5 and
 # 20 seeded graphs with n = 7 or 8; any change to a witness moves it
-WITNESS_DIGEST = "66ddfea39710476c9c9762c564c5a059ce9cc3a925744eff0fc7dcb046da81a3"
+WITNESS_DIGEST = "e001415d3217e9254dd145de77624400d2f187b298aad50ded39ffe342eb877c"
 
 
 def test_reports_match_golden_witness_digest():
@@ -756,3 +826,14 @@ def test_node_counts_pinned_past_the_digest(monkeypatch):
     assert (tmc.value, tmc.nodes_explored) == (54, 6_574)
     assert (mc.value, mc.nodes_explored) == (46, 88_913)
     assert reverify(g, tmc) and reverify(g, mc)
+
+
+def test_single_cover_start_node_counts_pinned(monkeypatch):
+    # both graphs have a universal vertex, so the search starts from the
+    # cheapest single cover: it proves tmc at the root, and takes mc on
+    # G(13, 0.8) from 2,101,676 nodes to 1,304
+    monkeypatch.setenv("MONO_MAX_EXACT_N", "14")
+    g13, g14 = random_gnp(13, 0.8, 1), random_gnp(14, 0.9, 1)
+    reports = [tmc_exact(g13), mc_exact(g13), tmc_exact(g14)]
+    assert [(r.value, r.nodes_explored) for r in reports] == [(67, 1), (56, 1_304), (85, 1)]
+    assert all(reverify(g, r) for g, r in zip((g13, g13, g14), reports))
