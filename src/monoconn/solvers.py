@@ -93,7 +93,8 @@ for the j-th pair of nonadjacent_pairs(), lexicographic), the neighbourhood,
 the common closed neighbourhood and connectivity.  They depend on G alone,
 and so do the mc candidates, since mc's incumbent is always a spanning
 tree of waste n - 2; one pass over the sets in increasing order builds
-them all (_table).  Only the last graph's tables are kept, so tmc, mc and
+them all (_table), and it runs only when the degree check below fails to
+prove the root.  Only the last graph's tables are kept, so tmc, mc and
 mvc solved one after another on one graph build them once; max_leaf_exact
 and diameter keep their last graph's result the same way.  Pairs to cover
 are a mask over the same bits: every pair for tmc and mc, the pairs at
@@ -153,6 +154,37 @@ ub = n - 2 + q >= n + d - 3, which leaves only G = P_n.  There P_3 and P_4
 also lack a relaxed candidate for the end pair, and for n >= 5 the whole
 path's relaxed waste n < ub = 2n - 4 keeps the bound from proving it.
 
+Degree check (tmc, mc).  Before either root proof, the count bound runs
+once more with most[w] replaced by a bound read off the non-degrees
+d'(v) = n - 1 - deg(v), and the table is built only when that fails.  A
+set S holds at most floor(sum of d'(v) over S / 2) non-adjacent pairs, so
+with top(k) the sum of the k largest non-degrees:
+- an mc candidate of waste w is a connected set of k = w + 2 vertices,
+  with at least k - 1 edges, so it covers at most
+  min(C(k - 1, 2), floor(top(k) / 2)) pairs;
+- a relaxed tmc tuple of waste w is w vertices without a lonely one, or
+  w + 1 with a lonely one, which lies in no pair; either way its pairs lie
+  among w vertices, at most min(C(w, 2), floor(top(w) / 2)).
+top(n) / 2 is every pair, so neither exceeds the pair count.  A pointwise
+larger most only raises reach and lowers need, so a degree proof implies
+the real one.  The proof also needs every pair to have a candidate below
+the incumbent's waste ub, else the real root counts 0 nodes.  A set
+holding a pair at distance d has at least d + 1 vertices, and a shortest
+path is an induced one and a candidate: only the middle of a 3-vertex path
+is lonely, and dropping it disconnects the path.  So the cheapest mc
+candidate holding the pair costs d - 1, and the cheapest relaxed tuple 2
+when d = 2 (u-x-v with x lonely) and d + 1 when d >= 3 (a lonely vertex
+would put u and v at distance 2).  With D the diameter, every pair has one
+below ub exactly when D - 1 < ub (mc) or c(D) < ub (tmc, c(2) = 2,
+c(D) = D + 1 for D >= 3).  The check proves only roots that the real proof
+counts as one node, at the ub the search would use: tmc's max-leaf
+incumbent; for mc with no universal vertex the BFS tree's n - 2, where no
+single cover exists (Start); for mc with universal vertices U and G - U
+connected, the start V - U of waste n - |U| - 2, which covers every pair
+and is then the pick.  Other mc graphs go to the real proofs.  Values,
+picks, witnesses and node counts are therefore those of the search
+without the check.
+
 mvc.  A vertex coloring joins u and v when some u-v path has all its inner
 vertices in one color.  Pairs at distance <= 2 always are, so only the pairs
 at distance >= 3 count.  A path's inner vertices induce a connected graph,
@@ -192,6 +224,7 @@ import bisect
 import functools
 import os
 from dataclasses import dataclass, field
+from math import comb
 from typing import NamedTuple, Sequence
 
 from .coloring import (
@@ -203,7 +236,7 @@ from .coloring import (
     verify_mvc,
     verify_tmc,
 )
-from .graphs import Graph, _bits, _internal, diameter, is_connected
+from .graphs import Graph, _bits, _internal, _reach, diameter, is_connected
 from .maxleaf import _tree_from_cds, max_leaf_exact
 
 Edge = tuple[int, int]
@@ -397,14 +430,20 @@ def _candidates(g: Graph, pairs: int, cap: int, variant: str) -> list[Candidate]
 
 def _count_lb_table(cands: list[Candidate], npairs: int, limit: int) -> list[int]:
     """need[u] = least total waste of candidates that can cover u pairs,
-    capped at ``limit``: most[w] is the largest cover of a candidate of
-    waste w, and reach[b] the most pairs that waste b covers (an unbounded
-    knapsack over most)."""
+    capped at ``limit``, with most[w] the largest cover of a candidate of
+    waste w."""
     most: dict[int, int] = {}
     for w, _, _, _, cov in cands:
         c = cov.bit_count()
         if c > most.get(w, 0):
             most[w] = c
+    return _need(most, npairs, limit)
+
+
+def _need(most: dict[int, int], npairs: int, limit: int) -> list[int]:
+    """need[u] = least b whose reach[b] >= u, capped at ``limit``, where
+    reach[b] is the most pairs that waste b covers when one candidate of
+    waste w covers at most most[w] (an unbounded knapsack over most)."""
     assert 0 not in most, "every candidate costs waste >= 1"
     need = [0] + [limit] * npairs
     reach = [0]
@@ -507,6 +546,49 @@ def _single_cover(cands: list[Candidate], pairs: int) -> int | None:
     return next((ci for ci, c in enumerate(cands) if c[4] == pairs), None)
 
 
+def _degree_bound(g: Graph, variant: str, ub: int) -> dict[int, int] | None:
+    """Upper bounds, read off the vertex non-degrees, on most[w] for
+    1 <= w < ``ub``: the pairs one mc candidate of waste w covers, or for
+    "tmc" one relaxed tuple of _relaxed_root_proof.  None when some pair has
+    no candidate (tuple) below ``ub`` (module docstring, Degree check)."""
+    d = diameter(g)
+    cheapest = d - 1 if variant == "mc" else d if d == 2 else d + 1
+    if cheapest >= ub:
+        return None
+    # top[k] = sum of the k largest non-degrees; top[n] is twice the pairs
+    top = [0]
+    for gap in sorted((g.n - 1 - a.bit_count() for a in g.adj), reverse=True):
+        top.append(top[-1] + gap)
+    if variant == "mc":  # a connected set of w + 2 vertices
+        return {w: min(comb(w + 1, 2), top[min(w + 2, g.n)] // 2) for w in range(1, ub)}
+    # w vertices, or w + 1 with a lonely one, which is in no pair
+    return {w: min(comb(w, 2), top[min(w, g.n)] // 2) for w in range(1, ub)}
+
+
+def _degree_root(
+    g: Graph, variant: str, pairs: int, ub: int
+) -> tuple[int, list[tuple[int, int]] | None, int] | None:
+    """_search's result for tmc or mc when the count bound over
+    _degree_bound proves its root, else None.  It proves only roots that
+    _search proves with one node: for mc with universal vertices U, after
+    the start V - U when G - U is connected (module docstring)."""
+    start = None
+    if variant == "mc":
+        universal = sum(1 << v for v, a in enumerate(g.adj) if a.bit_count() == g.n - 1)
+        if universal:
+            start = (1 << g.n) - 1 - universal
+            if _reach(g.adj, (start & -start).bit_length() - 1, start) != start:
+                return None
+    most = _degree_bound(g, variant, ub)
+    if most is None:
+        return None
+    if start is not None:
+        ub = start.bit_count() - 2
+    if _need(most, pairs.bit_count(), ub)[-1] < ub:
+        return None
+    return ub, None if start is None else [(0, start)], 1
+
+
 def _search(
     g: Graph, variant: str, pairs: int, ub: int
 ) -> tuple[int, list[tuple[int, int]] | None, int]:
@@ -514,7 +596,13 @@ def _search(
     search over the pair mask ``pairs`` below the incumbent's waste ``ub``;
     the pick is None when nothing beats the incumbent.  The search starts
     from the cheapest single candidate covering every pair, when one is
-    below ``ub``, and picks it alone when no cover beats it."""
+    below ``ub``, and picks it alone when no cover beats it.  For tmc and mc
+    the degree check (_degree_root) runs first and, when it proves the root,
+    ends the search before the shared table is built."""
+    if variant != "mvc":
+        proved = _degree_root(g, variant, pairs, ub)
+        if proved is not None:
+            return proved
     if variant == "tmc":
         proof = _relaxed_root_proof(g, pairs, ub)
         if proof is not None:

@@ -32,6 +32,7 @@ from monoconn.graphs import (
     random_gnp,
     star_graph,
     tmc_identity_conditions,
+    to_graph6,
     wheel_graph,
 )
 from monoconn import maxleaf, solvers
@@ -634,18 +635,11 @@ class TestCountBound:
             random_connected(n, 40 * n + seed, p=tenths / 10)
             for n in (7, 8, 9) for tenths in range(2, 10) for seed in range(2)
         ]
-
-        def row(rep):
-            return (
-                rep.value, rep.nodes_explored, rep.method, rep.bounds_used,
-                coloring_to_json(rep.witness),
-            )
-
         for g in graphs:
-            with_check = row(tmc_exact(g))
+            with_check = _row(tmc_exact(g))
             with monkeypatch.context() as m:
                 m.setattr(solvers, "_relaxed_root_proof", lambda g, pairs, ub: None)
-                assert row(tmc_exact(g)) == with_check, g.edges
+                assert _row(tmc_exact(g)) == with_check, g.edges
 
 
 def _count_tmc_generations(monkeypatch) -> list:
@@ -662,21 +656,158 @@ def _count_tmc_generations(monkeypatch) -> list:
     return seen
 
 
+def _classes() -> list:
+    """One connected graph per isomorphism class with n <= 6."""
+    atlas = (h for h in nx.graph_atlas_g() if 1 <= h.number_of_nodes() <= 6)
+    graphs = [from_edge_list(h.number_of_nodes(), h.edges()) for h in atlas]
+    graphs = [g for g in graphs if is_connected(g)]
+    assert len(graphs) == 143
+    return graphs
+
+
+def _dense_batch() -> list:
+    """dense9's batch: the first 4 connected G(9, 0.7) draws of Random(0)."""
+    rng = random.Random(0)
+    graphs = []
+    while len(graphs) < 4:
+        g = random_gnp(9, 0.7, rng.randrange(2**31))
+        if is_connected(g):
+            graphs.append(g)
+    return graphs
+
+
+def _row(rep):
+    """A report's value, nodes, method, bounds and witness JSON."""
+    return (
+        rep.value, rep.nodes_explored, rep.method, rep.bounds_used,
+        coloring_to_json(rep.witness),
+    )
+
+
+class TestDegreeCheck:
+    def test_bound_and_coverage_admissible(self, monkeypatch):
+        # at each waste below ub the non-degree bound is at least the largest
+        # cover of an mc candidate, and of a relaxed tmc tuple as handed to
+        # _root_proof; it reports a pair without one below ub exactly when
+        # there is such a pair
+        seeded = [random_connected(7 + i % 3, 700 + i, p=0.3 + 0.1 * (i % 7)) for i in range(24)]
+        seen = []
+        root_proof = solvers._root_proof
+
+        def recorded(cands, pairs, ub):
+            seen.append(cands)
+            return root_proof(cands, pairs, ub)
+
+        monkeypatch.setattr(solvers, "_root_proof", recorded)
+        checked = 0
+        for g in TestCountBound.graphs() + seeded:
+            pairs = g.nonadjacent_pairs()
+            if not pairs:
+                continue
+            full = (1 << len(pairs)) - 1
+            seen.clear()
+            solvers._relaxed_root_proof(g, full, g.n + 1)  # a relaxed tuple costs <= n
+            (relaxed,) = seen
+            mc = _candidates(g, full, g.n - 2, "mc")
+            for variant, cands, ubs in (("mc", mc, g.n), ("tmc", relaxed, g.n + 2)):
+                for ub in range(1, ubs):
+                    below = [c for c in cands if c[0] < ub]
+                    union = functools.reduce(int.__or__, (c[4] for c in below), 0)
+                    bound = solvers._degree_bound(g, variant, ub)
+                    assert (bound is not None) == (union == full), (variant, g.edges, ub)
+                    if bound is None:
+                        continue
+                    assert sorted(bound) == list(range(1, ub))
+                    for w, _, _, _, cov in below:
+                        assert bound[w] >= cov.bit_count(), (variant, g.edges, w)
+                        checked += 1
+        assert checked > 50_000
+
+    def test_degree_check_changes_no_report(self, monkeypatch):
+        # a degree proof implies _search's one-node root proof, with the same
+        # ub and pick; on P_3 and P_4 the root counts 0 nodes, which a check
+        # without its coverage test would report as 1
+        graphs = [path_graph(3), path_graph(4)] + _classes()
+        graphs += [
+            random_connected(n, 60 * n + seed, p=p)
+            for n in (7, 8, 9) for p in (0.2, 0.35, 0.5, 0.65, 0.8, 0.95) for seed in range(2)
+        ]
+        proved = []
+        degree_root = solvers._degree_root
+
+        def recorded(g, variant, pairs, ub):
+            out = degree_root(g, variant, pairs, ub)
+            if out is not None:
+                proved.append(variant)
+            return out
+
+        solves = (tmc_exact, mc_exact, mvc_exact)
+        for g in graphs:
+            with monkeypatch.context() as m:
+                m.setattr(solvers, "_degree_root", recorded)
+                rows = [_row(solve(g)) for solve in solves]
+            with monkeypatch.context() as m:
+                m.setattr(solvers, "_degree_root", lambda g, variant, pairs, ub: None)
+                assert [_row(solve(g)) for solve in solves] == rows, g.edges
+        assert proved.count("tmc") >= 40 and proved.count("mc") >= 40
+
+    def test_dense_batch_builds_one_table(self, table_builds):
+        # the non-degrees prove tmc's and mc's roots on three of dense9's four
+        # graphs, and mvc takes the diameter-2 shortcut; HmzzL^~ still builds
+        # the table, since its relaxed need (7) is below tmc's ub (8)
+        for g in _dense_batch():
+            max_leaf_exact(g)
+            for solve in (tmc_exact, mc_exact, mvc_exact):
+                assert reverify(g, solve(g))
+        assert [to_graph6(g) for g in table_builds] == ["HmzzL^~"]
+
+
 class TestSingleCoverStart:
+    @staticmethod
+    def graphs():
+        """One graph per class with n <= 6 and 36 seeded n = 7-9 graphs."""
+        return _classes() + [
+            random_connected(7 + i % 3, 500 + i, p=(0.3, 0.5, 0.7, 0.9)[i % 4]) for i in range(36)
+        ]
+
+    def test_degree_check_start_is_the_single_cover(self, monkeypatch):
+        # with a knapsack that proves every root, the degree check returns
+        # mc's start: _single_cover's pick (V - U) when G - U is connected,
+        # else (no universal vertex) the BFS tree's waste and no pick
+        monkeypatch.setattr(solvers, "_need", lambda most, npairs, limit: [limit] * (npairs + 1))
+        starts = 0
+        for g in self.graphs():
+            if g.is_complete():
+                continue
+            full = solvers._pair_mask(g)
+            cands = _candidates(g, full, g.n - 3, "mc")
+            start = solvers._single_cover(cands, full)
+            universal = [v for v in range(g.n) if g.degree(v) == g.n - 1]
+            rest = nx.Graph(g.edges)
+            rest.remove_nodes_from(universal)
+            proved = solvers._degree_root(g, "mc", full, g.n - 2)
+            if universal and not nx.is_connected(rest):
+                assert proved is None, g.edges
+            elif diameter(g) - 1 >= g.n - 2:  # some pair has no candidate below ub
+                assert proved is None and start is None, g.edges
+            elif start is None:
+                assert not universal and proved == (g.n - 2, None, 1), g.edges
+            else:
+                waste, _, inner, span, _ = cands[start]
+                assert proved == (waste, [(inner, span)], 1), g.edges
+                starts += 1
+        assert starts >= 20
+
     def test_values_match_without_the_start(self, monkeypatch):
         # the cheapest candidate covering every pair alone is a valid system,
         # so starting from it moves no value; a lower incumbent only prunes,
         # so no node count rises
-        atlas = (h for h in nx.graph_atlas_g() if 1 <= h.number_of_nodes() <= 6)
-        graphs = [from_edge_list(h.number_of_nodes(), h.edges()) for h in atlas]
-        graphs = [g for g in graphs if is_connected(g)]
-        assert len(graphs) == 143
-        graphs += [
-            random_connected(7 + i % 3, 500 + i, p=(0.3, 0.5, 0.7, 0.9)[i % 4]) for i in range(36)
-        ]
+        graphs = self.graphs()
         solves = (tmc_exact, mc_exact, mvc_exact)
         started = [[solve(g) for solve in solves] for g in graphs]
+        # the degree check would still bring mc's start V - U
         monkeypatch.setattr(solvers, "_single_cover", lambda cands, pairs: None)
+        monkeypatch.setattr(solvers, "_degree_root", lambda g, variant, pairs, ub: None)
         moved = 0
         for g, reps in zip(graphs, started):
             for solve, rep in zip(solves, reps):
@@ -692,13 +823,7 @@ class TestSingleCoverStart:
         # universal vertex: the non-universal vertices form the cheapest
         # single cover, and the root's count bound proves it optimal; tmc's
         # root is proved too, on three graphs before any candidate is built
-        rng = random.Random(0)
-        graphs = []
-        while len(graphs) < 4:
-            g = random_gnp(9, 0.7, rng.randrange(2**31))
-            if is_connected(g):
-                graphs.append(g)
-        for g in graphs:
+        for g in _dense_batch():
             rep = mc_exact(g)
             assert rep.nodes_explored == 1, g.edges
             assert reverify(g, rep)
