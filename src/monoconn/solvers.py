@@ -79,20 +79,18 @@ neighbourhoods over S, the lonely vertices of S are common[S] & S.
   inside I, the same cover and less waste.
 - mc: S with a lonely v such that G[S - v] is connected is dominated by
   S - v: the same cover, a sub-mask of the edges, one less waste.
-- mvc: I with an x such that I - x is non-empty and connected and
-  N[I - x] holds the same pairs as N[I] is dominated by I - x.
 Each exchange keeps a system valid and makes it cheaper, so a dominated
 candidate is in no optimum, and every chain of exchanges ends at an emitted
 candidate because waste falls strictly.  Generation drops them with one
 mask test per (S, I) for tmc and connected[] lookups of the one-smaller
-sets for mc and mvc.
+sets for mc; mvc emits every connected I whose N[I] holds a pair.
 
 Shared table.  Every candidate is read off per-set tables over all 2^n
 vertex sets: the induced edge mask, the non-adjacent pairs inside (bit j
 for the j-th pair of nonadjacent_pairs(), lexicographic), the neighbourhood,
 the common closed neighbourhood and connectivity.  They depend on G alone,
-and so do the mc candidates, since mc's incumbent is always a spanning
-tree of waste n - 2; one pass over the sets in increasing order builds
+and so does the list of every mc candidate, which each mc solve cuts below
+its incumbent's waste; one pass over the sets in increasing order builds
 them all (_table), and it runs only when the degree check below fails to
 prove the root.  Only the last graph's tables are kept, so tmc, mc and
 mvc solved one after another on one graph build them once; max_leaf_exact
@@ -107,17 +105,18 @@ candidates (ties to the lowest index).  Every cover covers that pair, and
 its candidate list is sorted by waste, so the search stops at the first
 candidate that cannot beat the incumbent.
 
-Start.  The candidate list is sorted by waste and capped below the
-incumbent's, so its first candidate whose cover is every pair to cover is
-the cheapest system of one candidate, and a valid one.  The search takes its
-waste as the incumbent's, and returns it as the pick when nothing beats it.
-When the universal vertices U of a non-complete G leave G - U connected,
-V - U is that mc candidate: every pair lies inside it, no vertex of it is
-adjacent to the rest of it, and any set holding every pair contains it.
-Its waste n - |U| - 2 is below a spanning tree's, and on many dense graphs
-the root's count bound proves it.  With no universal vertex, every vertex
-lies in a pair, so a single tmc or mc cover holds all of V and costs at
-least the incumbent's n - 2 + q or n - 2: there the start never exists.
+Start.  Each solver hands the search its incumbent as one (I, S) pick of
+waste ub, the witness when nothing beats it: tmc the max-leaf tree, mvc
+its internal set, and mc V - U when the universal vertices U leave G - U
+connected, else V (a BFS tree of waste n - 2).  That V - U is the cheapest
+mc candidate holding every pair: every pair lies inside it, no vertex of
+it is adjacent to the rest of it, and any set holding every pair contains
+it.  On many dense graphs the root's count bound proves it.  The candidate
+list is sorted by waste and capped below ub, so its first candidate whose
+cover is every pair to cover is the cheapest system of one candidate, a
+valid one, and it replaces the incumbent.  With no universal vertex, every
+vertex lies in a pair, so a single tmc or mc cover holds all of V and costs
+at least the incumbent's n - 2 + q or n - 2: there it never exists.
 
 Count bound.  Let most[w] be the largest number of pairs one candidate of
 waste w covers, reach[b] the largest sum of most[w_i] over wastes w_i >= 1
@@ -176,14 +175,10 @@ candidate holding the pair costs d - 1, and the cheapest relaxed tuple 2
 when d = 2 (u-x-v with x lonely) and d + 1 when d >= 3 (a lonely vertex
 would put u and v at distance 2).  With D the diameter, every pair has one
 below ub exactly when D - 1 < ub (mc) or c(D) < ub (tmc, c(2) = 2,
-c(D) = D + 1 for D >= 3).  The check proves only roots that the real proof
-counts as one node, at the ub the search would use: tmc's max-leaf
-incumbent; for mc with no universal vertex the BFS tree's n - 2, where no
-single cover exists (Start); for mc with universal vertices U and G - U
-connected, the start V - U of waste n - |U| - 2, which covers every pair
-and is then the pick.  Other mc graphs go to the real proofs.  Values,
-picks, witnesses and node counts are therefore those of the search
-without the check.
+c(D) = D + 1 for D >= 3).  The check runs at the incumbent's waste, and a
+proof there leaves no single cover below it, so it is the real root's
+one-node proof of the same incumbent: values, picks, witnesses and node
+counts are those of the search without the check.
 
 mvc.  A vertex coloring joins u and v when some u-v path has all its inner
 vertices in one color.  Pairs at distance <= 2 always are, so only the pairs
@@ -367,12 +362,11 @@ def _candidates(g: Graph, pairs: int, cap: int, variant: str) -> list[Candidate]
     pairs inside N[I] and waste |I| - 1.  For tmc and mc ``pairs`` is every
     non-adjacent pair of ``g``.
 
-    Only non-dominated candidates are emitted (module docstring): for tmc,
-    L meets the private set (N(I) - I) - N(I - x) of every x whose removal
-    leaves I non-empty and connected, and no leaf is adjacent to the rest
-    of S; for mc, no vertex adjacent to the rest of S leaves G[S - v]
-    connected; for mvc, no I - x is non-empty, connected and of the same
-    cover.
+    For tmc and mc only non-dominated candidates are emitted (module
+    docstring): for tmc, L meets the private set (N(I) - I) - N(I - x) of
+    every x whose removal leaves I non-empty and connected, and no leaf is
+    adjacent to the rest of S; for mc, no vertex adjacent to the rest of S
+    leaves G[S - v] connected.
     """
     emask, cover, nbr, common, connected, mc = _table(g)
     if variant == "mc":
@@ -384,10 +378,7 @@ def _candidates(g: Graph, pairs: int, cap: int, variant: str) -> list[Candidate]
         size = s.bit_count()
         if variant == "mvc":
             whole = cover[nbr[s] | s] & pairs
-            if not whole or size - 1 > cap:
-                continue
-            rests = [s ^ (1 << x) for x in _bits(s)]
-            if not any(connected[r] and cover[nbr[r] | r] & pairs == whole for r in rests):
+            if whole and size - 1 <= cap:
                 out.append((size - 1, 0, s, s, whole))
             continue
         if 2 * size > cap:
@@ -428,18 +419,6 @@ def _candidates(g: Graph, pairs: int, cap: int, variant: str) -> list[Candidate]
     return out
 
 
-def _count_lb_table(cands: list[Candidate], npairs: int, limit: int) -> list[int]:
-    """need[u] = least total waste of candidates that can cover u pairs,
-    capped at ``limit``, with most[w] the largest cover of a candidate of
-    waste w."""
-    most: dict[int, int] = {}
-    for w, _, _, _, cov in cands:
-        c = cov.bit_count()
-        if c > most.get(w, 0):
-            most[w] = c
-    return _need(most, npairs, limit)
-
-
 def _need(most: dict[int, int], npairs: int, limit: int) -> list[int]:
     """need[u] = least b whose reach[b] >= u, capped at ``limit``, where
     reach[b] is the most pairs that waste b covers when one candidate of
@@ -463,16 +442,23 @@ def _need(most: dict[int, int], npairs: int, limit: int) -> list[int]:
 
 
 def _root_proof(
-    cands: list[Candidate], pairs: int, ub_waste: int
+    cands: Sequence[tuple[int, ...]], pairs: int, ub_waste: int
 ) -> tuple[list[int], int | None]:
-    """The count-bound table of ``cands`` capped at ``ub_waste``, and the
-    nodes the search counts when its root alone proves the incumbent of that
-    waste optimal: 0 when some pair of ``pairs`` has no candidate, 1 when
-    need[all pairs] reaches ``ub_waste``, None when the root must branch."""
-    need = _count_lb_table(cands, pairs.bit_count(), ub_waste)
+    """The count-bound table of the (waste, ..., cover) tuples ``cands``
+    capped at ``ub_waste``, with most[w] the largest cover of a tuple of
+    waste w, and the nodes the search counts when its root alone proves the
+    incumbent of that waste optimal: 0 when some pair of ``pairs`` has no
+    tuple, 1 when need[all pairs] reaches ``ub_waste``, None when the root
+    must branch."""
+    most: dict[int, int] = {}
     seen = 0
-    for _, _, _, _, cov in cands:
+    for c in cands:
+        w, cov = c[0], c[-1]
         seen |= cov
+        c = cov.bit_count()
+        if c > most.get(w, 0):
+            most[w] = c
+    need = _need(most, pairs.bit_count(), ub_waste)
     if seen != pairs:
         return need, 0
     return need, 1 if need[-1] >= ub_waste else None
@@ -536,7 +522,7 @@ def _relaxed_root_proof(g: Graph, pairs: int, ub: int) -> int | None:
     for w, _, _, s, cov in t.mc:
         w += 1 if t.common[s] & s else 2
         if w < ub:
-            relaxed.append((w, 0, 0, s, cov))
+            relaxed.append((w, cov))
     return _root_proof(relaxed, pairs, ub)[1]
 
 
@@ -565,56 +551,36 @@ def _degree_bound(g: Graph, variant: str, ub: int) -> dict[int, int] | None:
     return {w: min(comb(w, 2), top[min(w, g.n)] // 2) for w in range(1, ub)}
 
 
-def _degree_root(
-    g: Graph, variant: str, pairs: int, ub: int
-) -> tuple[int, list[tuple[int, int]] | None, int] | None:
-    """_search's result for tmc or mc when the count bound over
-    _degree_bound proves its root, else None.  It proves only roots that
-    _search proves with one node: for mc with universal vertices U, after
-    the start V - U when G - U is connected (module docstring)."""
-    start = None
-    if variant == "mc":
-        universal = sum(1 << v for v, a in enumerate(g.adj) if a.bit_count() == g.n - 1)
-        if universal:
-            start = (1 << g.n) - 1 - universal
-            if _reach(g.adj, (start & -start).bit_length() - 1, start) != start:
-                return None
+def _degree_root(g: Graph, variant: str, pairs: int, ub: int) -> bool:
+    """Whether the count bound over _degree_bound proves optimal the tmc or
+    mc incumbent of waste ``ub``; _search's own root then proves it with
+    one node (module docstring, Degree check)."""
     most = _degree_bound(g, variant, ub)
-    if most is None:
-        return None
-    if start is not None:
-        ub = start.bit_count() - 2
-    if _need(most, pairs.bit_count(), ub)[-1] < ub:
-        return None
-    return ub, None if start is None else [(0, start)], 1
+    return most is not None and _need(most, pairs.bit_count(), ub)[-1] >= ub
 
 
 def _search(
-    g: Graph, variant: str, pairs: int, ub: int
-) -> tuple[int, list[tuple[int, int]] | None, int]:
+    g: Graph, variant: str, pairs: int, start: tuple[int, int], ub: int
+) -> tuple[int, list[tuple[int, int]], int]:
     """(minimum waste, picked (I, S) masks, nodes explored) of the cover
-    search over the pair mask ``pairs`` below the incumbent's waste ``ub``;
-    the pick is None when nothing beats the incumbent.  The search starts
-    from the cheapest single candidate covering every pair, when one is
-    below ``ub``, and picks it alone when no cover beats it.  For tmc and mc
-    the degree check (_degree_root) runs first and, when it proves the root,
+    search over the pair mask ``pairs`` that must beat the incumbent
+    ``start``, an (I, S) pick of waste ``ub``, which is the pick when
+    nothing beats it.  The cheapest single candidate covering every pair
+    replaces the incumbent when it is below ``ub``.  For tmc and mc the
+    degree check (_degree_root) runs first and, when it proves the root,
     ends the search before the shared table is built."""
-    if variant != "mvc":
-        proved = _degree_root(g, variant, pairs, ub)
-        if proved is not None:
-            return proved
+    if variant != "mvc" and _degree_root(g, variant, pairs, ub):
+        return ub, [start], 1
     if variant == "tmc":
         proof = _relaxed_root_proof(g, pairs, ub)
         if proof is not None:
-            return ub, None, proof
+            return ub, [start], proof
     cands = _candidates(g, pairs, ub - 1, variant)
-    start = _single_cover(cands, pairs)
-    if start is not None:
-        ub = cands[start][0]
+    single = _single_cover(cands, pairs)
+    if single is not None:
+        ub, start = cands[single][0], cands[single][2:4]
     best, pick, nodes = _solve_cover(cands, pairs, ub)
-    if pick is None and start is not None:
-        pick = [start]
-    return best, None if pick is None else [cands[ci][2:4] for ci in pick], nodes
+    return best, [start] if pick is None else [cands[ci][2:4] for ci in pick], nodes
 
 
 def _system(g: Graph, picks: Sequence[tuple[int, int]]) -> list[list[Edge]]:
@@ -644,9 +610,10 @@ def tmc_exact(g: Graph) -> SolverReport:
     """Total monochromatic connection number with witness coloring.
 
     Minimum-waste search over covering systems of (S, I) candidates.  Its
-    incumbent is the maximum-leaf spanning tree (waste n - 2 + q(G), the
-    generic lower bound m - n + 2 + l(G) on the value), or the cheapest
-    single candidate covering every pair when that one is cheaper.
+    incumbent, the witness when nothing beats it, is the maximum-leaf
+    spanning tree (waste n - 2 + q(G), the generic lower bound
+    m - n + 2 + l(G) on the value), or the cheapest single candidate
+    covering every pair when that one is cheaper.
     """
     if not is_connected(g):
         raise ValueError("disconnected")
@@ -658,10 +625,9 @@ def tmc_exact(g: Graph) -> SolverReport:
         )
     _guard_exact(g, "tmc_exact")
     ml = max_leaf_exact(g)
-    best, picks, nodes = _search(g, "tmc", _pair_mask(g), g.n - 2 + ml.internal_count)
-    # nothing beat the max-leaf tree: its internal set rebuilds it
-    trees = _system(g, [(ml.internal, (1 << g.n) - 1)] if picks is None else picks)
-    witness = _fill(g, "tmc", [edges + _bits(_internal(edges)) for edges in trees])
+    tree = (ml.internal, (1 << g.n) - 1)
+    best, picks, nodes = _search(g, "tmc", _pair_mask(g), tree, g.n - 2 + ml.internal_count)
+    witness = _fill(g, "tmc", [edges + _bits(_internal(edges)) for edges in _system(g, picks)])
     return SolverReport(
         value=total - best, witness=witness, nodes_explored=nodes, method="tree_system",
         bounds_used={"value_lower": g.m - g.n + 2 + ml.leaf_count, "value_upper": total},
@@ -672,8 +638,9 @@ def mc_exact(g: Graph) -> SolverReport:
     """Monochromatic connection number (edge colorings) with witness.
 
     The same search over vertex sets S of waste |S| - 2, without internal
-    vertices.  Its incumbent is a BFS spanning tree (waste n - 2), or the
-    cheapest single S holding every pair when that one is cheaper.
+    vertices.  Its incumbent, the witness when nothing beats it, is the
+    non-universal vertices V - U when G - U is connected, else a BFS
+    spanning tree (waste n - 2) or any cheaper single S holding every pair.
     """
     if not is_connected(g):
         raise ValueError("disconnected")
@@ -684,8 +651,12 @@ def mc_exact(g: Graph) -> SolverReport:
         )
     _guard_exact(g, "mc_exact")
     full = (1 << g.n) - 1
-    best, picks, nodes = _search(g, "mc", _pair_mask(g), g.n - 2)
-    witness = _fill(g, "mc", _system(g, [(full, full)] if picks is None else picks))
+    # V - U is the cheapest single cover when G - U is connected (Start)
+    span = full & ~sum(1 << v for v, a in enumerate(g.adj) if a.bit_count() == g.n - 1)
+    if _reach(g.adj, (span & -span).bit_length() - 1, span) != span:
+        span = full
+    best, picks, nodes = _search(g, "mc", _pair_mask(g), (0, span), span.bit_count() - 2)
+    witness = _fill(g, "mc", _system(g, picks))
     return SolverReport(
         value=g.m - best, witness=witness, nodes_explored=nodes, method="tree_system",
         bounds_used={"value_lower": g.m - g.n + 2, "value_upper": g.m},
@@ -700,8 +671,8 @@ def mvc_exact(g: Graph) -> SolverReport:
     Its incumbent is the internal set of a maximum-leaf spanning tree
     (waste q(G) - 1, the lower bound l(G) + 1 on the value), or the
     cheapest single I whose N[I] holds every such pair when that one is
-    cheaper.  Each picked I is one color class and every other vertex gets
-    a fresh color.
+    cheaper.  Each picked I (the incumbent when nothing beats it) is one
+    color class and every other vertex gets a fresh color.
     """
     if not is_connected(g):
         raise ValueError("disconnected")
@@ -714,10 +685,9 @@ def mvc_exact(g: Graph) -> SolverReport:
     _guard_exact(g, "mvc_exact")
     ml = max_leaf_exact(g)
     far = sum(1 << j for j, (u, v) in enumerate(g.nonadjacent_pairs()) if not g.adj[u] & g.adj[v])
-    best, picks, nodes = _search(g, "mvc", far, ml.internal_count - 1)
-    classes = [ml.internal] if picks is None else [inner for inner, _ in picks]
+    best, picks, nodes = _search(g, "mvc", far, (ml.internal, ml.internal), ml.internal_count - 1)
     return SolverReport(
-        value=g.n - best, witness=_fill(g, "mvc", [_bits(c) for c in classes]),
+        value=g.n - best, witness=_fill(g, "mvc", [_bits(inner) for inner, _ in picks]),
         nodes_explored=nodes, method="tree_system",
         bounds_used={"value_lower": ml.leaf_count + 1, "value_upper": g.n - d + 2},
     )

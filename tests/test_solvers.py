@@ -11,6 +11,8 @@ import networkx as nx
 import pytest
 
 from monoconn.coloring import (
+    EdgeColoring,
+    TotalColoring,
     VertexColoring,
     coloring_to_json,
     verify_mc,
@@ -40,7 +42,7 @@ from monoconn.maxleaf import max_leaf_exact
 from monoconn.solvers import (
     SolverRangeError,
     _candidates,
-    _count_lb_table,
+    _root_proof,
     _solve_cover,
     mc_exact,
     mvc_exact,
@@ -353,6 +355,49 @@ class TestRelations:
                     continue
                 assert tmc_g >= (g.m - h.m) + tmc_exact(h).value
 
+    def test_witness_transfer_from_one_edge_fewer(self):
+        # a valid coloring of G - e stays valid on G once e gets a fresh
+        # color, so tmc(G) >= tmc(G - e) + 1, mc(G) >= mc(G - e) + 1 and
+        # mvc(G) >= mvc(G - e); the witnesses of G - e must carry over, and
+        # the tight pairs catch an overstated G - e or understated G value
+        pairs = tight = 0
+        for g in _classes():
+            values = [solve(g).value for solve in (tmc_exact, mc_exact, mvc_exact)]
+            for e in g.edges:
+                h = from_edge_list(g.n, [f for f in g.edges if f != e])
+                if not is_connected(h):
+                    continue
+                tmc, mc, mvc = tmc_exact(h), mc_exact(h), mvc_exact(h)
+                tw, mw = tmc.witness, mc.witness
+                t_fresh = max(*tw.vertex_color, *tw.edge_color.values()) + 1
+                m_fresh = max(mw.edge_color.values()) + 1
+                t_moved = TotalColoring(tw.vertex_color, {**tw.edge_color, e: t_fresh})
+                m_moved = EdgeColoring({**mw.edge_color, e: m_fresh})
+                moved = [
+                    (verify_tmc, t_moved, tmc.value + 1),
+                    (verify_mc, m_moved, mc.value + 1),
+                    (verify_mvc, mvc.witness, mvc.value),
+                ]
+                for value, (verify, w, count) in zip(values, moved):
+                    assert verify(g, w) == (True, None), (g.edges, e, w)
+                    assert w.color_count == count and value >= count, (g.edges, e)
+                    tight += value == count
+                pairs += 1
+        assert (pairs, tight) == (976, 2_050)
+
+    @pytest.mark.parametrize(
+        "k,tmc,mc,l", [(3, 19, 15, 6), (4, 33, 28, 8), (5, 51, 45, 10)]
+    )
+    def test_gap_below_mc_plus_l_is_unbounded(self, monkeypatch, k, tmc, mc, l):
+        # K_{1,2,...,2} with k parts of size 2 has gap mc + l - tmc = k - 1;
+        # G - U is K_{2,...,2}, so mc starts from V - U
+        monkeypatch.setenv("MONO_MAX_EXACT_N", "11")
+        g = complete_multipartite_graph([1] + [2] * k)
+        reports = tmc_exact(g), mc_exact(g)
+        assert (reports[0].value, reports[1].value, max_leaf_exact(g).leaf_count) == (tmc, mc, l)
+        assert mc + l - tmc == k - 1
+        assert all(reverify(g, rep) for rep in reports)
+
 
 class TestTreeSystemReference:
     def test_vertex_set_search_matches_subtree_search_n7(self):
@@ -416,10 +461,11 @@ class TestCandidates:
             far, mask, at = self.far_pairs(g)
             for cap in (g.n // 2 - 1, g.n - 1):
                 got = _candidates(g, mask, cap, "mvc")
-                # the reference's cover bit k is far pair k, bit at[k] here
+                # mvc drops no candidate, so it matches the unreduced
+                # reference; its cover bit k is far pair k, bit at[k] here
                 want = [
                     (w, em, im, vm, sum(1 << at[k] for k in range(len(at)) if cov >> k & 1))
-                    for w, em, im, vm, cov in mvc_candidates_reference(g, far, cap)
+                    for w, em, im, vm, cov in mvc_candidates_reference(g, far, cap, reduced=False)
                 ]
                 assert got == want, (g.edges, cap)
                 checked += len(got)
@@ -513,28 +559,28 @@ class TestCountBound:
 
     @classmethod
     def cases(cls):
-        """(variant, candidates, pair count) with every candidate of every
+        """(variant, candidates, pair mask) with every candidate of every
         graph of graphs()."""
         for g in cls.graphs():
             pairs = g.nonadjacent_pairs()
             if not pairs:
                 continue
             full = (1 << len(pairs)) - 1
-            yield "mc", _candidates(g, full, g.n - 2, "mc"), len(pairs)
-            yield "tmc", _candidates(g, full, 2 * g.n - 4, "tmc"), len(pairs)
+            yield "mc", _candidates(g, full, g.n - 2, "mc"), full
+            yield "tmc", _candidates(g, full, 2 * g.n - 4, "tmc"), full
             _, far, _ = TestCandidates.far_pairs(g)
             if far:
-                yield "mvc", _candidates(g, far, g.n - 1, "mvc"), far.bit_count()
+                yield "mvc", _candidates(g, far, g.n - 1, "mvc"), far
 
     def test_admissible_and_exact_on_small_graphs(self):
         # every set of up to three compatible candidates costs at least
         # need[pairs it covers], and need is the least waste whose
         # candidates' cover sizes reach that count
         checked = 0
-        for variant, cands, npairs in self.cases():
+        for variant, cands, pairs in self.cases():
             limit = 3 * cands[-1][0] + 1
-            need = _count_lb_table(cands, npairs, limit)
-            assert need == count_lb_reference(cands, npairs, limit), variant
+            need, _ = _root_proof(cands, pairs, limit)
+            assert need == count_lb_reference(cands, pairs.bit_count(), limit), variant
 
             def grow(start, waste, used_e, used_i, covered, depth):
                 nonlocal checked
@@ -566,8 +612,7 @@ class TestCountBound:
             new = solve(g)
             with monkeypatch.context() as m:
                 m.setattr(
-                    solvers, "_count_lb_table",
-                    lambda cands, npairs, limit: fixed_offset_lb_table(npairs, offset),
+                    solvers, "_need", lambda most, npairs, limit: fixed_offset_lb_table(npairs, offset)
                 )
                 old = solve(g)
             assert new.value == old.value, (solve.__name__, g.edges)
@@ -617,7 +662,7 @@ class TestCountBound:
             solvers._relaxed_root_proof(g, full, cap + 1)
             (relaxed,) = seen
             cheapest: dict[int, int] = {}
-            for w, _, _, _, cov in relaxed:
+            for w, cov in relaxed:
                 cheapest[cov] = min(w, cheapest.get(cov, w))
             for w, _, _, _, cov in _candidates(g, full, cap, "tmc"):
                 assert cheapest.get(cov, w + 1) <= w, (g.edges, w, cov)
@@ -688,8 +733,8 @@ class TestDegreeCheck:
     def test_bound_and_coverage_admissible(self, monkeypatch):
         # at each waste below ub the non-degree bound is at least the largest
         # cover of an mc candidate, and of a relaxed tmc tuple as handed to
-        # _root_proof; it reports a pair without one below ub exactly when
-        # there is such a pair
+        # _root_proof, both read as (waste, cover) pairs; it reports a pair
+        # without one below ub exactly when there is such a pair
         seeded = [random_connected(7 + i % 3, 700 + i, p=0.3 + 0.1 * (i % 7)) for i in range(24)]
         seen = []
         root_proof = solvers._root_proof
@@ -708,24 +753,24 @@ class TestDegreeCheck:
             seen.clear()
             solvers._relaxed_root_proof(g, full, g.n + 1)  # a relaxed tuple costs <= n
             (relaxed,) = seen
-            mc = _candidates(g, full, g.n - 2, "mc")
+            mc = [(c[0], c[4]) for c in _candidates(g, full, g.n - 2, "mc")]
             for variant, cands, ubs in (("mc", mc, g.n), ("tmc", relaxed, g.n + 2)):
                 for ub in range(1, ubs):
-                    below = [c for c in cands if c[0] < ub]
-                    union = functools.reduce(int.__or__, (c[4] for c in below), 0)
+                    below = [(w, cov) for w, cov in cands if w < ub]
+                    union = functools.reduce(int.__or__, (cov for _, cov in below), 0)
                     bound = solvers._degree_bound(g, variant, ub)
                     assert (bound is not None) == (union == full), (variant, g.edges, ub)
                     if bound is None:
                         continue
                     assert sorted(bound) == list(range(1, ub))
-                    for w, _, _, _, cov in below:
+                    for w, cov in below:
                         assert bound[w] >= cov.bit_count(), (variant, g.edges, w)
                         checked += 1
         assert checked > 50_000
 
     def test_degree_check_changes_no_report(self, monkeypatch):
-        # a degree proof implies _search's one-node root proof, with the same
-        # ub and pick; on P_3 and P_4 the root counts 0 nodes, which a check
+        # a degree proof implies _search's one-node root proof of the same
+        # incumbent; on P_3 and P_4 the root counts 0 nodes, which a check
         # without its coverage test would report as 1
         graphs = [path_graph(3), path_graph(4)] + _classes()
         graphs += [
@@ -737,7 +782,7 @@ class TestDegreeCheck:
 
         def recorded(g, variant, pairs, ub):
             out = degree_root(g, variant, pairs, ub)
-            if out is not None:
+            if out:
                 proved.append(variant)
             return out
 
@@ -747,7 +792,7 @@ class TestDegreeCheck:
                 m.setattr(solvers, "_degree_root", recorded)
                 rows = [_row(solve(g)) for solve in solves]
             with monkeypatch.context() as m:
-                m.setattr(solvers, "_degree_root", lambda g, variant, pairs, ub: None)
+                m.setattr(solvers, "_degree_root", lambda g, variant, pairs, ub: False)
                 assert [_row(solve(g)) for solve in solves] == rows, g.edges
         assert proved.count("tmc") >= 40 and proved.count("mc") >= 40
 
@@ -770,32 +815,36 @@ class TestSingleCoverStart:
             random_connected(7 + i % 3, 500 + i, p=(0.3, 0.5, 0.7, 0.9)[i % 4]) for i in range(36)
         ]
 
-    def test_degree_check_start_is_the_single_cover(self, monkeypatch):
-        # with a knapsack that proves every root, the degree check returns
-        # mc's start: _single_cover's pick (V - U) when G - U is connected,
-        # else (no universal vertex) the BFS tree's waste and no pick
-        monkeypatch.setattr(solvers, "_need", lambda most, npairs, limit: [limit] * (npairs + 1))
+    def test_mc_incumbent_is_the_single_cover(self, monkeypatch):
+        # mc_exact hands the search V - U when G - U is connected, which is
+        # _single_cover's pick among the mc candidates below a spanning
+        # tree's waste, and otherwise V at the spanning tree's n - 2
+        incumbents = []
+        search = solvers._search
+
+        def recorded(g, variant, pairs, start, ub):
+            incumbents.append((start, ub))
+            return search(g, variant, pairs, start, ub)
+
+        monkeypatch.setattr(solvers, "_search", recorded)
         starts = 0
         for g in self.graphs():
             if g.is_complete():
                 continue
+            incumbents.clear()
+            assert reverify(g, mc_exact(g))
             full = solvers._pair_mask(g)
             cands = _candidates(g, full, g.n - 3, "mc")
-            start = solvers._single_cover(cands, full)
+            single = solvers._single_cover(cands, full)
             universal = [v for v in range(g.n) if g.degree(v) == g.n - 1]
             rest = nx.Graph(g.edges)
             rest.remove_nodes_from(universal)
-            proved = solvers._degree_root(g, "mc", full, g.n - 2)
-            if universal and not nx.is_connected(rest):
-                assert proved is None, g.edges
-            elif diameter(g) - 1 >= g.n - 2:  # some pair has no candidate below ub
-                assert proved is None and start is None, g.edges
-            elif start is None:
-                assert not universal and proved == (g.n - 2, None, 1), g.edges
-            else:
-                waste, _, inner, span, _ = cands[start]
-                assert proved == (waste, [(inner, span)], 1), g.edges
+            if universal and nx.is_connected(rest):
+                waste, _, inner, span, _ = cands[single]
+                assert incumbents == [((inner, span), waste)], g.edges
                 starts += 1
+            else:
+                assert incumbents == [((0, (1 << g.n) - 1), g.n - 2)], g.edges
         assert starts >= 20
 
     def test_values_match_without_the_start(self, monkeypatch):
@@ -805,9 +854,7 @@ class TestSingleCoverStart:
         graphs = self.graphs()
         solves = (tmc_exact, mc_exact, mvc_exact)
         started = [[solve(g) for solve in solves] for g in graphs]
-        # the degree check would still bring mc's start V - U
         monkeypatch.setattr(solvers, "_single_cover", lambda cands, pairs: None)
-        monkeypatch.setattr(solvers, "_degree_root", lambda g, variant, pairs, ub: None)
         moved = 0
         for g, reps in zip(graphs, started):
             for solve, rep in zip(solves, reps):
