@@ -36,6 +36,7 @@ from .graphs import (
 from .maxleaf import max_leaf_exact
 from .solvers import (
     SolverReport,
+    _beyond_guard,
     _guard_exact,
     max_exact_n,
     mc_exact,
@@ -189,9 +190,8 @@ def _check(g: Graph) -> tuple[TheoremCheckRecord, dict[str, SolverReport], Seque
     order (no reports and the identity order past the solvers' guard)."""
     _require_solvable(g)
     t0 = time.perf_counter()
-    # the solvers refuse non-complete graphs past max_exact_n(): decide that
-    # before any exponential work
-    if g.n > max_exact_n() and not g.is_complete():
+    # decide the solvers' refusal before any exponential work
+    if _beyond_guard(g, max_exact_n()):
         r, reports, order = TheoremCheckRecord(
             graph6="", n=g.n, m=g.m, l=None, diameter=diameter(g), max_degree=max_degree(g),
             tmc=None, mc=None, mvc=None, condition_flags=None,
@@ -364,7 +364,7 @@ def survey_random(n: int, p: float, trials: int, seed: int) -> SurveyRecord:
             rec.complement_4_connected += 1
             rec.identity_confirmed += 1
             rec.mc_identity_confirmed += 1
-        elif n <= limit:
+        elif not _beyond_guard(g, limit):
             l = max_leaf_exact(g).leaf_count
             if tmc_exact(g).value == g.m - g.n + 2 + l:
                 rec.identity_confirmed += 1

@@ -128,30 +128,24 @@ need[u] more waste, and it is tested before the node picks its branching
 pair.  The bound holds for every variant, since it uses only what this
 graph's candidates cover; values of b at or past the incumbent's waste
 prune anyway, so the table stops there.  The root's bound, need[all pairs],
-is checked before the per-pair candidate lists are built; when it already
-proves the incumbent the search ends there with the one root node it would
-have counted anyway, so node counts are the same as when the root goes
-through the branch step.
+is checked before the per-pair candidate lists are built.  A root proof,
+this one or one of the two checks below, ends the search with one node,
+which is what the branch step counts when the bound prunes the root or the
+root branches on a pair with no candidate.  A proof needs no pair
+coverage: need[all pairs] >= ub proves the incumbent of waste ub optimal
+whether or not every pair has a candidate below ub.
 
-Relaxed root check (tmc).  The root tests (every pair has a candidate below
-the incumbent's waste ub, need[all pairs] >= ub) run first over the mc
+Relaxed root check (tmc).  The root's count bound runs first over the mc
 candidates, each S at waste |S| - 1 when it has a lonely vertex and |S|
-otherwise, and only when they fail are the (S, I) generated.  A tmc
+otherwise, and only when it fails are the (S, I) generated.  A tmc
 candidate costs |S| - 2 + |I| >= |S| - 1, with equality only when I = {x}
 and x is lonely in S.  Dropping lonely vertices whose removal keeps S
 connected leads to an mc candidate S' inside S with the same cover and
 relaxed waste at most |S'| <= |S|.  When I = {x}, either a vertex was
 dropped, so |S'| <= |S| - 1, or S' = S holds the lonely x and costs
-|S| - 1.  So every tmc
-candidate has a relaxed one of the same cover and no more waste: the
-relaxed union of covers holds the real one, the relaxed need is at most the
-real one, and a relaxed proof is a real proof.  It counts the same nodes.
-A relaxed uncovered pair is a real one (0 nodes); a real uncovered pair at
-distance d needs 2d - 2 >= ub (a u-v path is the cheapest tree holding the
-pair), and since the max-leaf tree has q >= d - 1 internal vertices,
-ub = n - 2 + q >= n + d - 3, which leaves only G = P_n.  There P_3 and P_4
-also lack a relaxed candidate for the end pair, and for n >= 5 the whole
-path's relaxed waste n < ub = 2n - 4 keeps the bound from proving it.
+|S| - 1.  So every tmc candidate has a relaxed one of the same cover and
+no more waste: the relaxed need is at most the real one, and a relaxed
+proof is a real proof.
 
 Degree check (tmc, mc).  Before either root proof, the count bound runs
 once more with most[w] replaced by a bound read off the non-degrees
@@ -166,19 +160,10 @@ with top(k) the sum of the k largest non-degrees:
   among w vertices, at most min(C(w, 2), floor(top(w) / 2)).
 top(n) / 2 is every pair, so neither exceeds the pair count.  A pointwise
 larger most only raises reach and lowers need, so a degree proof implies
-the real one.  The proof also needs every pair to have a candidate below
-the incumbent's waste ub, else the real root counts 0 nodes.  A set
-holding a pair at distance d has at least d + 1 vertices, and a shortest
-path is an induced one and a candidate: only the middle of a 3-vertex path
-is lonely, and dropping it disconnects the path.  So the cheapest mc
-candidate holding the pair costs d - 1, and the cheapest relaxed tuple 2
-when d = 2 (u-x-v with x lonely) and d + 1 when d >= 3 (a lonely vertex
-would put u and v at distance 2).  With D the diameter, every pair has one
-below ub exactly when D - 1 < ub (mc) or c(D) < ub (tmc, c(2) = 2,
-c(D) = D + 1 for D >= 3).  The check runs at the incumbent's waste, and a
-proof there leaves no single cover below it, so it is the real root's
-one-node proof of the same incumbent: values, picks, witnesses and node
-counts are those of the search without the check.
+the real one.  The check runs at the incumbent's waste, and a proof there
+leaves no single cover below it, so it proves the incumbent the real root
+would: values, picks and witnesses are those of the search without the
+check.
 
 mvc.  A vertex coloring joins u and v when some u-v path has all its inner
 vertices in one color.  Pairs at distance <= 2 always are, so only the pairs
@@ -260,7 +245,10 @@ class SolverReport:
 
     A tmc or mc witness carries its covering tree system: each color with
     at least two edges is one tree, and for tmc the tree's internal
-    vertices are exactly the vertices of its color."""
+    vertices are exactly the vertices of its color.  ``nodes_explored``
+    counts the cover search's nodes: 0 only for a shortcut (a complete
+    graph, or mvc at diameter <= 2), and 1 when the root alone proves the
+    value."""
 
     value: int
     witness: TotalColoring | EdgeColoring | VertexColoring
@@ -441,27 +429,16 @@ def _need(most: dict[int, int], npairs: int, limit: int) -> list[int]:
     return need
 
 
-def _root_proof(
-    cands: Sequence[tuple[int, ...]], pairs: int, ub_waste: int
-) -> tuple[list[int], int | None]:
-    """The count-bound table of the (waste, ..., cover) tuples ``cands``
-    capped at ``ub_waste``, with most[w] the largest cover of a tuple of
-    waste w, and the nodes the search counts when its root alone proves the
-    incumbent of that waste optimal: 0 when some pair of ``pairs`` has no
-    tuple, 1 when need[all pairs] reaches ``ub_waste``, None when the root
-    must branch."""
+def _cover_need(cands: Sequence[tuple[int, ...]], npairs: int, limit: int) -> list[int]:
+    """_need over the (waste, ..., cover) tuples ``cands``, with most[w] the
+    largest cover of a tuple of waste w; need[npairs] >= ``limit`` proves
+    the incumbent of waste ``limit`` optimal."""
     most: dict[int, int] = {}
-    seen = 0
     for c in cands:
-        w, cov = c[0], c[-1]
-        seen |= cov
-        c = cov.bit_count()
-        if c > most.get(w, 0):
-            most[w] = c
-    need = _need(most, pairs.bit_count(), ub_waste)
-    if seen != pairs:
-        return need, 0
-    return need, 1 if need[-1] >= ub_waste else None
+        w, k = c[0], c[-1].bit_count()
+        if k > most.get(w, 0):
+            most[w] = k
+    return _need(most, npairs, limit)
 
 
 def _solve_cover(
@@ -473,9 +450,9 @@ def _solve_cover(
     Returns (best_waste, chosen candidate indices or None when nothing beat
     the incumbent upper bound, nodes explored).
     """
-    need, proof = _root_proof(cands, pairs, ub_waste)
-    if proof is not None:
-        return ub_waste, None, proof
+    need = _cover_need(cands, pairs.bit_count(), ub_waste)
+    if need[-1] >= ub_waste:  # the root's bound proves the incumbent
+        return ub_waste, None, 1
     # pair k is bit k of the masks; only the bits of ``pairs`` are ever read
     by_pair: list[list[int]] = [[] for _ in range(pairs.bit_length())]
     for ci, (_, _, _, _, cov) in enumerate(cands):
@@ -512,18 +489,19 @@ def _solve_cover(
     return best, best_pick, nodes
 
 
-def _relaxed_root_proof(g: Graph, pairs: int, ub: int) -> int | None:
-    """_root_proof's node count for tmc below the incumbent's waste ``ub``,
-    read off the mc candidates instead of the tmc ones: each S at waste
-    |S| - 1 when it has a lonely vertex and |S| otherwise, no more than any
-    tmc candidate of the same cover costs (module docstring)."""
+def _relaxed_root_proof(g: Graph, pairs: int, ub: int) -> bool:
+    """Whether the root's count bound proves optimal the tmc incumbent of
+    waste ``ub`` when read off the mc candidates instead of the tmc ones:
+    each S at waste |S| - 1 when it has a lonely vertex and |S| otherwise,
+    no more than any tmc candidate of the same cover costs (module
+    docstring)."""
     t = _table(g)
     relaxed = []
     for w, _, _, s, cov in t.mc:
         w += 1 if t.common[s] & s else 2
         if w < ub:
             relaxed.append((w, cov))
-    return _root_proof(relaxed, pairs, ub)[1]
+    return _cover_need(relaxed, pairs.bit_count(), ub)[-1] >= ub
 
 
 def _single_cover(cands: list[Candidate], pairs: int) -> int | None:
@@ -532,15 +510,11 @@ def _single_cover(cands: list[Candidate], pairs: int) -> int | None:
     return next((ci for ci, c in enumerate(cands) if c[4] == pairs), None)
 
 
-def _degree_bound(g: Graph, variant: str, ub: int) -> dict[int, int] | None:
+def _degree_bound(g: Graph, variant: str, ub: int) -> dict[int, int]:
     """Upper bounds, read off the vertex non-degrees, on most[w] for
     1 <= w < ``ub``: the pairs one mc candidate of waste w covers, or for
-    "tmc" one relaxed tuple of _relaxed_root_proof.  None when some pair has
-    no candidate (tuple) below ``ub`` (module docstring, Degree check)."""
-    d = diameter(g)
-    cheapest = d - 1 if variant == "mc" else d if d == 2 else d + 1
-    if cheapest >= ub:
-        return None
+    "tmc" one relaxed tuple of _relaxed_root_proof (module docstring,
+    Degree check)."""
     # top[k] = sum of the k largest non-degrees; top[n] is twice the pairs
     top = [0]
     for gap in sorted((g.n - 1 - a.bit_count() for a in g.adj), reverse=True):
@@ -555,8 +529,7 @@ def _degree_root(g: Graph, variant: str, pairs: int, ub: int) -> bool:
     """Whether the count bound over _degree_bound proves optimal the tmc or
     mc incumbent of waste ``ub``; _search's own root then proves it with
     one node (module docstring, Degree check)."""
-    most = _degree_bound(g, variant, ub)
-    return most is not None and _need(most, pairs.bit_count(), ub)[-1] >= ub
+    return _need(_degree_bound(g, variant, ub), pairs.bit_count(), ub)[-1] >= ub
 
 
 def _search(
@@ -571,10 +544,8 @@ def _search(
     ends the search before the shared table is built."""
     if variant != "mvc" and _degree_root(g, variant, pairs, ub):
         return ub, [start], 1
-    if variant == "tmc":
-        proof = _relaxed_root_proof(g, pairs, ub)
-        if proof is not None:
-            return ub, [start], proof
+    if variant == "tmc" and _relaxed_root_proof(g, pairs, ub):
+        return ub, [start], 1
     cands = _candidates(g, pairs, ub - 1, variant)
     single = _single_cover(cands, pairs)
     if single is not None:
@@ -596,10 +567,16 @@ def _pair_mask(g: Graph) -> int:
     return (1 << (g.n * (g.n - 1) // 2 - g.m)) - 1
 
 
+def _beyond_guard(g: Graph, limit: int) -> bool:
+    """Whether the exact solvers refuse ``g`` under the size guard ``limit``:
+    a non-complete graph with more than ``limit`` vertices."""
+    return g.n > limit and not g.is_complete()
+
+
 def _guard_exact(g: Graph, solver: str) -> None:
-    """Refuse a non-complete graph with more than max_exact_n() vertices."""
+    """Refuse a graph beyond the max_exact_n() guard (_beyond_guard)."""
     limit = max_exact_n()
-    if g.n > limit and not g.is_complete():
+    if _beyond_guard(g, limit):
         raise SolverRangeError(
             f"exact solver out of range: {solver} accepts n <= {limit} "
             f"(override with MONO_MAX_EXACT_N), got n = {g.n}"

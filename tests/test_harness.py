@@ -378,9 +378,10 @@ class TestSurvey:
         assert rec.fraction_identity in (0.0, 1.0)
 
     @pytest.mark.parametrize("n", [8, 10, 12, 16])
-    @pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("p", [0.3, 0.5, 0.7, 1.0])
     def test_matches_record_from_cut_enumeration(self, monkeypatch, n, p):
-        # n = 8 is solved exactly, n = 10, 12 and 16 are past the guard
+        # n = 8 is solved exactly, n = 10, 12 and 16 are past the guard,
+        # which passes complete graphs
         monkeypatch.setenv("MONO_MAX_EXACT_N", "9")
         rec = SurveyRecord(n=n, p=p, trials=40, seed=2)
         for g in _survey_samples(n, p, 40, 2):
@@ -391,7 +392,7 @@ class TestSurvey:
             if k_connected_bf(complement(g), 4):
                 rec.complement_4_connected += 1
                 identity = mc_identity = True
-            elif n <= 9:
+            elif n <= 9 or g.is_complete():
                 l = max_leaf_exact(g).leaf_count
                 identity = solvers.tmc_exact(g).value == g.m - n + 2 + l
                 mc_identity = solvers.mc_exact(g).value == g.m - n + 2

@@ -42,7 +42,7 @@ from monoconn.maxleaf import max_leaf_exact
 from monoconn.solvers import (
     SolverRangeError,
     _candidates,
-    _root_proof,
+    _cover_need,
     _solve_cover,
     mc_exact,
     mvc_exact,
@@ -579,7 +579,7 @@ class TestCountBound:
         checked = 0
         for variant, cands, pairs in self.cases():
             limit = 3 * cands[-1][0] + 1
-            need, _ = _root_proof(cands, pairs, limit)
+            need = _cover_need(cands, pairs.bit_count(), limit)
             assert need == count_lb_reference(cands, pairs.bit_count(), limit), variant
 
             def grow(start, waste, used_e, used_i, covered, depth):
@@ -641,17 +641,10 @@ class TestCountBound:
 
     def test_relaxed_root_tuples_are_admissible(self, monkeypatch):
         # every tmc candidate at cap 2n - 4 has a tuple of the relaxed root
-        # check with the same cover and no more waste, so the check's union
-        # and count bound are those of a superset of cheaper candidates
+        # check with the same cover and no more waste, so the check's count
+        # bound is that of a superset of cheaper candidates
         seeded = [random_connected(7 + i % 2, 300 + i, p=0.3 + 0.1 * (i % 6)) for i in range(12)]
-        seen = []
-        root_proof = solvers._root_proof
-
-        def recorded(cands, pairs, ub):
-            seen.append(cands)
-            return root_proof(cands, pairs, ub)
-
-        monkeypatch.setattr(solvers, "_root_proof", recorded)
+        seen = _record_cover_need(monkeypatch)
         checked = 0
         for g in self.graphs() + seeded:
             pairs = g.nonadjacent_pairs()
@@ -670,9 +663,6 @@ class TestCountBound:
         assert checked > 10_000
 
     def test_relaxed_root_check_changes_no_report(self, monkeypatch):
-        # On P_3 and P_4 the max-leaf tree is optimal because the end pair has
-        # no candidate below the incumbent (0 nodes); a check that tested only
-        # the bound would report the root node (1) there.
         atlas = (h for h in nx.graph_atlas_g() if 2 <= h.number_of_nodes() <= 6)
         graphs = [from_edge_list(h.number_of_nodes(), h.edges()) for h in atlas]
         graphs = [path_graph(3), path_graph(4)] + [g for g in graphs if is_connected(g)]
@@ -683,8 +673,21 @@ class TestCountBound:
         for g in graphs:
             with_check = _row(tmc_exact(g))
             with monkeypatch.context() as m:
-                m.setattr(solvers, "_relaxed_root_proof", lambda g, pairs, ub: None)
+                m.setattr(solvers, "_relaxed_root_proof", lambda g, pairs, ub: False)
                 assert _row(tmc_exact(g)) == with_check, g.edges
+
+
+def _record_cover_need(monkeypatch) -> list:
+    """The candidate lists handed to _cover_need, in order."""
+    seen = []
+    cover_need = solvers._cover_need
+
+    def recorded(cands, npairs, limit):
+        seen.append(cands)
+        return cover_need(cands, npairs, limit)
+
+    monkeypatch.setattr(solvers, "_cover_need", recorded)
+    return seen
 
 
 def _count_tmc_generations(monkeypatch) -> list:
@@ -733,17 +736,9 @@ class TestDegreeCheck:
     def test_bound_and_coverage_admissible(self, monkeypatch):
         # at each waste below ub the non-degree bound is at least the largest
         # cover of an mc candidate, and of a relaxed tmc tuple as handed to
-        # _root_proof, both read as (waste, cover) pairs; it reports a pair
-        # without one below ub exactly when there is such a pair
+        # _cover_need, both read as (waste, cover) pairs
         seeded = [random_connected(7 + i % 3, 700 + i, p=0.3 + 0.1 * (i % 7)) for i in range(24)]
-        seen = []
-        root_proof = solvers._root_proof
-
-        def recorded(cands, pairs, ub):
-            seen.append(cands)
-            return root_proof(cands, pairs, ub)
-
-        monkeypatch.setattr(solvers, "_root_proof", recorded)
+        seen = _record_cover_need(monkeypatch)
         checked = 0
         for g in TestCountBound.graphs() + seeded:
             pairs = g.nonadjacent_pairs()
@@ -756,22 +751,17 @@ class TestDegreeCheck:
             mc = [(c[0], c[4]) for c in _candidates(g, full, g.n - 2, "mc")]
             for variant, cands, ubs in (("mc", mc, g.n), ("tmc", relaxed, g.n + 2)):
                 for ub in range(1, ubs):
-                    below = [(w, cov) for w, cov in cands if w < ub]
-                    union = functools.reduce(int.__or__, (cov for _, cov in below), 0)
                     bound = solvers._degree_bound(g, variant, ub)
-                    assert (bound is not None) == (union == full), (variant, g.edges, ub)
-                    if bound is None:
-                        continue
                     assert sorted(bound) == list(range(1, ub))
-                    for w, cov in below:
-                        assert bound[w] >= cov.bit_count(), (variant, g.edges, w)
-                        checked += 1
+                    for w, cov in cands:
+                        if w < ub:
+                            assert bound[w] >= cov.bit_count(), (variant, g.edges, w)
+                            checked += 1
         assert checked > 50_000
 
     def test_degree_check_changes_no_report(self, monkeypatch):
         # a degree proof implies _search's one-node root proof of the same
-        # incumbent; on P_3 and P_4 the root counts 0 nodes, which a check
-        # without its coverage test would report as 1
+        # incumbent
         graphs = [path_graph(3), path_graph(4)] + _classes()
         graphs += [
             random_connected(n, 60 * n + seed, p=p)
@@ -967,10 +957,24 @@ def test_methods_and_nodes():
     assert rep.bounds_used["value_lower"] == 4
 
 
+def test_every_search_counts_its_root():
+    # a root proof counts one node, as the branch step does when the bound
+    # prunes the root or the root branches on a pair with no candidate;
+    # only a shortcut counts none
+    searched = 0
+    for g in TestSingleCoverStart.graphs():
+        for solve in (tmc_exact, mc_exact, mvc_exact):
+            rep = solve(g)
+            searching = rep.method == "tree_system"
+            assert (rep.nodes_explored > 0) == searching, (solve.__name__, g.edges)
+            searched += searching
+    assert searched >= 333
+
+
 # sha256 of each report's value, method, nodes, bounds and witness JSON
 # for tmc, mc and mvc over every labelled connected graph with n <= 5 and
 # 20 seeded graphs with n = 7 or 8; any change to a witness moves it
-WITNESS_DIGEST = "e001415d3217e9254dd145de77624400d2f187b298aad50ded39ffe342eb877c"
+WITNESS_DIGEST = "cc2c1278536bfa5d1b4b803a8e4ebc22048f538217428673aa18d4edcc4413a4"
 
 
 def test_reports_match_golden_witness_digest():
