@@ -410,13 +410,14 @@ def _hunt(graphs: Iterable[Graph], wanted: Callable[[Graph], bool], other: str) 
     tmc is at most their ``other`` ("mc" or "mvc"), both read from
     check_all's class memo, so each isomorphism class is solved at most
     once across hunts and checks."""
-    findings = []
+    findings, limit = [], max_exact_n()
     for g in graphs:
         if not wanted(g):
             continue
         if g.n == 0:  # the filters take it as connected, but no solver does
             _require_solvable(g)
-        _guard_exact(g, f"hunt_tmc_le_{other}")
+        if _beyond_guard(g, limit):
+            _guard_exact(g, f"hunt_tmc_le_{other}")
         record = _class(g)[0]
         tmc, value = record.tmc, getattr(record, other)
         if tmc <= value:

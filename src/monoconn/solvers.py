@@ -106,17 +106,41 @@ its candidate list is sorted by waste, so the search stops at the first
 candidate that cannot beat the incumbent.
 
 Start.  Each solver hands the search its incumbent as one (I, S) pick of
-waste ub, the witness when nothing beats it: tmc the max-leaf tree, mvc
-its internal set, and mc V - U when the universal vertices U leave G - U
-connected, else V (a BFS tree of waste n - 2).  That V - U is the cheapest
-mc candidate holding every pair: every pair lies inside it, no vertex of
-it is adjacent to the rest of it, and any set holding every pair contains
-it.  On many dense graphs the root's count bound proves it.  The candidate
-list is sorted by waste and capped below ub, so its first candidate whose
-cover is every pair to cover is the cheapest system of one candidate, a
-valid one, and it replaces the incumbent.  With no universal vertex, every
-vertex lies in a pair, so a single tmc or mc cover holds all of V and costs
-at least the incumbent's n - 2 + q or n - 2: there it never exists.
+waste ub, the witness when nothing beats it.  For tmc and mc it is the
+first candidate, in sorted order, whose cover alone is every pair (a
+system of one tree), read off the universal vertices U (_single_start);
+tmc falls back to the max-leaf tree, of waste n - 2 + q, when no single
+cover is cheaper.  mvc starts from the max-leaf internal set, and once its
+candidates are built, sorted and capped below ub, the first whose cover is
+every pair at distance >= 3 replaces it.  On many dense graphs the root's count bound,
+or the degree check below, proves the start.  The closed form:
+- Every single cover holds W = V - U.  A vertex of W has a non-neighbour,
+  which is not universal, so every vertex of W lies in a pair and no pair
+  meets U.
+- mc: when G[W] is connected, W is a candidate (a vertex adjacent to the
+  rest of W would be universal) and the only set of its size holding W.
+  Otherwise U is non-empty, as G is connected, and the sets of size
+  |W| + 1 holding W are the W + u, each a candidate: u is adjacent to the
+  rest, but G[W] is disconnected.  W + min U comes first.  The edge masks
+  of W + u and W + u' differ only in the edges from u and from u' to W,
+  and the largest edge from u to W grows with u, so the smaller u has the
+  smaller mask.
+- tmc: a single cover (S, I) costs at least |W|.  A leaf in U would be
+  lonely, so S - W lies in I.  An I holding some u of U and another vertex
+  x is dominated: I - x holds u, so x is removable, and P_x is empty, as
+  u is adjacent to every vertex.  With S = W, I = {x} would make x
+  adjacent to W - x and to U, so universal; hence |I| >= 2.  The covers of
+  waste |W| are therefore (W + u, {u}) and (W, {x, y}) with xy an edge of
+  G[W] dominating W.  Both pass the rules.  No leaf is lonely, since a
+  leaf adjacent to the rest of S is universal.  {u} has no removable
+  vertex.  y has a non-neighbour z in W, which xy dominates, so z lies in
+  P_x and in L = W - {x, y}; likewise for P_y, so |L| >= 2.  E(G[W]) is a
+  sub-mask of E(G[W + u]), so the (W, {x, y}) come first, by least mask
+  of {x, y}, and then W + min U as for mc.
+- tmc is below the max-leaf tree exactly when |U| >= 2: then q = 1 (a
+  universal vertex dominates) and |W| <= n - 2 < n - 1.  With |U| = 1 a single cover costs |W| - 2 + |I|
+  >= n - 1 (S = W, |I| >= 2) or n - 2 + |I| >= n - 1 (S = V).  With U
+  empty it is (V, I) with I a connected dominating set, so |I| >= q.
 
 Count bound.  Let most[w] be the largest number of pairs one candidate of
 waste w covers, reach[b] the largest sum of most[w_i] over wastes w_i >= 1
@@ -160,10 +184,9 @@ with top(k) the sum of the k largest non-degrees:
   among w vertices, at most min(C(w, 2), floor(top(w) / 2)).
 top(n) / 2 is every pair, so neither exceeds the pair count.  A pointwise
 larger most only raises reach and lowers need, so a degree proof implies
-the real one.  The check runs at the incumbent's waste, and a proof there
-leaves no single cover below it, so it proves the incumbent the real root
-would: values, picks and witnesses are those of the search without the
-check.
+the real one.  The check runs at the start's waste, the incumbent of the
+whole search, so it proves the incumbent the real root would: values,
+picks and witnesses are those of the search without the check.
 
 mvc.  A vertex coloring joins u and v when some u-v path has all its inner
 vertices in one color.  Pairs at distance <= 2 always are, so only the pairs
@@ -538,20 +561,44 @@ def _search(
     """(minimum waste, picked (I, S) masks, nodes explored) of the cover
     search over the pair mask ``pairs`` that must beat the incumbent
     ``start``, an (I, S) pick of waste ``ub``, which is the pick when
-    nothing beats it.  The cheapest single candidate covering every pair
-    replaces the incumbent when it is below ``ub``.  For tmc and mc the
-    degree check (_degree_root) runs first and, when it proves the root,
-    ends the search before the shared table is built."""
+    nothing beats it.  For mvc the cheapest single candidate covering every
+    pair replaces the incumbent when it is below ``ub``; tmc and mc hand in
+    theirs (_single_start).  For tmc and mc the degree check (_degree_root)
+    runs first and, when it proves the root, ends the search before the
+    shared table is built."""
     if variant != "mvc" and _degree_root(g, variant, pairs, ub):
         return ub, [start], 1
     if variant == "tmc" and _relaxed_root_proof(g, pairs, ub):
         return ub, [start], 1
     cands = _candidates(g, pairs, ub - 1, variant)
-    single = _single_cover(cands, pairs)
+    single = _single_cover(cands, pairs) if variant == "mvc" else None
     if single is not None:
         ub, start = cands[single][0], cands[single][2:4]
     best, pick, nodes = _solve_cover(cands, pairs, ub)
     return best, [start] if pick is None else [cands[ci][2:4] for ci in pick], nodes
+
+
+def _single_start(g: Graph, variant: str) -> tuple[tuple[int, int], int] | None:
+    """The first tmc or mc candidate, in sorted order, whose cover alone is
+    every pair, as an (I, S) pick and its waste, read off the universal
+    vertices U and W = V - U (module docstring, Start): for mc W, or
+    W + min U when G[W] is disconnected; for tmc (W, the dominating edge of
+    G[W] with the least mask), else (W + min U, {min U}), and None when
+    |U| <= 1, where no single cover is below the max-leaf tree."""
+    full = (1 << g.n) - 1
+    universal = sum(1 << v for v, a in enumerate(g.adj) if a | 1 << v == full)
+    rest, low = full & ~universal, universal & -universal
+    if variant == "mc":
+        if _reach(g.adj, (rest & -rest).bit_length() - 1, rest) != rest:
+            rest |= low
+        return (0, rest), rest.bit_count() - 2
+    if universal == low:
+        return None
+    for y in _bits(rest):  # the least mask 2^x + 2^y, x < y, has the least y
+        for x in _bits(g.adj[y] & rest & (1 << y) - 1):
+            if (g.adj[x] | g.adj[y]) & rest == rest:
+                return (1 << x | 1 << y, rest), rest.bit_count()
+    return (low, rest | low), rest.bit_count()
 
 
 def _system(g: Graph, picks: Sequence[tuple[int, int]]) -> list[list[Edge]]:
@@ -587,10 +634,11 @@ def tmc_exact(g: Graph) -> SolverReport:
     """Total monochromatic connection number with witness coloring.
 
     Minimum-waste search over covering systems of (S, I) candidates.  Its
-    incumbent, the witness when nothing beats it, is the maximum-leaf
-    spanning tree (waste n - 2 + q(G), the generic lower bound
-    m - n + 2 + l(G) on the value), or the cheapest single candidate
-    covering every pair when that one is cheaper.
+    incumbent, the witness when nothing beats it, is the cheapest single
+    candidate covering every pair when G has two or more universal
+    vertices (waste n - |U|, read off U by _single_start), else the
+    maximum-leaf spanning tree (waste n - 2 + q(G), the generic lower
+    bound m - n + 2 + l(G) on the value).
     """
     if not is_connected(g):
         raise ValueError("disconnected")
@@ -602,8 +650,8 @@ def tmc_exact(g: Graph) -> SolverReport:
         )
     _guard_exact(g, "tmc_exact")
     ml = max_leaf_exact(g)
-    tree = (ml.internal, (1 << g.n) - 1)
-    best, picks, nodes = _search(g, "tmc", _pair_mask(g), tree, g.n - 2 + ml.internal_count)
+    tree = ((ml.internal, (1 << g.n) - 1), g.n - 2 + ml.internal_count)
+    best, picks, nodes = _search(g, "tmc", _pair_mask(g), *(_single_start(g, "tmc") or tree))
     witness = _fill(g, "tmc", [edges + _bits(_internal(edges)) for edges in _system(g, picks)])
     return SolverReport(
         value=total - best, witness=witness, nodes_explored=nodes, method="tree_system",
@@ -616,8 +664,9 @@ def mc_exact(g: Graph) -> SolverReport:
 
     The same search over vertex sets S of waste |S| - 2, without internal
     vertices.  Its incumbent, the witness when nothing beats it, is the
-    non-universal vertices V - U when G - U is connected, else a BFS
-    spanning tree (waste n - 2) or any cheaper single S holding every pair.
+    cheapest single S holding every pair (_single_start): the
+    non-universal vertices W = V - U when G[W] is connected, else W plus
+    the least universal vertex, realised as a BFS tree.
     """
     if not is_connected(g):
         raise ValueError("disconnected")
@@ -627,12 +676,7 @@ def mc_exact(g: Graph) -> SolverReport:
             bounds_used={"value_lower": g.m, "value_upper": g.m},
         )
     _guard_exact(g, "mc_exact")
-    full = (1 << g.n) - 1
-    # V - U is the cheapest single cover when G - U is connected (Start)
-    span = full & ~sum(1 << v for v, a in enumerate(g.adj) if a.bit_count() == g.n - 1)
-    if _reach(g.adj, (span & -span).bit_length() - 1, span) != span:
-        span = full
-    best, picks, nodes = _search(g, "mc", _pair_mask(g), (0, span), span.bit_count() - 2)
+    best, picks, nodes = _search(g, "mc", _pair_mask(g), *_single_start(g, "mc"))
     witness = _fill(g, "mc", _system(g, picks))
     return SolverReport(
         value=g.m - best, witness=witness, nodes_explored=nodes, method="tree_system",

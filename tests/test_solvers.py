@@ -1,3 +1,4 @@
+import collections
 import functools
 import hashlib
 import inspect
@@ -786,15 +787,16 @@ class TestDegreeCheck:
                 assert [_row(solve(g)) for solve in solves] == rows, g.edges
         assert proved.count("tmc") >= 40 and proved.count("mc") >= 40
 
-    def test_dense_batch_builds_one_table(self, table_builds):
-        # the non-degrees prove tmc's and mc's roots on three of dense9's four
-        # graphs, and mvc takes the diameter-2 shortcut; HmzzL^~ still builds
-        # the table, since its relaxed need (7) is below tmc's ub (8)
+    def test_dense_batch_builds_no_table(self, table_builds):
+        # the non-degrees prove tmc's and mc's roots on all four of dense9's
+        # graphs, and mvc takes the diameter-2 shortcut; HmzzL^~ has two
+        # universal vertices, so tmc starts from its single cover of waste
+        # 7 rather than the max-leaf tree's 8, and the check proves that
         for g in _dense_batch():
             max_leaf_exact(g)
             for solve in (tmc_exact, mc_exact, mvc_exact):
                 assert reverify(g, solve(g))
-        assert [to_graph6(g) for g in table_builds] == ["HmzzL^~"]
+        assert table_builds == []
 
 
 class TestSingleCoverStart:
@@ -806,9 +808,10 @@ class TestSingleCoverStart:
         ]
 
     def test_mc_incumbent_is_the_single_cover(self, monkeypatch):
-        # mc_exact hands the search V - U when G - U is connected, which is
-        # _single_cover's pick among the mc candidates below a spanning
-        # tree's waste, and otherwise V at the spanning tree's n - 2
+        # mc_exact hands the search W = V - U when G[W] is connected and
+        # otherwise W plus the least universal vertex, checked here against
+        # networkx; below a spanning tree's waste n - 2, that is
+        # _single_cover's pick among the mc candidates
         incumbents = []
         search = solvers._search
 
@@ -817,7 +820,7 @@ class TestSingleCoverStart:
             return search(g, variant, pairs, start, ub)
 
         monkeypatch.setattr(solvers, "_search", recorded)
-        starts = 0
+        starts = collections.Counter()
         for g in self.graphs():
             if g.is_complete():
                 continue
@@ -829,21 +832,31 @@ class TestSingleCoverStart:
             universal = [v for v in range(g.n) if g.degree(v) == g.n - 1]
             rest = nx.Graph(g.edges)
             rest.remove_nodes_from(universal)
-            if universal and nx.is_connected(rest):
-                waste, _, inner, span, _ = cands[single]
-                assert incumbents == [((inner, span), waste)], g.edges
-                starts += 1
+            span = set(rest) if nx.is_connected(rest) else set(rest) | set(universal[:1])
+            start = ((0, sum(1 << v for v in span)), len(span) - 2)
+            assert incumbents == [start], g.edges
+            if single is None:
+                assert len(span) == g.n, g.edges
             else:
-                assert incumbents == [((0, (1 << g.n) - 1), g.n - 2)], g.edges
-        assert starts >= 20
+                waste, _, inner, span_mask, _ = cands[single]
+                assert start == ((inner, span_mask), waste), g.edges
+                starts[len(span) - len(rest)] += 1
+        assert starts[0] >= 20 and starts[1] >= 5, starts
 
     def test_values_match_without_the_start(self, monkeypatch):
         # the cheapest candidate covering every pair alone is a valid system,
         # so starting from it moves no value; a lower incumbent only prunes,
-        # so no node count rises
+        # so no node count rises.  Without the start tmc begins at the
+        # max-leaf tree, mc at a spanning tree and mvc at the max-leaf
+        # internal set.
         graphs = self.graphs()
         solves = (tmc_exact, mc_exact, mvc_exact)
         started = [[solve(g) for solve in solves] for g in graphs]
+
+        def no_start(g, variant):
+            return None if variant == "tmc" else ((0, (1 << g.n) - 1), g.n - 2)
+
+        monkeypatch.setattr(solvers, "_single_start", no_start)
         monkeypatch.setattr(solvers, "_single_cover", lambda cands, pairs: None)
         moved = 0
         for g, reps in zip(graphs, started):
@@ -859,7 +872,8 @@ class TestSingleCoverStart:
         # the first 4 connected G(9, 0.7) draws of Random(0) each have a
         # universal vertex: the non-universal vertices form the cheapest
         # single cover, and the root's count bound proves it optimal; tmc's
-        # root is proved too, on three graphs before any candidate is built
+        # root is proved too, on all four graphs before any candidate is
+        # built
         for g in _dense_batch():
             rep = mc_exact(g)
             assert rep.nodes_explored == 1, g.edges
@@ -869,6 +883,41 @@ class TestSingleCoverStart:
             ((edges, _),) = witness_trees(g, rep.witness)
             assert {v for e in edges for v in e} == set(range(g.n)) - universal
             assert tmc_exact(g).nodes_explored == 1, g.edges
+
+    def test_start_is_the_first_single_cover(self):
+        # _single_start's pick is the first candidate, in sorted order,
+        # covering every pair: the one _single_cover finds below the old
+        # start (the max-leaf tree for tmc, a spanning tree for mc), and no
+        # cheaper candidate covers every pair
+        picks = collections.Counter()
+        for g in self.graphs():
+            if g.is_complete():
+                continue
+            full = solvers._pair_mask(g)
+            universal = sum(1 << v for v in range(g.n) if g.degree(v) == g.n - 1)
+            for variant, old_ub in (
+                ("tmc", g.n - 2 + max_leaf_exact(g).internal_count), ("mc", g.n - 2),
+            ):
+                start = solvers._single_start(g, variant)
+                old = _candidates(g, full, old_ub - 1, variant)
+                single = solvers._single_cover(old, full)
+                if start is None or start[1] == old_ub:
+                    assert single is None, (variant, g.edges)
+                if start is None:
+                    assert variant == "tmc" and universal & (universal - 1) == 0, g.edges
+                    continue
+                (inner, span), waste = start
+                below = _candidates(g, full, waste - 1, variant)
+                assert solvers._single_cover(below, full) is None, (variant, g.edges)
+                cands = _candidates(g, full, waste, variant)
+                first = cands[solvers._single_cover(cands, full)]
+                assert start == (first[2:4], first[0]), (variant, g.edges)
+                if single is not None:
+                    assert start == (old[single][2:4], old[single][0]), (variant, g.edges)
+                    picks[variant, bool(span & universal)] += 1
+        # below the old start, both variants take the W + min U branch and
+        # the W branch (tmc: the dominating edge of G[W])
+        assert min(picks.values()) >= 5 and len(picks) == 4, picks
 
 
 class TestTreeSystemValidate:
@@ -1002,6 +1051,16 @@ def test_node_counts_pinned_past_the_digest(monkeypatch):
     assert (tmc.value, tmc.nodes_explored) == (54, 6_574)
     assert (mc.value, mc.nodes_explored) == (46, 88_913)
     assert reverify(g, tmc) and reverify(g, mc)
+
+
+def test_single_start_generates_no_tmc_candidate(monkeypatch):
+    # two universal vertices put the start below the max-leaf tree, where
+    # the degree or relaxed check proves it before any (S, I) is generated
+    monkeypatch.setenv("MONO_MAX_EXACT_N", "14")
+    generated = _count_tmc_generations(monkeypatch)
+    reports = [tmc_exact(random_gnp(14, 0.9, 14003)), tmc_exact(random_gnp(13, 0.8, 1))]
+    assert [(r.value, r.nodes_explored) for r in reports] == [(82, 1), (67, 1)]
+    assert generated == []
 
 
 def test_single_cover_start_node_counts_pinned(monkeypatch):
