@@ -108,6 +108,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.graph == args.coloring == "-" and not args.literal:
+        raise ValueError("verify reads only one of the graph and --coloring from stdin ('-')")
     coloring = coloring_from_json(_read_text(args.coloring))
     for g in _load_graphs(args.graph, args.literal):
         if isinstance(coloring, TotalColoring):
@@ -165,10 +167,12 @@ def cmd_construct(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     checked = violations = 0
     records = [] if args.csv else None  # kept only for the CSV report
-    # open the report first, so an unwritable path is refused before the sweep,
-    # but empty it only once the sweep has finished
+    graphs = _corpus(args.corpus)
+    # open the report once the corpus is resolved, so a bad corpus leaves it
+    # untouched and an unwritable path is refused before the sweep, but empty
+    # it only once the sweep has finished
     with open(args.csv, "a", encoding="ascii") if args.csv else contextlib.nullcontext() as fh:
-        for g in _corpus(args.corpus):
+        for g in graphs:
             rec = check_all(g)
             checked += 1
             if records is not None:

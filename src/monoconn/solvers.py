@@ -105,42 +105,28 @@ candidates (ties to the lowest index).  Every cover covers that pair, and
 its candidate list is sorted by waste, so the search stops at the first
 candidate that cannot beat the incumbent.
 
-Start.  Each solver hands the search its incumbent as one (I, S) pick of
-waste ub, the witness when nothing beats it.  For tmc and mc it is the
-first candidate, in sorted order, whose cover alone is every pair (a
-system of one tree), read off the universal vertices U (_single_start);
-tmc falls back to the max-leaf tree, of waste n - 2 + q, when no single
-cover is cheaper.  mvc starts from the max-leaf internal set, and once its
-candidates are built, sorted and capped below ub, the first whose cover is
-every pair at distance >= 3 replaces it.  On many dense graphs the root's count bound,
-or the degree check below, proves the start.  The closed form:
+Start.  Each solver computes its incumbent, one (I, S) pick of waste ub
+that is the witness when nothing beats it, and the search never replaces
+it.  mvc starts from the max-leaf internal set.  tmc and mc start from a
+cheapest single cover (a system of one tree), read off the universal
+vertices U (_single_start); tmc falls back to the max-leaf tree, of waste
+n - 2 + q, when no single cover is cheaper.  On many dense graphs the
+root's count bound, or the degree check below, proves the start.  The
+closed form:
 - Every single cover holds W = V - U.  A vertex of W has a non-neighbour,
   which is not universal, so every vertex of W lies in a pair and no pair
   meets U.
-- mc: when G[W] is connected, W is a candidate (a vertex adjacent to the
-  rest of W would be universal) and the only set of its size holding W.
-  Otherwise U is non-empty, as G is connected, and the sets of size
-  |W| + 1 holding W are the W + u, each a candidate: u is adjacent to the
-  rest, but G[W] is disconnected.  W + min U comes first.  The edge masks
-  of W + u and W + u' differ only in the edges from u and from u' to W,
-  and the largest edge from u to W grows with u, so the smaller u has the
-  smaller mask.
-- tmc: a single cover (S, I) costs at least |W|.  A leaf in U would be
-  lonely, so S - W lies in I.  An I holding some u of U and another vertex
-  x is dominated: I - x holds u, so x is removable, and P_x is empty, as
-  u is adjacent to every vertex.  With S = W, I = {x} would make x
-  adjacent to W - x and to U, so universal; hence |I| >= 2.  The covers of
-  waste |W| are therefore (W + u, {u}) and (W, {x, y}) with xy an edge of
-  G[W] dominating W.  Both pass the rules.  No leaf is lonely, since a
-  leaf adjacent to the rest of S is universal.  {u} has no removable
-  vertex.  y has a non-neighbour z in W, which xy dominates, so z lies in
-  P_x and in L = W - {x, y}; likewise for P_y, so |L| >= 2.  E(G[W]) is a
-  sub-mask of E(G[W + u]), so the (W, {x, y}) come first, by least mask
-  of {x, y}, and then W + min U as for mc.
-- tmc is below the max-leaf tree exactly when |U| >= 2: then q = 1 (a
-  universal vertex dominates) and |W| <= n - 2 < n - 1.  With |U| = 1 a single cover costs |W| - 2 + |I|
-  >= n - 1 (S = W, |I| >= 2) or n - 2 + |I| >= n - 1 (S = V).  With U
-  empty it is (V, I) with I a connected dominating set, so |I| >= q.
+- mc: a single cover is a connected S holding W, so W itself when G[W] is
+  connected.  Otherwise U is non-empty, as G is connected, and W + min U
+  is connected and one vertex larger.
+- tmc: a single cover (S, I) costs at least |W|.  Only S = W could cost
+  less, and there I = {x} would make x adjacent to W - x and to U, so
+  universal; hence |I| >= 2.  A star (W + u, {u}) with u in U costs
+  exactly |W|.  When |U| >= 2, q = 1 (a universal vertex dominates) and
+  |W| <= n - 2 is below the max-leaf tree's n - 1, so tmc starts from
+  (W + min U, {min U}).  With |U| = 1 the star only ties the max-leaf tree
+  at n - 1.  With U empty a single cover is (V, I) with I a connected
+  dominating set, so it costs n - 2 + |I| >= n - 2 + q.
 
 Count bound.  Let most[w] be the largest number of pairs one candidate of
 waste w covers, reach[b] the largest sum of most[w_i] over wastes w_i >= 1
@@ -171,17 +157,18 @@ dropped, so |S'| <= |S| - 1, or S' = S holds the lonely x and costs
 no more waste: the relaxed need is at most the real one, and a relaxed
 proof is a real proof.
 
-Degree check (tmc, mc).  Before either root proof, the count bound runs
+Degree check (tmc, mc).  Before any other root proof, the count bound runs
 once more with most[w] replaced by a bound read off the non-degrees
 d'(v) = n - 1 - deg(v), and the table is built only when that fails.  A
-set S holds at most floor(sum of d'(v) over S / 2) non-adjacent pairs, so
+set holds at most floor(sum of d'(v) over it / 2) non-adjacent pairs, so
 with top(k) the sum of the k largest non-degrees:
 - an mc candidate of waste w is a connected set of k = w + 2 vertices,
   with at least k - 1 edges, so it covers at most
   min(C(k - 1, 2), floor(top(k) / 2)) pairs;
-- a relaxed tmc tuple of waste w is w vertices without a lonely one, or
-  w + 1 with a lonely one, which lies in no pair; either way its pairs lie
-  among w vertices, at most min(C(w, 2), floor(top(w) / 2)).
+- a tmc candidate (S, I) of waste w = |S| - 2 + |I| has its pairs among
+  w vertices, so it covers at most min(C(w, 2), floor(top(w) / 2)): if
+  |I| >= 2 then |S| <= w, and if I = {x} then |S| = w + 1 and x, adjacent
+  to every leaf, lies in no pair.
 top(n) / 2 is every pair, so neither exceeds the pair count.  A pointwise
 larger most only raises reach and lowers need, so a degree proof implies
 the real one.  The check runs at the start's waste, the incumbent of the
@@ -527,24 +514,17 @@ def _relaxed_root_proof(g: Graph, pairs: int, ub: int) -> bool:
     return _cover_need(relaxed, pairs.bit_count(), ub)[-1] >= ub
 
 
-def _single_cover(cands: list[Candidate], pairs: int) -> int | None:
-    """Index of the first, hence cheapest, of the sorted ``cands`` whose
-    cover alone is ``pairs``, or None."""
-    return next((ci for ci, c in enumerate(cands) if c[4] == pairs), None)
-
-
 def _degree_bound(g: Graph, variant: str, ub: int) -> dict[int, int]:
     """Upper bounds, read off the vertex non-degrees, on most[w] for
-    1 <= w < ``ub``: the pairs one mc candidate of waste w covers, or for
-    "tmc" one relaxed tuple of _relaxed_root_proof (module docstring,
-    Degree check)."""
+    1 <= w < ``ub``: the pairs one mc or tmc candidate of waste w covers
+    (module docstring, Degree check)."""
     # top[k] = sum of the k largest non-degrees; top[n] is twice the pairs
     top = [0]
     for gap in sorted((g.n - 1 - a.bit_count() for a in g.adj), reverse=True):
         top.append(top[-1] + gap)
     if variant == "mc":  # a connected set of w + 2 vertices
         return {w: min(comb(w + 1, 2), top[min(w + 2, g.n)] // 2) for w in range(1, ub)}
-    # w vertices, or w + 1 with a lonely one, which is in no pair
+    # the pairs lie among w vertices: S, or S - x when I = {x}
     return {w: min(comb(w, 2), top[min(w, g.n)] // 2) for w in range(1, ub)}
 
 
@@ -559,32 +539,26 @@ def _search(
     g: Graph, variant: str, pairs: int, start: tuple[int, int], ub: int
 ) -> tuple[int, list[tuple[int, int]], int]:
     """(minimum waste, picked (I, S) masks, nodes explored) of the cover
-    search over the pair mask ``pairs`` that must beat the incumbent
-    ``start``, an (I, S) pick of waste ``ub``, which is the pick when
-    nothing beats it.  For mvc the cheapest single candidate covering every
-    pair replaces the incumbent when it is below ``ub``; tmc and mc hand in
-    theirs (_single_start).  For tmc and mc the degree check (_degree_root)
-    runs first and, when it proves the root, ends the search before the
-    shared table is built."""
-    if variant != "mvc" and _degree_root(g, variant, pairs, ub):
+    search over the pair mask ``pairs`` that must beat the solver's
+    incumbent ``start``, an (I, S) pick of waste ``ub``, which is the pick
+    when nothing beats it.  The root proofs run first: for tmc and mc the
+    degree check (_degree_root), which ends the search before the shared
+    table is built, and for tmc the relaxed check (_relaxed_root_proof)."""
+    if variant in ("tmc", "mc") and _degree_root(g, variant, pairs, ub):
         return ub, [start], 1
     if variant == "tmc" and _relaxed_root_proof(g, pairs, ub):
         return ub, [start], 1
     cands = _candidates(g, pairs, ub - 1, variant)
-    single = _single_cover(cands, pairs) if variant == "mvc" else None
-    if single is not None:
-        ub, start = cands[single][0], cands[single][2:4]
     best, pick, nodes = _solve_cover(cands, pairs, ub)
     return best, [start] if pick is None else [cands[ci][2:4] for ci in pick], nodes
 
 
 def _single_start(g: Graph, variant: str) -> tuple[tuple[int, int], int] | None:
-    """The first tmc or mc candidate, in sorted order, whose cover alone is
-    every pair, as an (I, S) pick and its waste, read off the universal
-    vertices U and W = V - U (module docstring, Start): for mc W, or
-    W + min U when G[W] is disconnected; for tmc (W, the dominating edge of
-    G[W] with the least mask), else (W + min U, {min U}), and None when
-    |U| <= 1, where no single cover is below the max-leaf tree."""
+    """A cheapest tmc or mc single cover, a set whose cover alone is every
+    pair, as an (I, S) pick and its waste, read off the universal vertices
+    U and W = V - U (module docstring, Start): for mc W, or W + min U when
+    G[W] is disconnected; for tmc the star (W + min U, {min U}), and None
+    when |U| <= 1, where no single cover is below the max-leaf tree."""
     full = (1 << g.n) - 1
     universal = sum(1 << v for v, a in enumerate(g.adj) if a | 1 << v == full)
     rest, low = full & ~universal, universal & -universal
@@ -594,10 +568,6 @@ def _single_start(g: Graph, variant: str) -> tuple[tuple[int, int], int] | None:
         return (0, rest), rest.bit_count() - 2
     if universal == low:
         return None
-    for y in _bits(rest):  # the least mask 2^x + 2^y, x < y, has the least y
-        for x in _bits(g.adj[y] & rest & (1 << y) - 1):
-            if (g.adj[x] | g.adj[y]) & rest == rest:
-                return (1 << x | 1 << y, rest), rest.bit_count()
     return (low, rest | low), rest.bit_count()
 
 
@@ -634,11 +604,11 @@ def tmc_exact(g: Graph) -> SolverReport:
     """Total monochromatic connection number with witness coloring.
 
     Minimum-waste search over covering systems of (S, I) candidates.  Its
-    incumbent, the witness when nothing beats it, is the cheapest single
-    candidate covering every pair when G has two or more universal
-    vertices (waste n - |U|, read off U by _single_start), else the
-    maximum-leaf spanning tree (waste n - 2 + q(G), the generic lower
-    bound m - n + 2 + l(G) on the value).
+    incumbent, the witness when nothing beats it, is the star from the
+    least universal vertex to the non-universal ones when G has two or
+    more universal vertices (waste n - |U|, a cheapest single cover, by
+    _single_start), else the maximum-leaf spanning tree (waste n - 2 + q(G),
+    the generic lower bound m - n + 2 + l(G) on the value).
     """
     if not is_connected(g):
         raise ValueError("disconnected")
@@ -690,10 +660,9 @@ def mvc_exact(g: Graph) -> SolverReport:
     Diameter <= 2 gives mvc = n outright.  Otherwise the same search over
     connected sets I of waste |I| - 1 covering the pairs at distance >= 3.
     Its incumbent is the internal set of a maximum-leaf spanning tree
-    (waste q(G) - 1, the lower bound l(G) + 1 on the value), or the
-    cheapest single I whose N[I] holds every such pair when that one is
-    cheaper.  Each picked I (the incumbent when nothing beats it) is one
-    color class and every other vertex gets a fresh color.
+    (waste q(G) - 1, the lower bound l(G) + 1 on the value).  Each picked
+    I (the incumbent when nothing beats it) is one color class and every
+    other vertex gets a fresh color.
     """
     if not is_connected(g):
         raise ValueError("disconnected")

@@ -12,13 +12,14 @@ dropping those with a cheaper (S, I - x) or a leaf adjacent to all of S
 instead of private leaf sets and a common-neighbourhood mask, non-dominated
 mc and mvc candidates by enumerating vertex sets and dropping those with a
 one-vertex-smaller candidate of the same cover instead of per-set table
-lookups, the cover search's count bound by a recurrence over single
-candidates instead of a knapsack over the largest cover of each waste,
-complete multipartite class sizes by checking that every component of the
-complement is a clique instead of a partition test on the non-neighbourhoods,
-labelled connected graphs by building each pair mask's graph with
-from_edge_list and testing it by DFS instead of half-mask tables and the
-bitset closure.
+lookups, the cheapest single cover by scanning the sorted candidates
+instead of reading it off the universal vertices, the cover search's count
+bound by a recurrence over single candidates instead of a knapsack over the
+largest cover of each waste, complete multipartite class sizes by checking
+that every component of the complement is a clique instead of a partition
+test on the non-neighbourhoods, labelled connected graphs by building each
+pair mask's graph with from_edge_list and testing it by DFS instead of
+half-mask tables and the bitset closure.
 
 The definition-level partition searches tmc_naive, mc_naive and
 mvc_partition_reference (with _rgs_with_block_count and the guards
@@ -619,6 +620,12 @@ def _drop_same_cover_subsets(every: dict, reduced: bool) -> list[tuple[int, int,
         )
 
     return sorted(c for c in every.values() if not (reduced and dominated(c)))
+
+
+def single_cover(cands: Sequence[tuple[int, ...]], pairs: int) -> int | None:
+    """Index of the first, hence cheapest, of the sorted (waste, ...,
+    cover) tuples ``cands`` whose cover alone is ``pairs``, or None."""
+    return next((ci for ci, c in enumerate(cands) if c[-1] == pairs), None)
 
 
 # ---------------------------------------------------------------------------

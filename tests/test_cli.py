@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 import time
 import weakref
 
@@ -225,6 +227,15 @@ class TestConstructVerify:
         ver = json.loads(out.strip())
         assert code == 0 and ver["kind"] == "mc" and ver["valid"] and ver["colors"] == 1
 
+    def test_verify_refuses_graph_and_coloring_both_from_stdin(self, capsys, monkeypatch):
+        # stdin holds one of the two; the refusal comes before it is read
+        text = json.dumps({"vertex_colors": [0, 1, 1, 2]})
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run_cli(capsys, "verify", "-", "--coloring", "-")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "stdin" in err and err.count("\n") == 1
+        assert sys.stdin.read() == text
+
     def test_wheel_too_small(self, capsys):
         code, _, err = run_cli(capsys, "construct", "--family", "wheel", "--order", "4")
         assert code == 2
@@ -295,6 +306,20 @@ class TestCheck:
         code, _, err = run_cli(capsys, "check", "--corpus", str(p), "--csv", str(report))
         assert code == 2 and "is disconnected" in err
         assert report.read_bytes() == before
+
+    @pytest.mark.parametrize("spec", ["builtin:x", "{dir}/missing.g6"])
+    def test_bad_corpus_leaves_the_report_alone(self, tmp_path, capsys, spec):
+        # the corpus is resolved before the report is opened: a fresh path
+        # is not created and an existing report keeps its bytes
+        spec = spec.format(dir=tmp_path)
+        fresh, kept = tmp_path / "fresh.csv", tmp_path / "kept.csv"
+        assert run_cli(capsys, "check", "--corpus", "builtin:2", "--csv", str(kept))[0] == 0
+        before = kept.read_bytes()
+        for report in (fresh, kept):
+            code, out, err = run_cli(capsys, "check", "--corpus", spec, "--csv", str(report))
+            assert code == 2 and out == "" and err.startswith("error:")
+        assert not fresh.exists()
+        assert kept.read_bytes() == before
 
     def test_corpus_file(self, tmp_path, capsys):
         p = tmp_path / "c.g6"

@@ -15,6 +15,7 @@ from monoconn.coloring import (
     EdgeColoring,
     TotalColoring,
     VertexColoring,
+    _fill,
     coloring_to_json,
     verify_mc,
     verify_mvc,
@@ -59,6 +60,7 @@ from oracles import (
     mvc_brute,
     mvc_candidates_reference,
     mvc_partition_reference,
+    single_cover,
     tmc_candidates_reference,
     tmc_naive,
     tree_system_reference,
@@ -280,12 +282,13 @@ class TestMvcExact:
 
     def test_two_class_witness_pinned(self):
         # an optimum joins the far pairs through two classes, {0, 1} and
-        # {3, 4}; the search starts from the one class {0, 1, 5} of the same
-        # waste, which its root proves optimal, and every other vertex is fresh
+        # {3, 4}; the search starts from the max-leaf internal set and finds
+        # them, though the one class {0, 1, 5} has the same waste, and every
+        # other vertex is fresh
         g = parse_graph6("HglCR_U")
         rep = mvc_exact(g)
-        assert (g.n, rep.value, rep.method, rep.nodes_explored) == (9, 7, "tree_system", 1)
-        assert coloring_to_json(rep.witness) == '{"vertex_colors": [0, 0, 1, 2, 3, 0, 4, 5, 6]}'
+        assert (g.n, rep.value, rep.method, rep.nodes_explored) == (9, 7, "tree_system", 6)
+        assert coloring_to_json(rep.witness) == '{"vertex_colors": [1, 1, 2, 0, 0, 3, 4, 5, 6]}'
         assert reverify(g, rep)
         two_classes = VertexColoring((0, 0, 2, 1, 1, 3, 4, 5, 6))
         assert verify_mvc(g, two_classes) == (True, None)
@@ -734,27 +737,22 @@ def _row(rep):
 
 
 class TestDegreeCheck:
-    def test_bound_and_coverage_admissible(self, monkeypatch):
+    def test_bound_and_coverage_admissible(self):
         # at each waste below ub the non-degree bound is at least the largest
-        # cover of an mc candidate, and of a relaxed tmc tuple as handed to
-        # _cover_need, both read as (waste, cover) pairs
+        # cover of an mc candidate and of a tmc candidate
         seeded = [random_connected(7 + i % 3, 700 + i, p=0.3 + 0.1 * (i % 7)) for i in range(24)]
-        seen = _record_cover_need(monkeypatch)
         checked = 0
         for g in TestCountBound.graphs() + seeded:
             pairs = g.nonadjacent_pairs()
             if not pairs:
                 continue
             full = (1 << len(pairs)) - 1
-            seen.clear()
-            solvers._relaxed_root_proof(g, full, g.n + 1)  # a relaxed tuple costs <= n
-            (relaxed,) = seen
-            mc = [(c[0], c[4]) for c in _candidates(g, full, g.n - 2, "mc")]
-            for variant, cands, ubs in (("mc", mc, g.n), ("tmc", relaxed, g.n + 2)):
-                for ub in range(1, ubs):
+            for variant, cap in (("mc", g.n - 2), ("tmc", 2 * g.n - 4)):
+                cands = _candidates(g, full, cap, variant)
+                for ub in range(1, cap + 2):
                     bound = solvers._degree_bound(g, variant, ub)
                     assert sorted(bound) == list(range(1, ub))
-                    for w, cov in cands:
+                    for w, _, _, _, cov in cands:
                         if w < ub:
                             assert bound[w] >= cov.bit_count(), (variant, g.edges, w)
                             checked += 1
@@ -810,8 +808,8 @@ class TestSingleCoverStart:
     def test_mc_incumbent_is_the_single_cover(self, monkeypatch):
         # mc_exact hands the search W = V - U when G[W] is connected and
         # otherwise W plus the least universal vertex, checked here against
-        # networkx; below a spanning tree's waste n - 2, that is
-        # _single_cover's pick among the mc candidates
+        # networkx; below a spanning tree's waste n - 2, that is the first
+        # mc candidate covering every pair
         incumbents = []
         search = solvers._search
 
@@ -828,7 +826,7 @@ class TestSingleCoverStart:
             assert reverify(g, mc_exact(g))
             full = solvers._pair_mask(g)
             cands = _candidates(g, full, g.n - 3, "mc")
-            single = solvers._single_cover(cands, full)
+            single = single_cover(cands, full)
             universal = [v for v in range(g.n) if g.degree(v) == g.n - 1]
             rest = nx.Graph(g.edges)
             rest.remove_nodes_from(universal)
@@ -847,17 +845,15 @@ class TestSingleCoverStart:
         # the cheapest candidate covering every pair alone is a valid system,
         # so starting from it moves no value; a lower incumbent only prunes,
         # so no node count rises.  Without the start tmc begins at the
-        # max-leaf tree, mc at a spanning tree and mvc at the max-leaf
-        # internal set.
+        # max-leaf tree and mc at a spanning tree.
         graphs = self.graphs()
-        solves = (tmc_exact, mc_exact, mvc_exact)
+        solves = (tmc_exact, mc_exact)
         started = [[solve(g) for solve in solves] for g in graphs]
 
         def no_start(g, variant):
             return None if variant == "tmc" else ((0, (1 << g.n) - 1), g.n - 2)
 
         monkeypatch.setattr(solvers, "_single_start", no_start)
-        monkeypatch.setattr(solvers, "_single_cover", lambda cands, pairs: None)
         moved = 0
         for g, reps in zip(graphs, started):
             for solve, rep in zip(solves, reps):
@@ -884,40 +880,43 @@ class TestSingleCoverStart:
             assert {v for e in edges for v in e} == set(range(g.n)) - universal
             assert tmc_exact(g).nodes_explored == 1, g.edges
 
-    def test_start_is_the_first_single_cover(self):
-        # _single_start's pick is the first candidate, in sorted order,
-        # covering every pair: the one _single_cover finds below the old
-        # start (the max-leaf tree for tmc, a spanning tree for mc), and no
-        # cheaper candidate covers every pair
-        picks = collections.Counter()
+    def test_start_is_a_cheapest_single_cover(self):
+        # _single_start's waste is the least of any single cover, found by
+        # scanning the sorted candidates; tmc's start with |U| >= 2 is the
+        # star from min U to W = V - U, below the max-leaf tree, and with
+        # |U| <= 1 no single cover is below that tree
+        starts = collections.Counter()
         for g in self.graphs():
             if g.is_complete():
                 continue
             full = solvers._pair_mask(g)
-            universal = sum(1 << v for v in range(g.n) if g.degree(v) == g.n - 1)
-            for variant, old_ub in (
-                ("tmc", g.n - 2 + max_leaf_exact(g).internal_count), ("mc", g.n - 2),
-            ):
+            universal = [v for v in range(g.n) if g.degree(v) == g.n - 1]
+            rest = [v for v in range(g.n) if v not in universal]
+            tree = g.n - 2 + max_leaf_exact(g).internal_count
+            for variant, cap in (("tmc", 2 * g.n - 4), ("mc", g.n - 2)):
+                cands = _candidates(g, full, cap, variant)
+                least = cands[single_cover(cands, full)][0]
                 start = solvers._single_start(g, variant)
-                old = _candidates(g, full, old_ub - 1, variant)
-                single = solvers._single_cover(old, full)
-                if start is None or start[1] == old_ub:
-                    assert single is None, (variant, g.edges)
                 if start is None:
-                    assert variant == "tmc" and universal & (universal - 1) == 0, g.edges
+                    assert variant == "tmc" and len(universal) <= 1, g.edges
+                    assert least >= tree, g.edges
                     continue
                 (inner, span), waste = start
-                below = _candidates(g, full, waste - 1, variant)
-                assert solvers._single_cover(below, full) is None, (variant, g.edges)
-                cands = _candidates(g, full, waste, variant)
-                first = cands[solvers._single_cover(cands, full)]
-                assert start == (first[2:4], first[0]), (variant, g.edges)
-                if single is not None:
-                    assert start == (old[single][2:4], old[single][0]), (variant, g.edges)
-                    picks[variant, bool(span & universal)] += 1
-        # below the old start, both variants take the W + min U branch and
-        # the W branch (tmc: the dominating edge of G[W])
-        assert min(picks.values()) >= 5 and len(picks) == 4, picks
+                assert waste == least, (variant, g.edges)
+                if variant == "mc":
+                    starts["mc", any(span >> u & 1 for u in universal)] += 1
+                    continue
+                u = universal[0]
+                assert len(universal) >= 2 and waste == len(rest) < tree, g.edges
+                assert (inner, span) == (1 << u, sum(1 << v for v in rest + [u])), g.edges
+                star = sorted((min(u, v), max(u, v)) for v in rest)
+                assert solvers._system(g, [(inner, span)]) == [star], g.edges
+                witness = _fill(g, "tmc", [star + [u]])
+                assert verify_tmc(g, witness) == (True, None), g.edges
+                assert witness.color_count == g.m + g.n - waste, g.edges
+                starts["tmc"] += 1
+        # mc takes both the W branch and the W + min U branch
+        assert min(starts.values()) >= 5 and len(starts) == 3, starts
 
 
 class TestTreeSystemValidate:
