@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from typing import Iterable
 
@@ -170,19 +171,26 @@ def cmd_check(args: argparse.Namespace) -> int:
     graphs = _corpus(args.corpus)
     # open the report once the corpus is resolved, so a bad corpus leaves it
     # untouched and an unwritable path is refused before the sweep, but empty
-    # it only once the sweep has finished
-    with open(args.csv, "a", encoding="ascii") if args.csv else contextlib.nullcontext() as fh:
-        for g in graphs:
-            rec = check_all(g)
-            checked += 1
+    # it only once the sweep has finished; a sweep that stops removes a
+    # report it created
+    fresh = args.csv and not os.path.exists(args.csv)
+    try:
+        with open(args.csv, "a", encoding="ascii") if args.csv else contextlib.nullcontext() as fh:
+            for g in graphs:
+                rec = check_all(g)
+                checked += 1
+                if records is not None:
+                    records.append(rec)
+                if rec.violated():
+                    violations += 1
+                sys.stdout.write(rec.to_json() + "\n")
             if records is not None:
-                records.append(rec)
-            if rec.violated():
-                violations += 1
-            sys.stdout.write(rec.to_json() + "\n")
-        if records is not None:
-            fh.truncate(0)
-            fh.write(records_to_csv(records))
+                fh.truncate(0)
+                fh.write(records_to_csv(records))
+    except BaseException:
+        if fresh and os.path.exists(args.csv):
+            os.remove(args.csv)
+        raise
     sys.stderr.write(f"checked {checked} graphs, {violations} with violated verdicts\n")
     return 1 if violations else 0
 

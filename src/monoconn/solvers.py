@@ -86,16 +86,16 @@ mask test per (S, I) for tmc and connected[] lookups of the one-smaller
 sets for mc; mvc emits every connected I whose N[I] holds a pair.
 
 Shared table.  Every candidate is read off per-set tables over all 2^n
-vertex sets: the induced edge mask, the non-adjacent pairs inside (bit j
-for the j-th pair of nonadjacent_pairs(), lexicographic), the neighbourhood,
-the common closed neighbourhood and connectivity.  They depend on G alone,
-and so does the list of every mc candidate, which each mc solve cuts below
-its incumbent's waste; one pass over the sets in increasing order builds
-them all (_table), and it runs only when the degree check below fails to
-prove the root.  Only the last graph's tables are kept, so tmc, mc and
-mvc solved one after another on one graph build them once; max_leaf_exact
-and diameter keep their last graph's result the same way.  Pairs to cover
-are a mask over the same bits: every pair for tmc and mc, the pairs at
+vertex sets: the induced edge mask, the non-adjacent pairs inside (bit j for
+the j-th pair of nonadjacent_pairs(), lexicographic), the neighbourhood, the
+common closed neighbourhood and connectivity.  They depend on G alone, and
+so does the list of every mc candidate, which each mc solve cuts below its
+incumbent's waste; one pass over the sets in increasing order builds them
+all (_table), and it runs only when the degree bound (Root proofs) fails to
+prove the root.  Only the last graph's tables are kept, so tmc, mc and mvc
+solved one after another on one graph build them once; max_leaf_exact and
+diameter keep their last graph's result the same way.  Pairs to cover are a
+mask over the same bits: every pair for tmc and mc, the pairs at
 distance >= 3 for mvc, whose covers are the shared ones masked to those.
 The masked pairs keep their lexicographic order, so branching and its ties
 are those of a search over the far pairs alone.
@@ -110,9 +110,8 @@ that is the witness when nothing beats it, and the search never replaces
 it.  mvc starts from the max-leaf internal set.  tmc and mc start from a
 cheapest single cover (a system of one tree), read off the universal
 vertices U (_single_start); tmc falls back to the max-leaf tree, of waste
-n - 2 + q, when no single cover is cheaper.  On many dense graphs the
-root's count bound, or the degree check below, proves the start.  The
-closed form:
+n - 2 + q, when no single cover is cheaper.  On many dense graphs a root
+step (Root proofs) proves the start.  The closed form:
 - Every single cover holds W = V - U.  A vertex of W has a non-neighbour,
   which is not universal, so every vertex of W lies in a pair and no pair
   meets U.
@@ -137,43 +136,41 @@ least need[u].  A node with u uncovered pairs therefore needs at least
 need[u] more waste, and it is tested before the node picks its branching
 pair.  The bound holds for every variant, since it uses only what this
 graph's candidates cover; values of b at or past the incumbent's waste
-prune anyway, so the table stops there.  The root's bound, need[all pairs],
-is checked before the per-pair candidate lists are built.  A root proof,
-this one or one of the two checks below, ends the search with one node,
-which is what the branch step counts when the bound prunes the root or the
-root branches on a pair with no candidate.  A proof needs no pair
-coverage: need[all pairs] >= ub proves the incumbent of waste ub optimal
-whether or not every pair has a candidate below ub.
+prune anyway, so the table stops there.
 
-Relaxed root check (tmc).  The root's count bound runs first over the mc
-candidates, each S at waste |S| - 1 when it has a lonely vertex and |S|
-otherwise, and only when it fails are the (S, I) generated.  A tmc
+Root proofs.  The root has every pair uncovered, so need[all pairs] >= ub
+proves the start of waste ub optimal, whether or not every pair has a
+candidate below ub.  Say most' bounds most when every w < ub has some
+w' <= w with most'[w'] >= most[w].  Then each knapsack packing over most
+maps to one over most' with no more waste and no fewer pairs, so
+reach' >= reach and need' <= need below ub: a proof over most' is a proof
+over the real most.  The search runs this one test over such cover maxima,
+cheapest first: the degree bound (tmc, mc), which needs no table, the
+relaxed tuples (tmc), which need no (S, I) candidate, and the candidates
+themselves, whose need then prunes every node.  A proof ends the search
+with the start and one node, the root, so values, picks, witnesses and
+node counts are those of the search without the earlier steps.
+
+Relaxed tuples (tmc).  Each mc candidate S gives a tuple of its cover at
+waste |S| - 1 when it has a lonely vertex and |S| otherwise.  A tmc
 candidate costs |S| - 2 + |I| >= |S| - 1, with equality only when I = {x}
 and x is lonely in S.  Dropping lonely vertices whose removal keeps S
 connected leads to an mc candidate S' inside S with the same cover and
 relaxed waste at most |S'| <= |S|.  When I = {x}, either a vertex was
 dropped, so |S'| <= |S| - 1, or S' = S holds the lonely x and costs
-|S| - 1.  So every tmc candidate has a relaxed one of the same cover and
-no more waste: the relaxed need is at most the real one, and a relaxed
-proof is a real proof.
+|S| - 1.  So every tmc candidate has a tuple of the same cover and no more
+waste, and the tuples' most bounds the real one.
 
-Degree check (tmc, mc).  Before any other root proof, the count bound runs
-once more with most[w] replaced by a bound read off the non-degrees
-d'(v) = n - 1 - deg(v), and the table is built only when that fails.  A
-set holds at most floor(sum of d'(v) over it / 2) non-adjacent pairs, so
-with top(k) the sum of the k largest non-degrees:
-- an mc candidate of waste w is a connected set of k = w + 2 vertices,
-  with at least k - 1 edges, so it covers at most
-  min(C(k - 1, 2), floor(top(k) / 2)) pairs;
-- a tmc candidate (S, I) of waste w = |S| - 2 + |I| has its pairs among
-  w vertices, so it covers at most min(C(w, 2), floor(top(w) / 2)): if
-  |I| >= 2 then |S| <= w, and if I = {x} then |S| = w + 1 and x, adjacent
-  to every leaf, lies in no pair.
-top(n) / 2 is every pair, so neither exceeds the pair count.  A pointwise
-larger most only raises reach and lowers need, so a degree proof implies
-the real one.  The check runs at the start's waste, the incumbent of the
-whole search, so it proves the incumbent the real root would: values,
-picks and witnesses are those of the search without the check.
+Degree bound (tmc, mc).  A set holds at most half the sum of its non-degrees
+d'(v) = n - 1 - deg(v) in non-adjacent pairs, so with top(k) the sum of the
+k largest non-degrees, most[w] is at most:
+- mc: min(C(k - 1, 2), floor(top(k) / 2)), as a candidate of waste w is a
+  connected set of k = w + 2 vertices, with at least k - 1 edges;
+- tmc: min(C(w, 2), floor(top(w) / 2)), as a candidate (S, I) of waste
+  w = |S| - 2 + |I| has its pairs among w vertices: if |I| >= 2 then
+  |S| <= w, and if I = {x} then |S| = w + 1 and x, adjacent to every leaf,
+  lies in no pair.
+top(n) / 2 is every pair, so neither exceeds the pair count.
 
 mvc.  A vertex coloring joins u and v when some u-v path has all its inner
 vertices in one color.  Pairs at distance <= 2 always are, so only the pairs
@@ -215,7 +212,7 @@ import functools
 import os
 from dataclasses import dataclass, field
 from math import comb
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .coloring import (
     EdgeColoring,
@@ -439,30 +436,27 @@ def _need(most: dict[int, int], npairs: int, limit: int) -> list[int]:
     return need
 
 
-def _cover_need(cands: Sequence[tuple[int, ...]], npairs: int, limit: int) -> list[int]:
-    """_need over the (waste, ..., cover) tuples ``cands``, with most[w] the
-    largest cover of a tuple of waste w; need[npairs] >= ``limit`` proves
-    the incumbent of waste ``limit`` optimal."""
+def _most(cands: Iterable[tuple[int, ...]]) -> dict[int, int]:
+    """most[w] = the largest cover of a (waste, ..., cover) tuple of waste w
+    among ``cands``, the cover maxima that _need reads."""
     most: dict[int, int] = {}
     for c in cands:
         w, k = c[0], c[-1].bit_count()
         if k > most.get(w, 0):
             most[w] = k
-    return _need(most, npairs, limit)
+    return most
 
 
 def _solve_cover(
-    cands: list[Candidate], pairs: int, ub_waste: int
+    cands: list[Candidate], pairs: int, ub_waste: int, need: list[int]
 ) -> tuple[int, list[int] | None, int]:
     """Branch-and-bound minimum-waste cover of the pair mask ``pairs`` by
-    candidates with pairwise disjoint edge masks and internal masks.
+    candidates with pairwise disjoint edge masks and internal masks, each
+    node pruned by the count bound ``need`` of _need over ``cands``.
 
     Returns (best_waste, chosen candidate indices or None when nothing beat
     the incumbent upper bound, nodes explored).
     """
-    need = _cover_need(cands, pairs.bit_count(), ub_waste)
-    if need[-1] >= ub_waste:  # the root's bound proves the incumbent
-        return ub_waste, None, 1
     # pair k is bit k of the masks; only the bits of ``pairs`` are ever read
     by_pair: list[list[int]] = [[] for _ in range(pairs.bit_length())]
     for ci, (_, _, _, _, cov) in enumerate(cands):
@@ -477,10 +471,8 @@ def _solve_cover(
         nonlocal best, best_pick, nodes
         nodes += 1
         unc = pairs & ~covered
-        if not unc:
-            if waste < best:
-                best = waste
-                best_pick = pick.copy()
+        if not unc:  # entered only below best
+            best, best_pick = waste, pick.copy()
             return
         if waste + need[unc.bit_count()] >= best:
             return
@@ -499,25 +491,20 @@ def _solve_cover(
     return best, best_pick, nodes
 
 
-def _relaxed_root_proof(g: Graph, pairs: int, ub: int) -> bool:
-    """Whether the root's count bound proves optimal the tmc incumbent of
-    waste ``ub`` when read off the mc candidates instead of the tmc ones:
-    each S at waste |S| - 1 when it has a lonely vertex and |S| otherwise,
-    no more than any tmc candidate of the same cover costs (module
-    docstring)."""
+def _relaxed_tuples(g: Graph, ub: int) -> list[tuple[int, int]]:
+    """The relaxed tmc root step's (waste, cover) tuples below ``ub``, one
+    per mc candidate S: waste |S| - 1 when S has a lonely vertex and |S|
+    otherwise, no more than any tmc candidate of the same cover costs
+    (module docstring, Relaxed tuples)."""
     t = _table(g)
-    relaxed = []
-    for w, _, _, s, cov in t.mc:
-        w += 1 if t.common[s] & s else 2
-        if w < ub:
-            relaxed.append((w, cov))
-    return _cover_need(relaxed, pairs.bit_count(), ub)[-1] >= ub
+    relaxed = [(w + (1 if t.common[s] & s else 2), cov) for w, _, _, s, cov in t.mc]
+    return [r for r in relaxed if r[0] < ub]
 
 
 def _degree_bound(g: Graph, variant: str, ub: int) -> dict[int, int]:
     """Upper bounds, read off the vertex non-degrees, on most[w] for
     1 <= w < ``ub``: the pairs one mc or tmc candidate of waste w covers
-    (module docstring, Degree check)."""
+    (module docstring, Degree bound)."""
     # top[k] = sum of the k largest non-degrees; top[n] is twice the pairs
     top = [0]
     for gap in sorted((g.n - 1 - a.bit_count() for a in g.adj), reverse=True):
@@ -528,28 +515,29 @@ def _degree_bound(g: Graph, variant: str, ub: int) -> dict[int, int]:
     return {w: min(comb(w, 2), top[min(w, g.n)] // 2) for w in range(1, ub)}
 
 
-def _degree_root(g: Graph, variant: str, pairs: int, ub: int) -> bool:
-    """Whether the count bound over _degree_bound proves optimal the tmc or
-    mc incumbent of waste ``ub``; _search's own root then proves it with
-    one node (module docstring, Degree check)."""
-    return _need(_degree_bound(g, variant, ub), pairs.bit_count(), ub)[-1] >= ub
-
-
 def _search(
     g: Graph, variant: str, pairs: int, start: tuple[int, int], ub: int
 ) -> tuple[int, list[tuple[int, int]], int]:
     """(minimum waste, picked (I, S) masks, nodes explored) of the cover
     search over the pair mask ``pairs`` that must beat the solver's
     incumbent ``start``, an (I, S) pick of waste ``ub``, which is the pick
-    when nothing beats it.  The root proofs run first: for tmc and mc the
-    degree check (_degree_root), which ends the search before the shared
-    table is built, and for tmc the relaxed check (_relaxed_root_proof)."""
-    if variant in ("tmc", "mc") and _degree_root(g, variant, pairs, ub):
-        return ub, [start], 1
-    if variant == "tmc" and _relaxed_root_proof(g, pairs, ub):
-        return ub, [start], 1
-    cands = _candidates(g, pairs, ub - 1, variant)
-    best, pick, nodes = _solve_cover(cands, pairs, ub)
+    when nothing beats it.  Each root step, cheapest first, runs the count
+    bound over its own cover maxima (module docstring, Root proofs)."""
+    cands: list[Candidate] = []
+
+    def steps():
+        if variant != "mvc":
+            yield _degree_bound(g, variant, ub)  # builds no table
+        if variant == "tmc":
+            yield _most(_relaxed_tuples(g, ub))
+        cands.extend(_candidates(g, pairs, ub - 1, variant))
+        yield _most(cands)
+
+    for most in steps():
+        need = _need(most, pairs.bit_count(), ub)
+        if need[-1] >= ub:
+            return ub, [start], 1
+    best, pick, nodes = _solve_cover(cands, pairs, ub, need)
     return best, [start] if pick is None else [cands[ci][2:4] for ci in pick], nodes
 
 

@@ -303,9 +303,12 @@ class TestCheck:
         before = report.read_bytes()
         assert before.startswith(b"graph6,") and len(before.splitlines()) == 1 + 2
         p.write_text("Dhc\nA?\n")
-        code, _, err = run_cli(capsys, "check", "--corpus", str(p), "--csv", str(report))
-        assert code == 2 and "is disconnected" in err
+        fresh = tmp_path / "fresh.csv"
+        for path in (report, fresh):  # a failed sweep leaves no report behind
+            code, _, err = run_cli(capsys, "check", "--corpus", str(p), "--csv", str(path))
+            assert code == 2 and "is disconnected" in err
         assert report.read_bytes() == before
+        assert not fresh.exists()
 
     @pytest.mark.parametrize("spec", ["builtin:x", "{dir}/missing.g6"])
     def test_bad_corpus_leaves_the_report_alone(self, tmp_path, capsys, spec):

@@ -44,7 +44,8 @@ from monoconn.maxleaf import max_leaf_exact
 from monoconn.solvers import (
     SolverRangeError,
     _candidates,
-    _cover_need,
+    _most,
+    _need,
     _solve_cover,
     mc_exact,
     mvc_exact,
@@ -492,7 +493,8 @@ class TestCandidates:
                 every = reference(g, pairs, ub - 1, reduced=False)
                 full = (1 << len(pairs)) - 1
                 assert set(_candidates(g, full, ub - 1, variant)) <= set(every)
-                best, _, _ = _solve_cover(every, full, ub)
+                need = _need(_most(every), len(pairs), ub)
+                best, _, _ = _solve_cover(every, full, ub, need)
                 assert top - best == solve(g).value, (variant, g.edges)
 
 
@@ -583,7 +585,7 @@ class TestCountBound:
         checked = 0
         for variant, cands, pairs in self.cases():
             limit = 3 * cands[-1][0] + 1
-            need = _cover_need(cands, pairs.bit_count(), limit)
+            need = _need(_most(cands), pairs.bit_count(), limit)
             assert need == count_lb_reference(cands, pairs.bit_count(), limit), variant
 
             def grow(start, waste, used_e, used_i, covered, depth):
@@ -643,55 +645,24 @@ class TestCountBound:
         assert rep.nodes_explored > 1
         assert generated == [g]
 
-    def test_relaxed_root_tuples_are_admissible(self, monkeypatch):
-        # every tmc candidate at cap 2n - 4 has a tuple of the relaxed root
-        # check with the same cover and no more waste, so the check's count
-        # bound is that of a superset of cheaper candidates
+    def test_relaxed_root_tuples_are_admissible(self):
+        # every tmc candidate at cap 2n - 4 has a relaxed tuple with the
+        # same cover and no more waste, so the relaxed step's cover maxima
+        # bound the real ones
         seeded = [random_connected(7 + i % 2, 300 + i, p=0.3 + 0.1 * (i % 6)) for i in range(12)]
-        seen = _record_cover_need(monkeypatch)
         checked = 0
         for g in self.graphs() + seeded:
             pairs = g.nonadjacent_pairs()
             if not pairs:
                 continue
             full, cap = (1 << len(pairs)) - 1, 2 * g.n - 4
-            seen.clear()
-            solvers._relaxed_root_proof(g, full, cap + 1)
-            (relaxed,) = seen
             cheapest: dict[int, int] = {}
-            for w, cov in relaxed:
+            for w, cov in solvers._relaxed_tuples(g, cap + 1):
                 cheapest[cov] = min(w, cheapest.get(cov, w))
             for w, _, _, _, cov in _candidates(g, full, cap, "tmc"):
                 assert cheapest.get(cov, w + 1) <= w, (g.edges, w, cov)
                 checked += 1
         assert checked > 10_000
-
-    def test_relaxed_root_check_changes_no_report(self, monkeypatch):
-        atlas = (h for h in nx.graph_atlas_g() if 2 <= h.number_of_nodes() <= 6)
-        graphs = [from_edge_list(h.number_of_nodes(), h.edges()) for h in atlas]
-        graphs = [path_graph(3), path_graph(4)] + [g for g in graphs if is_connected(g)]
-        graphs += [
-            random_connected(n, 40 * n + seed, p=tenths / 10)
-            for n in (7, 8, 9) for tenths in range(2, 10) for seed in range(2)
-        ]
-        for g in graphs:
-            with_check = _row(tmc_exact(g))
-            with monkeypatch.context() as m:
-                m.setattr(solvers, "_relaxed_root_proof", lambda g, pairs, ub: False)
-                assert _row(tmc_exact(g)) == with_check, g.edges
-
-
-def _record_cover_need(monkeypatch) -> list:
-    """The candidate lists handed to _cover_need, in order."""
-    seen = []
-    cover_need = solvers._cover_need
-
-    def recorded(cands, npairs, limit):
-        seen.append(cands)
-        return cover_need(cands, npairs, limit)
-
-    monkeypatch.setattr(solvers, "_cover_need", recorded)
-    return seen
 
 
 def _count_tmc_generations(monkeypatch) -> list:
@@ -758,33 +729,6 @@ class TestDegreeCheck:
                             checked += 1
         assert checked > 50_000
 
-    def test_degree_check_changes_no_report(self, monkeypatch):
-        # a degree proof implies _search's one-node root proof of the same
-        # incumbent
-        graphs = [path_graph(3), path_graph(4)] + _classes()
-        graphs += [
-            random_connected(n, 60 * n + seed, p=p)
-            for n in (7, 8, 9) for p in (0.2, 0.35, 0.5, 0.65, 0.8, 0.95) for seed in range(2)
-        ]
-        proved = []
-        degree_root = solvers._degree_root
-
-        def recorded(g, variant, pairs, ub):
-            out = degree_root(g, variant, pairs, ub)
-            if out:
-                proved.append(variant)
-            return out
-
-        solves = (tmc_exact, mc_exact, mvc_exact)
-        for g in graphs:
-            with monkeypatch.context() as m:
-                m.setattr(solvers, "_degree_root", recorded)
-                rows = [_row(solve(g)) for solve in solves]
-            with monkeypatch.context() as m:
-                m.setattr(solvers, "_degree_root", lambda g, variant, pairs, ub: False)
-                assert [_row(solve(g)) for solve in solves] == rows, g.edges
-        assert proved.count("tmc") >= 40 and proved.count("mc") >= 40
-
     def test_dense_batch_builds_no_table(self, table_builds):
         # the non-degrees prove tmc's and mc's roots on all four of dense9's
         # graphs, and mvc takes the diameter-2 shortcut; HmzzL^~ has two
@@ -795,6 +739,58 @@ class TestDegreeCheck:
             for solve in (tmc_exact, mc_exact, mvc_exact):
                 assert reverify(g, solve(g))
         assert table_builds == []
+
+
+# each root step before the candidates: its builder and a fake that never
+# proves (every pair covered at waste 1)
+ROOT_STEPS = {
+    "degree": ("_degree_bound", lambda g, variant, ub: {1: len(g.nonadjacent_pairs())}),
+    "relaxed": ("_relaxed_tuples", lambda g, ub: [(1, solvers._pair_mask(g))]),
+}
+
+
+def _logging(fn, label: str, log: list):
+    """``fn``, appending ``label`` to ``log`` at each call."""
+
+    def logged(*args):
+        log.append(label)
+        return fn(*args)
+
+    return logged
+
+
+@pytest.mark.parametrize("step", list(ROOT_STEPS))
+def test_root_step_changes_no_report(monkeypatch, step):
+    # a step's proof is the real root's proof of the same incumbent, so
+    # switching the step off changes no report; the floors on the solves
+    # the step ends keep the switch-off from passing as a no-op
+    name, never = ROOT_STEPS[step]
+    graphs = [path_graph(3), path_graph(4)] + _classes()
+    graphs += [
+        random_connected(n, 40 * n + seed, p=tenths / 10)
+        for n in (7, 8, 9) for tenths in range(2, 10) for seed in range(2)
+    ]
+    graphs += [
+        random_connected(n, 60 * n + seed, p=p)
+        for n in (7, 8, 9) for p in (0.2, 0.35, 0.5, 0.65, 0.8, 0.95) for seed in range(2)
+    ]
+    solves, ended = (tmc_exact, mc_exact, mvc_exact), []
+    for g in graphs:
+        rows, run = [], []
+        with monkeypatch.context() as m:
+            for builder in ("_degree_bound", "_relaxed_tuples", "_candidates"):
+                m.setattr(solvers, builder, _logging(getattr(solvers, builder), builder, run))
+            for solve in solves:
+                run.clear()
+                rows.append(_row(solve(g)))
+                if run[-1:] == [name]:  # no later step ran: this one proved the root
+                    ended.append(solve.__name__)
+        with monkeypatch.context() as m:
+            m.setattr(solvers, name, never)
+            assert [_row(solve(g)) for solve in solves] == rows, g.edges
+    counts = collections.Counter(ended)  # degree 167 tmc, 198 mc; relaxed 7 tmc
+    floors = {"degree": {"tmc_exact": 40, "mc_exact": 40}, "relaxed": {"tmc_exact": 7}}
+    assert all(counts[solve] >= k for solve, k in floors[step].items()), counts
 
 
 class TestSingleCoverStart:
