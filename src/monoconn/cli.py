@@ -18,7 +18,6 @@ from typing import Iterable
 from .coloring import (
     EdgeColoring,
     TotalColoring,
-    VertexColoring,
     coloring_from_json,
     coloring_to_json,
     verify_mc,

@@ -79,18 +79,15 @@ def from_edge_list(n: int, pairs: Iterable[Sequence[int]]) -> Graph:
         raise ValueError(f"vertex count must be non-negative, got {n}")
     adj = [0] * n
     edges = []
-    seen = set()
     for pair in pairs:
         u, v = pair
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"vertex out of range 0..{n - 1}: pair {(u, v)}")
         if u == v:
             raise ValueError(f"self-loop rejected: pair {(u, v)}")
-        e = (u, v) if u < v else (v, u)
-        if e in seen:
+        if adj[u] >> v & 1:
             raise ValueError(f"duplicate edge rejected: pair {(u, v)}")
-        seen.add(e)
-        edges.append(e)
+        edges.append((u, v) if u < v else (v, u))
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return Graph(n=n, edges=tuple(sorted(edges)), adj=tuple(adj))
@@ -291,10 +288,7 @@ def max_degree(g: Graph) -> int:
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
     adj = tuple((full & ~g.adj[v]) & ~(1 << v) for v in range(g.n))
-    edges = tuple(
-        (u, v) for u in range(g.n) for v in range(u + 1, g.n) if (adj[u] >> v) & 1
-    )
-    return Graph(n=g.n, edges=edges, adj=adj)
+    return Graph(n=g.n, edges=tuple(g.nonadjacent_pairs()), adj=adj)
 
 
 def is_triangle_free(g: Graph) -> bool:

@@ -91,14 +91,15 @@ the j-th pair of nonadjacent_pairs(), lexicographic), the neighbourhood, the
 common closed neighbourhood and connectivity.  They depend on G alone, and
 so does the list of every mc candidate, which each mc solve cuts below its
 incumbent's waste; one pass over the sets in increasing order builds them
-all (_table), and it runs only when the degree bound (Root proofs) fails to
-prove the root.  Only the last graph's tables are kept, so tmc, mc and mvc
-solved one after another on one graph build them once; max_leaf_exact and
-diameter keep their last graph's result the same way.  Pairs to cover are a
-mask over the same bits: every pair for tmc and mc, the pairs at
-distance >= 3 for mvc, whose covers are the shared ones masked to those.
-The masked pairs keep their lexicographic order, so branching and its ties
-are those of a search over the far pairs alone.
+all (_table).  tmc and mc build it only when the degree bound (Root
+proofs) fails to prove the root, mvc whenever it searches.  Only the last
+graph's tables are kept, so tmc, mc and mvc solved one after another on
+one graph build them once; max_leaf_exact and diameter keep their last
+graph's result the same way.  Pairs to cover are a mask over the same
+bits: every pair for tmc and mc, the pairs at distance >= 3 for mvc,
+whose covers are the shared ones masked to those.  The masked pairs keep
+their lexicographic order, so branching and its ties are those of a
+search over the far pairs alone.
 
 Branching.  Each node branches on the uncovered pair with the fewest
 candidates (ties to the lowest index).  Every cover covers that pair, and
@@ -108,24 +109,25 @@ candidate that cannot beat the incumbent.
 Start.  Each solver computes its incumbent, one (I, S) pick of waste ub
 that is the witness when nothing beats it, and the search never replaces
 it.  mvc starts from the max-leaf internal set.  tmc and mc start from a
-cheapest single cover (a system of one tree), read off the universal
-vertices U (_single_start); tmc falls back to the max-leaf tree, of waste
-n - 2 + q, when no single cover is cheaper.  On many dense graphs a root
+cheapest single cover (a system of one tree), written from the universal
+vertices U and W = V - U (_non_universal).  On many dense graphs a root
 step (Root proofs) proves the start.  The closed form:
-- Every single cover holds W = V - U.  A vertex of W has a non-neighbour,
-  which is not universal, so every vertex of W lies in a pair and no pair
-  meets U.
+- Every single cover holds W.  A vertex of W has a non-neighbour, which is
+  not universal, so every vertex of W lies in a pair and no pair meets U.
 - mc: a single cover is a connected S holding W, so W itself when G[W] is
   connected.  Otherwise U is non-empty, as G is connected, and W + min U
   is connected and one vertex larger.
-- tmc: a single cover (S, I) costs at least |W|.  Only S = W could cost
-  less, and there I = {x} would make x adjacent to W - x and to U, so
-  universal; hence |I| >= 2.  A star (W + u, {u}) with u in U costs
-  exactly |W|.  When |U| >= 2, q = 1 (a universal vertex dominates) and
-  |W| <= n - 2 is below the max-leaf tree's n - 1, so tmc starts from
-  (W + min U, {min U}).  With |U| = 1 the star only ties the max-leaf tree
-  at n - 1.  With U empty a single cover is (V, I) with I a connected
-  dominating set, so it costs n - 2 + |I| >= n - 2 + q.
+- tmc: the start is (W + I, I) with I the max-leaf internal set, of waste
+  |W + I| - 2 + q: the max-leaf tree with its leaves in U dropped.  With U
+  empty it is (V, I), and every single cover is (V, I') with I' a
+  connected dominating set, of waste n - 2 + |I'| >= n - 2 + q.  With U
+  non-empty, q = 1 (G is not complete, so n >= 3), and the max-leaf
+  search tries single vertices in increasing order, so I = {min U} and
+  the start is the star (W + min U, {min U}) of waste |W|.  A single
+  cover (S, I') costs |S| - 2 + |I'| >= |W| unless S = W and I' = {x},
+  and then x would be adjacent to W - x and to U, so universal.  With
+  |U| >= 2 the star is below the max-leaf tree's n - 1, and with |U| = 1
+  it is that tree.
 
 Count bound.  Let most[w] be the largest number of pairs one candidate of
 waste w covers, reach[b] the largest sum of most[w_i] over wastes w_i >= 1
@@ -541,22 +543,11 @@ def _search(
     return best, [start] if pick is None else [cands[ci][2:4] for ci in pick], nodes
 
 
-def _single_start(g: Graph, variant: str) -> tuple[tuple[int, int], int] | None:
-    """A cheapest tmc or mc single cover, a set whose cover alone is every
-    pair, as an (I, S) pick and its waste, read off the universal vertices
-    U and W = V - U (module docstring, Start): for mc W, or W + min U when
-    G[W] is disconnected; for tmc the star (W + min U, {min U}), and None
-    when |U| <= 1, where no single cover is below the max-leaf tree."""
+def _non_universal(g: Graph) -> int:
+    """Mask of W = V - U, the vertices with a non-neighbour, which every
+    tmc or mc single cover holds (module docstring, Start)."""
     full = (1 << g.n) - 1
-    universal = sum(1 << v for v, a in enumerate(g.adj) if a | 1 << v == full)
-    rest, low = full & ~universal, universal & -universal
-    if variant == "mc":
-        if _reach(g.adj, (rest & -rest).bit_length() - 1, rest) != rest:
-            rest |= low
-        return (0, rest), rest.bit_count() - 2
-    if universal == low:
-        return None
-    return (low, rest | low), rest.bit_count()
+    return sum(1 << v for v, a in enumerate(g.adj) if a | 1 << v != full)
 
 
 def _system(g: Graph, picks: Sequence[tuple[int, int]]) -> list[list[Edge]]:
@@ -592,11 +583,13 @@ def tmc_exact(g: Graph) -> SolverReport:
     """Total monochromatic connection number with witness coloring.
 
     Minimum-waste search over covering systems of (S, I) candidates.  Its
-    incumbent, the witness when nothing beats it, is the star from the
-    least universal vertex to the non-universal ones when G has two or
-    more universal vertices (waste n - |U|, a cheapest single cover, by
-    _single_start), else the maximum-leaf spanning tree (waste n - 2 + q(G),
-    the generic lower bound m - n + 2 + l(G) on the value).
+    incumbent, the witness when nothing beats it, is a cheapest single
+    cover: the maximum-leaf spanning tree with its universal leaves dropped,
+    (W + I, I) for I its internal set and W the non-universal vertices.
+    That is the max-leaf tree itself (waste n - 2 + q(G), the generic lower
+    bound m - n + 2 + l(G) on the value) when G has at most one universal
+    vertex, and the star from the least universal vertex to W (waste |W|)
+    when it has more.
     """
     if not is_connected(g):
         raise ValueError("disconnected")
@@ -608,8 +601,9 @@ def tmc_exact(g: Graph) -> SolverReport:
         )
     _guard_exact(g, "tmc_exact")
     ml = max_leaf_exact(g)
-    tree = ((ml.internal, (1 << g.n) - 1), g.n - 2 + ml.internal_count)
-    best, picks, nodes = _search(g, "tmc", _pair_mask(g), *(_single_start(g, "tmc") or tree))
+    span = _non_universal(g) | ml.internal
+    waste = span.bit_count() - 2 + ml.internal_count
+    best, picks, nodes = _search(g, "tmc", _pair_mask(g), (ml.internal, span), waste)
     witness = _fill(g, "tmc", [edges + _bits(_internal(edges)) for edges in _system(g, picks)])
     return SolverReport(
         value=total - best, witness=witness, nodes_explored=nodes, method="tree_system",
@@ -622,9 +616,9 @@ def mc_exact(g: Graph) -> SolverReport:
 
     The same search over vertex sets S of waste |S| - 2, without internal
     vertices.  Its incumbent, the witness when nothing beats it, is the
-    cheapest single S holding every pair (_single_start): the
-    non-universal vertices W = V - U when G[W] is connected, else W plus
-    the least universal vertex, realised as a BFS tree.
+    cheapest single S holding every pair: the non-universal vertices W
+    when G[W] is connected, else W plus the least universal vertex,
+    realised as a BFS tree.
     """
     if not is_connected(g):
         raise ValueError("disconnected")
@@ -634,7 +628,10 @@ def mc_exact(g: Graph) -> SolverReport:
             bounds_used={"value_lower": g.m, "value_upper": g.m},
         )
     _guard_exact(g, "mc_exact")
-    best, picks, nodes = _search(g, "mc", _pair_mask(g), *_single_start(g, "mc"))
+    span = _non_universal(g)
+    if _reach(g.adj, (span & -span).bit_length() - 1, span) != span:
+        span |= ~span & (span + 1)  # the least universal vertex
+    best, picks, nodes = _search(g, "mc", _pair_mask(g), (0, span), span.bit_count() - 2)
     witness = _fill(g, "mc", _system(g, picks))
     return SolverReport(
         value=g.m - best, witness=witness, nodes_explored=nodes, method="tree_system",
@@ -652,8 +649,6 @@ def mvc_exact(g: Graph) -> SolverReport:
     I (the incumbent when nothing beats it) is one color class and every
     other vertex gets a fresh color.
     """
-    if not is_connected(g):
-        raise ValueError("disconnected")
     d = diameter(g)
     if d <= 2:
         return SolverReport(

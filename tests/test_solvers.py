@@ -133,9 +133,15 @@ class TestTmcExact:
         monkeypatch.setenv("MONO_MAX_EXACT_N", "12")
         assert tmc_exact(cycle_graph(12)).value == 12 - 12 + 2 + 2
 
-    def test_disconnected(self):
-        with pytest.raises(ValueError, match="disconnected"):
-            tmc_exact(from_edge_list(4, [(0, 1), (2, 3)]))
+
+@pytest.mark.parametrize("solve", [tmc_exact, mc_exact, mvc_exact], ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "g", [from_edge_list(4, [(0, 1), (2, 3)]), from_edge_list(12, [(0, 1)])], ids=["n4", "n12"]
+)
+def test_disconnected_refused(g, solve):
+    # a disconnected graph is refused as such, also past the size guard
+    with pytest.raises(ValueError, match="disconnected"):
+        solve(g)
 
 
 class TestTmcNaive:
@@ -665,6 +671,19 @@ class TestCountBound:
         assert checked > 10_000
 
 
+def _recorded_starts(monkeypatch) -> list:
+    """The (variant, start, ub) that each _search call receives, in order."""
+    seen = []
+    search = solvers._search
+
+    def recorded(g, variant, pairs, start, ub):
+        seen.append((variant, start, ub))
+        return search(g, variant, pairs, start, ub)
+
+    monkeypatch.setattr(solvers, "_search", recorded)
+    return seen
+
+
 def _count_tmc_generations(monkeypatch) -> list:
     """The graphs that tmc candidate generation runs on, in order."""
     seen = []
@@ -806,14 +825,7 @@ class TestSingleCoverStart:
         # otherwise W plus the least universal vertex, checked here against
         # networkx; below a spanning tree's waste n - 2, that is the first
         # mc candidate covering every pair
-        incumbents = []
-        search = solvers._search
-
-        def recorded(g, variant, pairs, start, ub):
-            incumbents.append((start, ub))
-            return search(g, variant, pairs, start, ub)
-
-        monkeypatch.setattr(solvers, "_search", recorded)
+        incumbents = _recorded_starts(monkeypatch)
         starts = collections.Counter()
         for g in self.graphs():
             if g.is_complete():
@@ -828,7 +840,7 @@ class TestSingleCoverStart:
             rest.remove_nodes_from(universal)
             span = set(rest) if nx.is_connected(rest) else set(rest) | set(universal[:1])
             start = ((0, sum(1 << v for v in span)), len(span) - 2)
-            assert incumbents == [start], g.edges
+            assert incumbents == [("mc", *start)], g.edges
             if single is None:
                 assert len(span) == g.n, g.edges
             else:
@@ -845,11 +857,16 @@ class TestSingleCoverStart:
         graphs = self.graphs()
         solves = (tmc_exact, mc_exact)
         started = [[solve(g) for solve in solves] for g in graphs]
+        search = solvers._search
 
-        def no_start(g, variant):
-            return None if variant == "tmc" else ((0, (1 << g.n) - 1), g.n - 2)
+        def spanning_start(g, variant, pairs, start, ub):
+            # tmc's start keeps its internal set I (0 for mc) and spans V
+            if variant != "mvc":
+                inner = start[0]
+                start, ub = (inner, (1 << g.n) - 1), g.n - 2 + inner.bit_count()
+            return search(g, variant, pairs, start, ub)
 
-        monkeypatch.setattr(solvers, "_single_start", no_start)
+        monkeypatch.setattr(solvers, "_search", spanning_start)
         moved = 0
         for g, reps in zip(graphs, started):
             for solve, rep in zip(solves, reps):
@@ -876,43 +893,49 @@ class TestSingleCoverStart:
             assert {v for e in edges for v in e} == set(range(g.n)) - universal
             assert tmc_exact(g).nodes_explored == 1, g.edges
 
-    def test_start_is_a_cheapest_single_cover(self):
-        # _single_start's waste is the least of any single cover, found by
-        # scanning the sorted candidates; tmc's start with |U| >= 2 is the
-        # star from min U to W = V - U, below the max-leaf tree, and with
-        # |U| <= 1 no single cover is below that tree
+    def test_start_is_a_cheapest_single_cover(self, monkeypatch):
+        # each start's waste is the least of any single cover, found by
+        # scanning the sorted candidates.  tmc's start is (I, W + I) with I
+        # the max-leaf internal set and W = V - U, and I = {min U} when U is
+        # non-empty: with |U| >= 2 the star from min U to W, below the
+        # max-leaf tree, and with |U| <= 1 that tree
+        recorded = _recorded_starts(monkeypatch)
         starts = collections.Counter()
         for g in self.graphs():
             if g.is_complete():
                 continue
+            recorded.clear()
+            tmc_exact(g)
+            mc_exact(g)
             full = solvers._pair_mask(g)
             universal = [v for v in range(g.n) if g.degree(v) == g.n - 1]
             rest = [v for v in range(g.n) if v not in universal]
-            tree = g.n - 2 + max_leaf_exact(g).internal_count
-            for variant, cap in (("tmc", 2 * g.n - 4), ("mc", g.n - 2)):
-                cands = _candidates(g, full, cap, variant)
-                least = cands[single_cover(cands, full)][0]
-                start = solvers._single_start(g, variant)
-                if start is None:
-                    assert variant == "tmc" and len(universal) <= 1, g.edges
-                    assert least >= tree, g.edges
-                    continue
-                (inner, span), waste = start
-                assert waste == least, (variant, g.edges)
+            ml = max_leaf_exact(g)
+            tree = g.n - 2 + ml.internal_count
+            caps = {"tmc": 2 * g.n - 4, "mc": g.n - 2}
+            assert [variant for variant, _, _ in recorded] == list(caps), g.edges
+            for variant, (inner, span), waste in recorded:
+                cands = _candidates(g, full, caps[variant], variant)
+                assert waste == cands[single_cover(cands, full)][0], (variant, g.edges)
                 if variant == "mc":
                     starts["mc", any(span >> u & 1 for u in universal)] += 1
                     continue
+                assert (inner, span) == (ml.internal, sum(1 << v for v in rest) | inner), g.edges
+                starts["tmc", min(len(universal), 2)] += 1
+                if not universal:
+                    assert waste == tree, g.edges
+                    continue
                 u = universal[0]
-                assert len(universal) >= 2 and waste == len(rest) < tree, g.edges
-                assert (inner, span) == (1 << u, sum(1 << v for v in rest + [u])), g.edges
+                assert inner == 1 << u and waste == len(rest), g.edges
+                assert (waste < tree) == (len(universal) >= 2), g.edges
                 star = sorted((min(u, v), max(u, v)) for v in rest)
                 assert solvers._system(g, [(inner, span)]) == [star], g.edges
                 witness = _fill(g, "tmc", [star + [u]])
                 assert verify_tmc(g, witness) == (True, None), g.edges
                 assert witness.color_count == g.m + g.n - waste, g.edges
-                starts["tmc"] += 1
-        # mc takes both the W branch and the W + min U branch
-        assert min(starts.values()) >= 5 and len(starts) == 3, starts
+        # mc takes both the W branch and the W + min U branch, and tmc the
+        # max-leaf tree with no, one and several universal vertices
+        assert min(starts.values()) >= 5 and len(starts) == 5, starts
 
 
 class TestTreeSystemValidate:
@@ -1048,7 +1071,7 @@ def test_node_counts_pinned_past_the_digest(monkeypatch):
     assert reverify(g, tmc) and reverify(g, mc)
 
 
-def test_single_start_generates_no_tmc_candidate(monkeypatch):
+def test_star_start_generates_no_tmc_candidate(monkeypatch):
     # two universal vertices put the start below the max-leaf tree, where
     # the degree or relaxed check proves it before any (S, I) is generated
     monkeypatch.setenv("MONO_MAX_EXACT_N", "14")
