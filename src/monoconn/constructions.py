@@ -65,13 +65,16 @@ def multipartite_tmc_coloring(sizes: list[int]) -> tuple[Graph, TotalColoring]:
     from one singleton vertex to every vertex of the big classes is colored
     as the shared class; each within-class pair is then joined through its
     center.  Without singletons (t = r) the optimum is m, met by the
-    tree-based coloring over a maximum-leaf spanning tree.
+    tree-based coloring over the double star on 0 and b = max(sizes), the
+    first vertex of the second class: 1..b-1 hang on b and the rest on 0.
     """
     g = complete_multipartite_graph(sizes)
     # the big classes come first, so this is the first singleton vertex
     center = sum(s for s in sizes if s >= 2)
     if center == g.n:
-        return g, max_leaf_tmc_coloring(g)
+        b = max(sizes)
+        return g, _fill(g, "tmc", [[0, b, *((v, b) for v in range(1, b)),
+                                    *((0, v) for v in range(b, g.n))]])
     return g, _fill(g, "tmc", [[center, *((v, center) for v in range(center))]])
 
 

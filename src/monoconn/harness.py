@@ -187,7 +187,8 @@ def check_all_detailed(g: Graph):
 
 def _check(g: Graph) -> tuple[TheoremCheckRecord, dict[str, SolverReport], Sequence[int]]:
     """check_all's record, the reports on the canonical relabelling and its
-    order (no reports and the identity order past the solvers' guard)."""
+    order (no reports and the identity order past the solvers' guard); a
+    memo miss solves the class."""
     _require_solvable(g)
     t0 = time.perf_counter()
     # decide the solvers' refusal before any exponential work
@@ -198,7 +199,13 @@ def _check(g: Graph) -> tuple[TheoremCheckRecord, dict[str, SolverReport], Seque
             verdicts=dict.fromkeys(CHECK_KEYS, SKIPPED), elapsed_ms=0.0,
         ), {}, range(g.n)
     else:
-        r, reports, order = _class(g)
+        code, order = canonical_order(g)
+        known = _memo.get((g.n, code))
+        if known is None:
+            known = _memo[g.n, code] = _check_canonical(relabel(g, order))
+            if len(_memo) > MEMO_CAP:
+                del _memo[next(iter(_memo))]
+        r, reports = known
     flags = r.condition_flags
     return replace(
         r, graph6=to_graph6(g), condition_flags=None if flags is None else dict(flags),
@@ -213,19 +220,6 @@ def _require_solvable(g: Graph) -> None:
         raise ValueError(f"graph {to_graph6(g)!r} has no vertices")
     if not is_connected(g):
         raise ValueError(f"graph {to_graph6(g)!r} is disconnected")
-
-
-def _class(g: Graph) -> tuple[TheoremCheckRecord, dict[str, SolverReport], Sequence[int]]:
-    """The memo's record and reports for g's isomorphism class, both on its
-    canonical relabelling, and the canonical order; a miss solves the class
-    (g within the solvers' range)."""
-    code, order = canonical_order(g)
-    known = _memo.get((g.n, code))
-    if known is None:
-        known = _memo[g.n, code] = _check_canonical(relabel(g, order))
-        if len(_memo) > MEMO_CAP:
-            del _memo[next(iter(_memo))]
-    return *known, order
 
 
 def _relabel_report(
@@ -408,22 +402,20 @@ class Finding:
 def _hunt(graphs: Iterable[Graph], wanted: Callable[[Graph], bool], other: str) -> list[Finding]:
     """Findings, in input order, for the graphs ``wanted`` accepts whose
     tmc is at most their ``other`` ("mc" or "mvc"), both read from
-    check_all's class memo, so each isomorphism class is solved at most
-    once across hunts and checks."""
-    findings, limit = [], max_exact_n()
+    check_all's record: a graph it skips is refused, naming the hunt, and
+    each isomorphism class is solved at most once across hunts and checks."""
+    findings = []
     for g in graphs:
         if not wanted(g):
             continue
-        if g.n == 0:  # the filters take it as connected, but no solver does
-            _require_solvable(g)
-        if _beyond_guard(g, limit):
+        record = check_all(g)
+        if record.tmc is None:
             _guard_exact(g, f"hunt_tmc_le_{other}")
-        record = _class(g)[0]
         tmc, value = record.tmc, getattr(record, other)
         if tmc <= value:
             findings.append(
                 Finding(
-                    graph6=to_graph6(g), n=g.n, m=g.m, tmc=tmc, other=value,
+                    graph6=record.graph6, n=g.n, m=g.m, tmc=tmc, other=value,
                     comparison=f"tmc<={other}",
                 )
             )

@@ -86,7 +86,11 @@ def minimum_connected_dominating_set(g: Graph) -> int:
 @functools.lru_cache(maxsize=1)
 def max_leaf_exact(g: Graph) -> SpanningTreeResult:
     """l(G) with a witness tree attaining it (connected input, n >= 1); only
-    the last graph's result is kept, so l, tmc and mvc on one graph share it."""
+    the last graph's result is kept, so l, tmc and mvc on one graph share it.
+
+    It has no size guard, and its time is exponential in n: cycle_graph(24)
+    takes 11-17 s on a 2-core x86-64.  The solvers, check_all, survey_random
+    and the CLI apply the guard before they call it."""
     if g.n < 1:
         raise ValueError("max-leaf needs n >= 1")
     if not is_connected(g):

@@ -137,6 +137,14 @@ class TestMultipartite:
             assert tc.color_count == g.m + r - t, sizes
             assert verify_tmc(g, tc)[0], sizes
 
+    def test_no_max_leaf_search(self, computations):
+        # the tree without singletons is the double star on 0 and max(sizes)
+        seen = computations(max_leaf_exact)
+        for r in range(2, 5):
+            for sizes in itertools.product((1, 2, 3), repeat=r):
+                multipartite_tmc_coloring(list(sizes))
+        assert seen == []
+
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
             multipartite_tmc_coloring([3])

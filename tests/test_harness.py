@@ -261,7 +261,7 @@ class TestClassMemo:
             harness._memo.clear()
             for h in (g, shuffled(g, seed=4)):  # a miss, then a hit
                 _, reports = check_all_detailed(h)
-                _, canonical, order = harness._class(h)
+                _, canonical, order = harness._check(h)
                 assert len(harness._memo) == 1
                 assert reports == {key: relabel_report_reference(rep, h, order)
                                    for key, rep in canonical.items()}, h.edges
@@ -555,6 +555,12 @@ class TestHunts:
         monkeypatch.setattr(harness, "canonical_order", counted)
         with pytest.raises(SolverRangeError, match=hunt.__name__):
             hunt([cycle_graph(10)])
+        k0 = from_edge_list(0, [])
+        if hunt is hunt_tmc_le_mc:
+            with pytest.raises(ValueError, match="has no vertices"):
+                hunt([k0])
+        else:
+            assert hunt([k0]) == []  # the mvc hunt wants n >= 6
         assert labelled == []
         # complete graphs are exempt from the guard
         assert hunt([complete_graph(12)]) == []
