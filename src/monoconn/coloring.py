@@ -15,6 +15,11 @@ closed by its neighbours along those edges, joins every pair inside it; a
 coloring is accepted when the components of all colors join every
 non-adjacent pair.
 
+Each verifier reads a color once per edge: when the mapping's keys are g's
+edges, one lookup per edge of g.edges gives the color list, and only another
+key set takes the checked, normalising path.  The colors of two or more
+edges are then grouped in one pass over that list.
+
 Two skip rules spare the colors that cannot join a non-adjacent pair, such
 as the fresh singleton colors that fill most of a solver's witness:
 - tmc and mc: only colors of two or more edges get components.  Proof: a
@@ -101,7 +106,7 @@ def total_coloring(g: Graph, vertex_colors: Iterable[int], edge_colors: Mapping[
     if len(vcol) != g.n:
         raise ValueError(f"expected {g.n} vertex colors, got {len(vcol)}")
     if isinstance(edge_colors, Mapping):
-        ecol = dict(_check_edge_domain(g, edge_colors))
+        ecol = _check_edge_domain(g, edge_colors)
     else:
         seq = list(edge_colors)
         if len(seq) != g.m:
@@ -112,12 +117,9 @@ def total_coloring(g: Graph, vertex_colors: Iterable[int], edge_colors: Mapping[
     return TotalColoring(vertex_color=vcol, edge_color=ecol)
 
 
-def _check_edge_domain(g: Graph, ecol: Mapping[Edge, int]) -> Mapping[Edge, int]:
-    """``ecol`` itself when its keys are exactly g's edges, else a copy
-    keyed by g's edges; ValueError when its keys name other edges, an edge
-    twice, or anything but a vertex pair."""
-    if len(ecol) == g.m and all(map(ecol.__contains__, g.edges)):
-        return ecol
+def _check_edge_domain(g: Graph, ecol: Mapping[Edge, int]) -> dict[Edge, int]:
+    """A copy of ``ecol`` keyed by g's edges; ValueError when its keys name
+    other edges, an edge twice, or anything but a vertex pair."""
     norm = {}
     for e, c in ecol.items():
         if not (isinstance(e, tuple) and len(e) == 2):
@@ -128,6 +130,17 @@ def _check_edge_domain(g: Graph, ecol: Mapping[Edge, int]) -> Mapping[Edge, int]
     if set(norm) != set(g.edges):
         raise ValueError("edge color domain does not match the graph's edge set")
     return norm
+
+
+def _edge_colors(g: Graph, ecol: Mapping[Edge, int]) -> list[int]:
+    """The colors of g.edges, in order; ValueError as _check_edge_domain
+    when the keys of ``ecol`` are not g's edges."""
+    if len(ecol) == g.m:
+        colors = list(map(ecol.get, g.edges))
+        if None not in colors:
+            return colors
+    ecol = _check_edge_domain(g, ecol)
+    return [ecol[e] for e in g.edges]
 
 
 def _first_gap(
@@ -164,23 +177,23 @@ def _first_gap(
     if ecol is None:  # a one-vertex color joins only pairs dropped above
         layers = {c: adj for c, inner in inner_of.items() if inner & (inner - 1)}
     else:  # a one-edge color joins only adjacent pairs
-        once: set[int] = set()
-        many: set[int] = set()
-        for c in ecol:
-            if c in once:
-                many.add(c)
-            else:
-                once.add(c)
+        first: dict[int, int] = {}  # color -> index of its first edge
         layers = {}
-        for (u, v), c in zip(edges, ecol):
-            if c in many:
+        for i, c in enumerate(ecol):
+            j = first.setdefault(c, i)
+            if j != i:
                 a = layers.get(c)
-                if a is None:
+                if a is None:  # c's second edge: its first edge joins too
                     a = layers[c] = [0] * n
+                    u, v = edges[j]
+                    a[u] |= 1 << v
+                    a[v] |= 1 << u
+                u, v = edges[i]
                 a[u] |= 1 << v
                 a[v] |= 1 << u
-                if vcol is None:
-                    inner_of[c] = inner_of.get(c, 0) | 1 << u | 1 << v
+        if vcol is None:  # a color's inner vertices are the ends of its edges
+            for c, a in layers.items():
+                inner_of[c] = _nbr(a, full)
     for c, cadj in layers.items():
         inner = inner_of.get(c, 0)
         while inner:
@@ -206,15 +219,13 @@ def verify_tmc(g: Graph, tc: TotalColoring) -> tuple[bool, tuple[int, int] | Non
     uncovered pair (the lexicographically least)."""
     if len(tc.vertex_color) != g.n:
         raise ValueError("vertex color domain does not match the graph")
-    ecol = _check_edge_domain(g, tc.edge_color)
-    gap = _first_gap(g.n, g.adj, g.edges, tc.vertex_color, [ecol[e] for e in g.edges])
+    gap = _first_gap(g.n, g.adj, g.edges, tc.vertex_color, _edge_colors(g, tc.edge_color))
     return gap is None, gap
 
 
 def verify_mc(g: Graph, ec: EdgeColoring) -> tuple[bool, tuple[int, int] | None]:
     """Edge variant: a path qualifies when all its edges share one color."""
-    ecol = _check_edge_domain(g, ec.edge_color)
-    gap = _first_gap(g.n, g.adj, g.edges, None, [ecol[e] for e in g.edges])
+    gap = _first_gap(g.n, g.adj, g.edges, None, _edge_colors(g, ec.edge_color))
     return gap is None, gap
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -555,7 +555,7 @@ class GraphConditionSet:
         return any(self.flags().values())
 
     def flags(self) -> dict[str, bool]:
-        return asdict(self)
+        return dict(vars(self))
 
 
 def _complement_4_connected(g: Graph) -> bool:

@@ -14,7 +14,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .coloring import Edge, EdgeColoring, TotalColoring, VertexColoring
@@ -149,7 +149,7 @@ class TheoremCheckRecord:
         return [k for k, v in self.verdicts.items() if v == VIOLATED]
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        return json.dumps(vars(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "TheoremCheckRecord":
@@ -164,7 +164,10 @@ def check_all(g: Graph) -> TheoremCheckRecord:
 #: isomorphism classes whose results check_all_detailed keeps; past this
 #: many the oldest is dropped
 MEMO_CAP = 4096
-_memo: dict[tuple[int, int], tuple[TheoremCheckRecord, dict[str, SolverReport]]] = {}
+#: a class's record, its reports on the canonical relabelling and the
+#: _color_table of each edge-colored witness
+_Entry = tuple[TheoremCheckRecord, dict[str, SolverReport], dict[str, list[int | None]]]
+_memo: dict[tuple[int, int], _Entry] = {}  # keyed by (n, canonical code)
 
 
 def check_all_detailed(g: Graph):
@@ -177,27 +180,33 @@ def check_all_detailed(g: Graph):
     canonical code, and the witnesses are mapped back onto g's vertices.
     The result is therefore the same whatever was checked before.
     """
-    record, reports, order = _check(g)
-    pos = [0] * g.n
+    record, reports, tables, order = _check(g)
+    n = g.n
+    pos = [0] * n
     for i, v in enumerate(order):
         pos[v] = i
-    back = [(pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u]) for u, v in g.edges]
-    return record, {key: _relabel_report(rep, g, pos, back) for key, rep in reports.items()}
+    back = [pos[u] * n + pos[v] for u, v in g.edges]
+    return record, {
+        key: _relabel_report(rep, tables.get(key), g, pos, back) for key, rep in reports.items()
+    }
 
 
-def _check(g: Graph) -> tuple[TheoremCheckRecord, dict[str, SolverReport], Sequence[int]]:
-    """check_all's record, the reports on the canonical relabelling and its
-    order (no reports and the identity order past the solvers' guard); a
-    memo miss solves the class."""
+def _check(g: Graph) -> tuple[
+    TheoremCheckRecord, dict[str, SolverReport], dict[str, list[int | None]], Sequence[int]
+]:
+    """check_all's record, then the memo's reports on the canonical
+    relabelling and their color tables, and that relabelling's order (no
+    reports and the identity order past the solvers' guard); a memo miss
+    solves the class."""
     _require_solvable(g)
     t0 = time.perf_counter()
     # decide the solvers' refusal before any exponential work
     if _beyond_guard(g, max_exact_n()):
-        r, reports, order = TheoremCheckRecord(
+        r, reports, tables, order = TheoremCheckRecord(
             graph6="", n=g.n, m=g.m, l=None, diameter=diameter(g), max_degree=max_degree(g),
             tmc=None, mc=None, mvc=None, condition_flags=None,
             verdicts=dict.fromkeys(CHECK_KEYS, SKIPPED), elapsed_ms=0.0,
-        ), {}, range(g.n)
+        ), {}, {}, range(g.n)
     else:
         code, order = canonical_order(g)
         known = _memo.get((g.n, code))
@@ -205,12 +214,13 @@ def _check(g: Graph) -> tuple[TheoremCheckRecord, dict[str, SolverReport], Seque
             known = _memo[g.n, code] = _check_canonical(relabel(g, order))
             if len(_memo) > MEMO_CAP:
                 del _memo[next(iter(_memo))]
-        r, reports = known
+        r, reports, tables = known
     flags = r.condition_flags
-    return replace(
-        r, graph6=to_graph6(g), condition_flags=None if flags is None else dict(flags),
+    return TheoremCheckRecord(
+        graph6=to_graph6(g), n=r.n, m=r.m, l=r.l, diameter=r.diameter, max_degree=r.max_degree,
+        tmc=r.tmc, mc=r.mc, mvc=r.mvc, condition_flags=None if flags is None else dict(flags),
         verdicts=dict(r.verdicts), elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-    ), reports, order
+    ), reports, tables, order
 
 
 def _require_solvable(g: Graph) -> None:
@@ -222,17 +232,28 @@ def _require_solvable(g: Graph) -> None:
         raise ValueError(f"graph {to_graph6(g)!r} is disconnected")
 
 
+def _color_table(n: int, ecol: dict[Edge, int]) -> list[int | None]:
+    """The colors of ``ecol`` as a symmetric n x n table: the color of edge
+    (u, v) at u*n + v and at v*n + u, None off the edges."""
+    table: list[int | None] = [None] * (n * n)
+    for (u, v), c in ecol.items():
+        table[u * n + v] = table[v * n + u] = c
+    return table
+
+
 def _relabel_report(
-    rep: SolverReport, g: Graph, pos: Sequence[int], back: Sequence[Edge]
+    rep: SolverReport, table: list[int | None] | None, g: Graph, pos: Sequence[int],
+    back: Sequence[int],
 ) -> SolverReport:
     """A copy of a report on g's canonical relabelling with its witness
-    moved onto g's vertices: g's vertex v is canonical vertex pos[v], and
-    ``back`` lists the canonical image of each edge of g.edges, in order."""
+    moved onto g's vertices: g's vertex v is canonical vertex pos[v],
+    ``table`` is the witness's _color_table (None for a vertex coloring) and
+    ``back`` lists the table index of each edge of g.edges, in order."""
     w = rep.witness
     if isinstance(w, VertexColoring):
         witness = VertexColoring(tuple(map(w.vertex_color.__getitem__, pos)))
     else:
-        ecol = dict(zip(g.edges, map(w.edge_color.__getitem__, back)))
+        ecol = dict(zip(g.edges, map(table.__getitem__, back)))
         if isinstance(w, EdgeColoring):
             witness = EdgeColoring(ecol)
         else:
@@ -243,9 +264,10 @@ def _relabel_report(
     )
 
 
-def _check_canonical(g: Graph) -> tuple[TheoremCheckRecord, dict[str, SolverReport]]:
-    """check_all_detailed's record (``graph6`` left empty and ``elapsed_ms``
-    0, for ``_check`` to fill) and reports for a graph within the solvers' range."""
+def _check_canonical(g: Graph) -> _Entry:
+    """The memo entry of a graph within the solvers' range: check_all_detailed's
+    record (``graph6`` left empty and ``elapsed_ms`` 0, for ``_check`` to
+    fill), its reports, and the _color_table of the tmc and mc witnesses."""
     n, m = g.n, g.m
     d = diameter(g)
     delta = max_degree(g)
@@ -291,7 +313,11 @@ def _check_canonical(g: Graph) -> tuple[TheoremCheckRecord, dict[str, SolverRepo
         condition_flags=conditions.flags() if conditions is not None else None,
         verdicts=verdicts, elapsed_ms=0.0,
     )
-    return record, {"tmc": rep_tmc, "mc": rep_mc, "mvc": rep_mvc}
+    tables = {
+        "tmc": _color_table(n, rep_tmc.witness.edge_color),
+        "mc": _color_table(n, rep_mc.witness.edge_color),
+    }
+    return record, {"tmc": rep_tmc, "mc": rep_mc, "mvc": rep_mvc}, tables
 
 
 def builtin_corpus(max_n: int) -> Iterator[Graph]:
@@ -338,7 +364,7 @@ class SurveyRecord:
     fraction_mc_identity: float = 0.0
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        return json.dumps(vars(self), sort_keys=True)
 
 
 def survey_random(n: int, p: float, trials: int, seed: int) -> SurveyRecord:
@@ -396,7 +422,7 @@ class Finding:
     comparison: str
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        return json.dumps(vars(self), sort_keys=True)
 
 
 def _hunt(graphs: Iterable[Graph], wanted: Callable[[Graph], bool], other: str) -> list[Finding]:

@@ -317,12 +317,27 @@ def test_reversed_edge_keys_verify_alike():
         ecol = {e: rng.randrange(2) for e in g.edges}
         flipped = {(v, u): c for (u, v), c in ecol.items()}
         vcol = tuple(rng.randrange(2) for _ in range(g.n))
+        one_flipped = dict(ecol)
+        u, v = g.edges[0]
+        one_flipped[v, u] = one_flipped.pop((u, v))
         mc = verify_mc(g, EdgeColoring(edge_color=ecol))
         tmc = verify_tmc(g, TotalColoring(vertex_color=vcol, edge_color=ecol))
-        assert verify_mc(g, EdgeColoring(edge_color=flipped)) == mc
-        assert verify_tmc(g, TotalColoring(vertex_color=vcol, edge_color=flipped)) == tmc
+        for keyed in (flipped, one_flipped):  # g.m keys, not all of them g's edges
+            assert len(keyed) == g.m
+            assert verify_mc(g, EdgeColoring(edge_color=keyed)) == mc
+            assert verify_tmc(g, TotalColoring(vertex_color=vcol, edge_color=keyed)) == tmc
         verdicts |= {mc[0], tmc[0]}
     assert verdicts == {True, False}
+
+
+def test_non_edge_key_rejected_at_edge_count():
+    # as many keys as g has edges, one of them no edge of g
+    g = path_graph(3)
+    ecol = {(0, 1): 0, (0, 2): 0}
+    with pytest.raises(ValueError, match="does not match"):
+        verify_mc(g, EdgeColoring(edge_color=ecol))
+    with pytest.raises(ValueError, match="does not match"):
+        verify_tmc(g, TotalColoring(vertex_color=(0, 1, 2), edge_color=ecol))
 
 
 @pytest.mark.parametrize("key", [(0, 1, 2), (0,), 7])

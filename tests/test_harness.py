@@ -260,11 +260,25 @@ class TestClassMemo:
         for g in cases:
             harness._memo.clear()
             for h in (g, shuffled(g, seed=4)):  # a miss, then a hit
-                _, reports = check_all_detailed(h)
-                _, canonical, order = harness._check(h)
+                self._assert_relabel_reference(h)
                 assert len(harness._memo) == 1
-                assert reports == {key: relabel_report_reference(rep, h, order)
-                                   for key, rep in canonical.items()}, h.edges
+
+    def test_every_graph_to_n5_matches_relabel_reference(self, monkeypatch):
+        # from an empty memo, each of the 31 classes is met once as a miss
+        # and then as hits under its other labellings
+        monkeypatch.setattr(harness, "_memo", {})
+        graphs = list(builtin_corpus(5))
+        assert len(graphs) == 772
+        for h in graphs:
+            self._assert_relabel_reference(h)
+        assert len(harness._memo) == 31
+
+    @staticmethod
+    def _assert_relabel_reference(h):
+        _, reports = check_all_detailed(h)
+        _, canonical, _, order = harness._check(h)
+        assert reports == {key: relabel_report_reference(rep, h, order)
+                           for key, rep in canonical.items()}, h.edges
 
     def test_results_are_fresh_per_call(self, monkeypatch):
         monkeypatch.setattr(harness, "_memo", {})
