@@ -46,7 +46,7 @@ from .harness import (
     survey_random,
 )
 from .maxleaf import max_leaf_exact
-from .solvers import SolverRangeError, _guard_exact, mc_exact, mvc_exact, tmc_exact
+from .solvers import SolverRangeError, mc_exact, mvc_exact, tmc_exact
 
 
 def _read_text(path: str) -> str:
@@ -92,7 +92,6 @@ def cmd_compute(args: argparse.Namespace) -> int:
         wanted = ["l", *SOLVERS] if args.invariant == "all" else [args.invariant]
         for inv in wanted:
             if inv == "l":
-                _guard_exact(g, "max_leaf_exact")
                 ml = max_leaf_exact(g)
                 rec["l"] = ml.leaf_count
                 if args.witness:
@@ -150,7 +149,6 @@ def cmd_construct(args: argparse.Namespace) -> int:
             raise GraphFormatError("construct --family tree needs exactly one input graph")
         g = graphs[0]
         _require_solvable(g)
-        _guard_exact(g, "max_leaf_tmc_coloring")
         tc = max_leaf_tmc_coloring(g)
     _emit(
         {

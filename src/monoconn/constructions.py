@@ -81,7 +81,8 @@ def multipartite_tmc_coloring(sizes: list[int]) -> tuple[Graph, TotalColoring]:
 def max_leaf_tmc_coloring(g: Graph) -> TotalColoring:
     """Tree-based coloring over a maximum-leaf spanning tree:
     m - n + 2 + l(G) colors, the generic lower-bound witness.  K_1, whose
-    spanning tree has no edge and l = 0, gets its one vertex's one color."""
+    spanning tree has no edge and l = 0, gets its one vertex's one color.
+    A graph past the exact-solver guard is refused by max_leaf_exact."""
     if g.n == 1:
         return _fill(g, "tmc", [])
     return tree_based_tmc_coloring(g, max_leaf_exact(g))

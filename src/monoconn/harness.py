@@ -38,7 +38,6 @@ from .solvers import (
     SolverReport,
     _beyond_guard,
     _guard_exact,
-    max_exact_n,
     mc_exact,
     mvc_exact,
     tmc_exact,
@@ -201,7 +200,7 @@ def _check(g: Graph) -> tuple[
     _require_solvable(g)
     t0 = time.perf_counter()
     # decide the solvers' refusal before any exponential work
-    if _beyond_guard(g, max_exact_n()):
+    if _beyond_guard(g):
         r, reports, tables, order = TheoremCheckRecord(
             graph6="", n=g.n, m=g.m, l=None, diameter=diameter(g), max_degree=max_degree(g),
             tmc=None, mc=None, mvc=None, condition_flags=None,
@@ -373,7 +372,6 @@ def survey_random(n: int, p: float, trials: int, seed: int) -> SurveyRecord:
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rec = SurveyRecord(n=n, p=p, trials=trials, seed=seed)
-    limit = max_exact_n()
     for i in range(trials):
         g = random_gnp(n, p, seed=(seed * 1_000_003 + i))
         if not is_connected(g):
@@ -384,7 +382,7 @@ def survey_random(n: int, p: float, trials: int, seed: int) -> SurveyRecord:
             rec.complement_4_connected += 1
             rec.identity_confirmed += 1
             rec.mc_identity_confirmed += 1
-        elif not _beyond_guard(g, limit):
+        elif not _beyond_guard(g):
             l = max_leaf_exact(g).leaf_count
             if tmc_exact(g).value == g.m - g.n + 2 + l:
                 rec.identity_confirmed += 1

@@ -5,9 +5,9 @@ spanning tree form a connected dominating set, and conversely every connected
 dominating set S yields a spanning tree whose internal vertices all lie in S
 (span S first, then hang every remaining vertex off a neighbour in S).  Hence
 l(G) = n - gamma_c(G), where gamma_c is the minimum connected dominating set
-size.  The exact engine below finds gamma_c by trying vertex sets in order of
-size; the exhaustive spanning-tree enumeration used to validate it lives with
-the tests.
+size.  ``max_leaf_exact`` finds gamma_c by trying vertex sets in order of size,
+once the exact solvers' size guard has passed the graph; the exhaustive
+spanning-tree enumeration used to validate it lives with the tests.
 """
 
 from __future__ import annotations
@@ -63,12 +63,26 @@ def _tree_from_cds(g: Graph, cds_mask: int, span_mask: int) -> list[tuple[int, i
     return tree
 
 
-def minimum_connected_dominating_set(g: Graph) -> int:
-    """Bitmask of a minimum connected dominating set (connected, n >= 1).
+@functools.lru_cache(maxsize=1)
+def max_leaf_exact(g: Graph) -> SpanningTreeResult:
+    """l(G) with a witness tree attaining it (connected input, n >= 1); only
+    the last graph's result is kept, so l, tmc and mvc on one graph share it.
 
-    Enumerates vertex sets by size, each size in lexicographic order, and
-    returns the first one that dominates and is connected.
-    """
+    The tree spans the first connected dominating set when vertex sets are
+    tried by size, each size in lexicographic order.  That search is
+    exponential in n, so after the connectivity check and the K_1 answer a
+    graph past the exact solvers' size guard is refused with
+    SolverRangeError before it starts; no caller guards by hand."""
+    if g.n < 1:
+        raise ValueError("max-leaf needs n >= 1")
+    if not is_connected(g):
+        raise ValueError("disconnected")
+    if g.n == 1:
+        return SpanningTreeResult(tree=(), internal=1)
+    # imported here: solvers imports this module at load time
+    from .solvers import _guard_exact
+
+    _guard_exact(g, "max_leaf_exact")
     full = (1 << g.n) - 1
     closed = [g.adj[v] | (1 << v) for v in range(g.n)]
     for size in range(1, g.n + 1):
@@ -79,23 +93,5 @@ def minimum_connected_dominating_set(g: Graph) -> int:
             if dominated == full:
                 mask = sum(1 << v for v in combo)
                 if _reach(g.adj, combo[0], mask) == mask:
-                    return mask
-    raise ValueError("disconnected")
-
-
-@functools.lru_cache(maxsize=1)
-def max_leaf_exact(g: Graph) -> SpanningTreeResult:
-    """l(G) with a witness tree attaining it (connected input, n >= 1); only
-    the last graph's result is kept, so l, tmc and mvc on one graph share it.
-
-    It has no size guard, and its time is exponential in n: cycle_graph(24)
-    takes 11-17 s on a 2-core x86-64.  The solvers, check_all, survey_random
-    and the CLI apply the guard before they call it."""
-    if g.n < 1:
-        raise ValueError("max-leaf needs n >= 1")
-    if not is_connected(g):
-        raise ValueError("disconnected")
-    if g.n == 1:
-        return SpanningTreeResult(tree=(), internal=1)
-    tree = _tree_from_cds(g, minimum_connected_dominating_set(g), (1 << g.n) - 1)
-    return SpanningTreeResult(tree=tuple(sorted(tree)), internal=_internal(tree))
+                    tree = _tree_from_cds(g, mask, full)
+                    return SpanningTreeResult(tree=tuple(sorted(tree)), internal=_internal(tree))

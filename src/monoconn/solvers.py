@@ -193,9 +193,10 @@ its ends, so every cover costs at least d - 2 (mvc <= n - d + 2).
 Bounds.  Each report's bounds_used brackets its own value:
 m - n + 2 + l <= tmc <= m + n, m - n + 2 <= mc <= m and
 l + 1 <= mvc <= n - d + 2.  A complete graph states its exact value as both
-ends, and the mvc shortcut (d <= 2) states only value_upper n.  Bounds that
-join two invariants, tmc <= mc + l for non-complete G and tmc <= mc + mvc,
-need two solves; the tests check them on the solved values.
+ends, and the mvc shortcut (d <= 2) states only value_upper n.  The tests
+check two bounds across solves: the paper's theorem tmc <= mc + mvc, equal
+exactly for complete graphs, and tmc <= mc + l for non-complete G, which is
+only observed: nothing proves it, and no search here relies on it.
 
 Independent references live in tests/oracles.py: definition-level partition
 searches (tmc_naive, mc_naive, mvc_partition_reference) that maximize the
@@ -563,18 +564,17 @@ def _pair_mask(g: Graph) -> int:
     return (1 << (g.n * (g.n - 1) // 2 - g.m)) - 1
 
 
-def _beyond_guard(g: Graph, limit: int) -> bool:
-    """Whether the exact solvers refuse ``g`` under the size guard ``limit``:
-    a non-complete graph with more than ``limit`` vertices."""
-    return g.n > limit and not g.is_complete()
+def _beyond_guard(g: Graph) -> bool:
+    """Whether the exact solvers refuse ``g`` under the size guard: a
+    non-complete graph with more than max_exact_n() vertices."""
+    return g.n > max_exact_n() and not g.is_complete()
 
 
 def _guard_exact(g: Graph, solver: str) -> None:
     """Refuse a graph beyond the max_exact_n() guard (_beyond_guard)."""
-    limit = max_exact_n()
-    if _beyond_guard(g, limit):
+    if _beyond_guard(g):
         raise SolverRangeError(
-            f"exact solver out of range: {solver} accepts n <= {limit} "
+            f"exact solver out of range: {solver} accepts n <= {max_exact_n()} "
             f"(override with MONO_MAX_EXACT_N), got n = {g.n}"
         )
 

@@ -288,7 +288,9 @@ def test_open_question_findings_reported(sweep):
 # 4. Construction soundness
 # ---------------------------------------------------------------------------
 
-def test_construction_soundness_random_graphs():
+def test_construction_soundness_random_graphs(monkeypatch):
+    # n reaches 10, one past the default size guard of max_leaf_exact
+    monkeypatch.setenv("MONO_MAX_EXACT_N", "10")
     rng = random.Random(987654321)
     failures = 0
     for i in range(1000):
@@ -384,7 +386,8 @@ def test_max_leaf_oracle_agreement_n_le_6():
     )
 
 
-def test_max_leaf_petersen():
+def test_max_leaf_petersen(monkeypatch):
+    monkeypatch.setenv("MONO_MAX_EXACT_N", "10")  # Petersen has n = 10
     got = max_leaf_exact(petersen()).leaf_count
     want = max_leaves_oracle(petersen())
     assert report("max-leaf-petersen", got == 6 and want == 6, f"l = {got}")

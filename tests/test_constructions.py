@@ -20,6 +20,7 @@ from monoconn.graphs import (
     star_graph,
 )
 from monoconn.maxleaf import SpanningTreeResult, max_leaf_exact
+from monoconn.solvers import SolverRangeError
 from conftest import random_connected
 from oracles import leaf_count, spanning_trees
 
@@ -163,6 +164,12 @@ class TestComplete:
 def test_disconnected_rejected():
     with pytest.raises(ValueError, match="disconnected"):
         max_leaf_tmc_coloring(from_edge_list(4, [(0, 1), (2, 3)]))
+
+
+def test_max_leaf_coloring_guarded():
+    # the guard of max_leaf_exact, which the construction calls
+    with pytest.raises(SolverRangeError, match="max_leaf_exact accepts n <= 9"):
+        max_leaf_tmc_coloring(cycle_graph(12))
 
 
 # sha256 over coloring_to_json of every construction below, one per line:

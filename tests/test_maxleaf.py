@@ -52,7 +52,8 @@ class TestExact:
         r = max_leaf_exact(path_graph(2))
         assert r.leaf_count == 2 and r.internal_count == 0
 
-    def test_petersen(self):
+    def test_petersen(self, monkeypatch):
+        monkeypatch.setenv("MONO_MAX_EXACT_N", "10")  # Petersen has n = 10
         r = max_leaf_exact(petersen())
         assert r.leaf_count == 6
         assert_valid_spanning_tree(petersen(), r)

@@ -134,7 +134,9 @@ class TestTmcExact:
         assert tmc_exact(cycle_graph(12)).value == 12 - 12 + 2 + 2
 
 
-@pytest.mark.parametrize("solve", [tmc_exact, mc_exact, mvc_exact], ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "solve", [tmc_exact, mc_exact, mvc_exact, max_leaf_exact], ids=lambda f: f.__name__
+)
 @pytest.mark.parametrize(
     "g", [from_edge_list(4, [(0, 1), (2, 3)]), from_edge_list(12, [(0, 1)])], ids=["n4", "n12"]
 )
@@ -142,6 +144,20 @@ def test_disconnected_refused(g, solve):
     # a disconnected graph is refused as such, also past the size guard
     with pytest.raises(ValueError, match="disconnected"):
         solve(g)
+
+
+def test_max_leaf_guard_before_search(monkeypatch):
+    # the refusal comes before the search: any vertex-set enumeration fails
+    def no_search(*args):
+        raise AssertionError("max_leaf_exact searched past the guard")
+
+    monkeypatch.setattr(maxleaf, "combinations", no_search)
+    with pytest.raises(SolverRangeError, match="max_leaf_exact accepts n <= 9"):
+        max_leaf_exact(cycle_graph(24))
+    monkeypatch.undo()
+    # a complete graph past the guard is still answered, like the solvers do
+    max_leaf_exact.cache_clear()
+    assert max_leaf_exact(complete_graph(12)).leaf_count == 11
 
 
 class TestTmcNaive:
