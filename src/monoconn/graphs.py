@@ -393,28 +393,37 @@ def _disjoint_paths(adj: Sequence[int], s: int, t: int, cap: int) -> int:
     return cap
 
 
-def vertex_connectivity(g: Graph) -> int:
-    """Minimum number of vertex deletions that disconnect the graph (n-1 for K_n).
+def _kappa(adj: Sequence[int], cap: int) -> int:
+    """min(cap, vertex connectivity) of the graph with adjacency rows
+    ``adj``; 0 on at most one vertex.
 
     Esfahanian & Hakimi (1984): for a minimum-degree vertex v, some minimum
     cut either misses v, and so separates v from a non-neighbour, or contains
     v, and so separates two non-adjacent neighbours of v.  Only those pairs
-    are flowed, each capped at the best cut so far, which starts at the
-    minimum degree.  Each flow is seeded with the pair's common neighbours
-    and then with greedy three-edge paths, and augmenting paths grow it from
-    there (``_disjoint_paths``).
+    are flowed, each capped at the best cut so far, which starts at
+    min(minimum degree, cap); a disconnected graph needs no test of its own,
+    since v's flow to a vertex outside its component is 0.  Each flow is
+    seeded with the pair's common neighbours and then with greedy three-edge
+    paths, and augmenting paths grow it from there (``_disjoint_paths``).
     """
-    n, adj = g.n, g.adj
-    if n <= 1 or not is_connected(g):
+    n = len(adj)
+    if n <= 1:
         return 0
-    degs = g.degrees()
-    best = min(degs)
-    v = degs.index(best)
+    degs = [a.bit_count() for a in adj]
+    v = degs.index(min(degs))
+    best = min(degs[v], cap)
     pairs = [(v, w) for w in _bits(((1 << n) - 1) & ~adj[v] & ~(1 << v))]
     pairs += [(x, y) for x in _bits(adj[v]) for y in _bits(adj[v] & ~adj[x]) if x < y]
     for s, t in pairs:
         best = _disjoint_paths(adj, s, t, best)
     return best
+
+
+def vertex_connectivity(g: Graph) -> int:
+    """Minimum number of vertex deletions that disconnect the graph (n-1
+    for K_n, 0 when disconnected): ``_kappa`` with cap n - 1, which no
+    graph's connectivity exceeds."""
+    return _kappa(g.adj, g.n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -559,9 +568,17 @@ class GraphConditionSet:
 
 
 def _complement_4_connected(g: Graph) -> bool:
-    """Whether the complement of g is 4-connected."""
-    # kappa <= delta: a complement of minimum degree < 4 is never 4-connected
-    return g.n - 1 - max_degree(g) >= 4 and vertex_connectivity(complement(g)) >= 4
+    """Whether the complement of g is 4-connected.
+
+    Since kappa <= delta, a complement of minimum degree n - 1 - max_degree
+    below 4 fails with no flow.  Otherwise ``_kappa`` runs with cap 4 on the
+    complement rows ``full & ~adj[v] & ~(1 << v)``, so each flow stops at 4
+    paths; no complement Graph is built and its connectivity is not tested
+    apart (a disconnected complement reads 0)."""
+    n, full = g.n, (1 << g.n) - 1
+    if n - 1 - max_degree(g) < 4:
+        return False
+    return _kappa([full & ~a & ~(1 << v) for v, a in enumerate(g.adj)], 4) == 4
 
 
 def tmc_identity_conditions(g: Graph) -> GraphConditionSet:
@@ -630,17 +647,26 @@ def complete_multipartite_graph(sizes: Sequence[int]) -> Graph:
     return from_edge_list(n, [(u, v) for u, v in combinations(range(n), 2) if part[u] != part[v]])
 
 
+@functools.lru_cache(maxsize=1)
+def _pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """Every pair of range(n), lexicographically: C(n, 2) tuples, 66 at
+    n = 12.  Only the last n's table is kept, which serves a run of draws
+    on one order."""
+    return tuple(combinations(range(n), 2))
+
+
 def random_gnp(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n,p): each pair drawn independently, lexicographic order.
 
-    Deterministic for a given (n, p, seed).
+    Deterministic for a given (n, p, seed): one ``random.Random(seed)``
+    draw per pair of the last-n pair table ``_pairs(n)``, in its order.
     """
     if n < 1:
         raise ValueError("random graph needs n >= 1")
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must lie in [0,1]")
-    rng = random.Random(seed)
-    pairs = [e for e in combinations(range(n), 2) if rng.random() < p]
+    draw = random.Random(seed).random
+    pairs = [e for e in _pairs(n) if draw() < p]
     # the pairs are distinct, in range and already sorted
     adj = [0] * n
     for u, v in pairs:

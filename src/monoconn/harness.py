@@ -157,7 +157,19 @@ class TheoremCheckRecord:
 
 def check_all(g: Graph) -> TheoremCheckRecord:
     """Evaluate every applicable claim for one connected graph."""
-    return _check(g)[0]
+    record, _, _, _, ms = _check(g)
+    return _fresh(record, g, ms)
+
+
+def _fresh(r: TheoremCheckRecord, g: Graph, ms: float) -> TheoremCheckRecord:
+    """The caller's own copy of a memo record: g's graph6, ``elapsed_ms``
+    ms and fresh flag and verdict dicts."""
+    flags = r.condition_flags
+    return TheoremCheckRecord(
+        graph6=to_graph6(g), n=r.n, m=r.m, l=r.l, diameter=r.diameter, max_degree=r.max_degree,
+        tmc=r.tmc, mc=r.mc, mvc=r.mvc, condition_flags=None if flags is None else dict(flags),
+        verdicts=dict(r.verdicts), elapsed_ms=ms,
+    )
 
 
 #: isomorphism classes whose results check_all_detailed keeps; past this
@@ -179,24 +191,26 @@ def check_all_detailed(g: Graph):
     canonical code, and the witnesses are mapped back onto g's vertices.
     The result is therefore the same whatever was checked before.
     """
-    record, reports, tables, order = _check(g)
+    record, reports, tables, order, ms = _check(g)
     n = g.n
     pos = [0] * n
     for i, v in enumerate(order):
         pos[v] = i
     back = [pos[u] * n + pos[v] for u, v in g.edges]
-    return record, {
+    return _fresh(record, g, ms), {
         key: _relabel_report(rep, tables.get(key), g, pos, back) for key, rep in reports.items()
     }
 
 
 def _check(g: Graph) -> tuple[
-    TheoremCheckRecord, dict[str, SolverReport], dict[str, list[int | None]], Sequence[int]
+    TheoremCheckRecord, dict[str, SolverReport], dict[str, list[int | None]], Sequence[int], float
 ]:
-    """check_all's record, then the memo's reports on the canonical
-    relabelling and their color tables, and that relabelling's order (no
-    reports and the identity order past the solvers' guard); a memo miss
-    solves the class."""
+    """The memo's record (``graph6`` empty; shared, so never handed out),
+    its reports on the canonical relabelling and their color tables, that
+    relabelling's order (a fresh skipped record, no reports and the
+    identity order past the solvers' guard), and the milliseconds the
+    guard, the labelling and the memo read took; a memo miss solves the
+    class."""
     _require_solvable(g)
     t0 = time.perf_counter()
     # decide the solvers' refusal before any exponential work
@@ -214,12 +228,7 @@ def _check(g: Graph) -> tuple[
             if len(_memo) > MEMO_CAP:
                 del _memo[next(iter(_memo))]
         r, reports, tables = known
-    flags = r.condition_flags
-    return TheoremCheckRecord(
-        graph6=to_graph6(g), n=r.n, m=r.m, l=r.l, diameter=r.diameter, max_degree=r.max_degree,
-        tmc=r.tmc, mc=r.mc, mvc=r.mvc, condition_flags=None if flags is None else dict(flags),
-        verdicts=dict(r.verdicts), elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-    ), reports, tables, order
+    return r, reports, tables, order, (time.perf_counter() - t0) * 1000.0
 
 
 def _require_solvable(g: Graph) -> None:
@@ -265,7 +274,7 @@ def _relabel_report(
 
 def _check_canonical(g: Graph) -> _Entry:
     """The memo entry of a graph within the solvers' range: check_all_detailed's
-    record (``graph6`` left empty and ``elapsed_ms`` 0, for ``_check`` to
+    record (``graph6`` left empty and ``elapsed_ms`` 0, for ``_fresh`` to
     fill), its reports, and the _color_table of the tmc and mc witnesses."""
     n, m = g.n, g.m
     d = diameter(g)
@@ -425,21 +434,22 @@ class Finding:
 
 def _hunt(graphs: Iterable[Graph], wanted: Callable[[Graph], bool], other: str) -> list[Finding]:
     """Findings, in input order, for the graphs ``wanted`` accepts whose
-    tmc is at most their ``other`` ("mc" or "mvc"), both read from
-    check_all's record: a graph it skips is refused, naming the hunt, and
-    each isomorphism class is solved at most once across hunts and checks."""
+    tmc is at most their ``other`` ("mc" or "mvc"), both read from the
+    memo record that check_all copies (graph6 is encoded for findings
+    only): a graph it skips is refused, naming the hunt, and each
+    isomorphism class is solved at most once across hunts and checks."""
     findings = []
     for g in graphs:
         if not wanted(g):
             continue
-        record = check_all(g)
+        record = _check(g)[0]
         if record.tmc is None:
             _guard_exact(g, f"hunt_tmc_le_{other}")
         tmc, value = record.tmc, getattr(record, other)
         if tmc <= value:
             findings.append(
                 Finding(
-                    graph6=record.graph6, n=g.n, m=g.m, tmc=tmc, other=value,
+                    graph6=to_graph6(g), n=g.n, m=g.m, tmc=tmc, other=value,
                     comparison=f"tmc<={other}",
                 )
             )

@@ -19,7 +19,9 @@ largest cover of each waste, complete multipartite class sizes by checking
 that every component of the complement is a clique instead of a partition
 test on the non-neighbourhoods, labelled connected graphs by building each
 pair mask's graph with from_edge_list and testing it by DFS instead of
-half-mask tables and the bitset closure.
+half-mask tables and the bitset closure, and G(n, p) by walking
+combinations afresh with one rng.random lookup per pair instead of
+filtering the cached pair table with a bound draw.
 
 The definition-level partition searches tmc_naive, mc_naive and
 mvc_partition_reference (with _rgs_with_block_count and the guards
@@ -47,6 +49,7 @@ integer comparisons of the ranges' lower ends.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -513,6 +516,23 @@ def labeled_connected_reference(n: int) -> Iterator[Graph]:
         g = from_edge_list(n, [e for i, e in enumerate(pairs) if (mask >> i) & 1])
         if _connected_set(g, set(range(n))):
             yield g
+
+
+def random_gnp_reference(n: int, p: float, seed: int) -> Graph:
+    """G(n, p) drawn as random_gnp drew it before its pair table: a fresh
+    combinations walk, with rng.random looked up for each pair."""
+    if n < 1:
+        raise ValueError("random graph needs n >= 1")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("edge probability must lie in [0,1]")
+    rng = random.Random(seed)
+    pairs = [e for e in combinations(range(n), 2) if rng.random() < p]
+    # the pairs are distinct, in range and already sorted
+    adj = [0] * n
+    for u, v in pairs:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return Graph(n=n, edges=tuple(pairs), adj=tuple(adj))
 
 
 def _mask(vs) -> int:

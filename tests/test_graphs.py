@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 import time
 from itertools import combinations, product
 
@@ -11,8 +12,11 @@ import networkx as nx
 
 from monoconn.graphs import (
     GraphFormatError,
+    _complement_4_connected,
     _disjoint_paths,
+    _kappa,
     _nbr,
+    _pairs,
     canonical_order,
     complement,
     complete_graph,
@@ -44,6 +48,7 @@ from oracles import (
     k_connected_bf,
     labeled_connected_reference,
     petersen,
+    random_gnp_reference,
     vertex_connectivity_reference,
 )
 
@@ -270,7 +275,29 @@ class TestStructure:
         # the survey's traffic: complements of G(12, 1/2)
         graphs.extend(complement(random_gnp(12, 0.5, seed)) for seed in range(100))
         for g in graphs:
-            assert vertex_connectivity(g) == vertex_connectivity_reference(g), to_graph6(g)
+            k = vertex_connectivity_reference(g)
+            assert vertex_connectivity(g) == k, to_graph6(g)
+            # the row kernel under each cap; disconnected graphs read 0
+            for cap in (1, 2, 4, g.n):
+                assert _kappa(list(g.adj), cap) == min(cap, k), (to_graph6(g), cap)
+
+    def test_complement_4_connected_matches_reference(self):
+        # the survey's first 300 connected samples, then a graph whose
+        # complement has minimum degree 5 but the 3-cut {8, 9, 10} between
+        # {0..3} and {4..7}
+        samples = (random_gnp(12, 0.5, 1_000_003 + i) for i in range(400))
+        graphs = [g for g in samples if is_connected(g)][:300]
+        graphs.append(from_edge_list(
+            11, [(a, b) for a in range(4) for b in range(4, 8)] + [(0, 8), (1, 9), (2, 10)]
+        ))
+        outcomes = set()
+        for g in graphs:
+            holds = _complement_4_connected(g)
+            assert holds == (vertex_connectivity_reference(complement(g)) >= 4), to_graph6(g)
+            if g.n - 1 - max_degree(g) >= 4:
+                outcomes.add(holds)
+        assert len(graphs) == 301
+        assert outcomes == {True, False}
 
     def test_disjoint_paths_matches_local_connectivity(self):
         graphs = [
@@ -501,6 +528,26 @@ class TestGenerators:
             assert g == from_edge_list(n, pairs), (n, p, seed)
             assert g.degrees() == [g.degree(v) for v in range(n)]
             assert g.degrees() == [sum(v in e for e in g.edges) for v in range(n)]
+
+    def test_random_matches_reference_stream(self):
+        # n alternates with 12, so the last-n pair table misses at each
+        # change of n and hits on the draws between
+        _pairs.cache_clear()
+        ns = [k for n in range(1, 15) for k in (n, 12)]
+        for n in ns:
+            for p, seed in product((0.0, 0.3, 0.5, 0.9, 1.0), range(20)):
+                assert random_gnp(n, p, seed) == random_gnp_reference(n, p, seed), (n, p, seed)
+        changes = sum(n != before for n, before in zip(ns, [None] + ns))
+        assert _pairs.cache_info()[:2] == (len(ns) * 100 - changes, changes)
+
+    @pytest.mark.parametrize("n,p", [
+        (0, 0.5), (-3, 0.5), (0, 2.0), (3, -0.1), (3, 1.5), (3, float("nan")),
+    ])
+    def test_random_rejects_like_reference(self, n, p):
+        with pytest.raises(ValueError) as ref:
+            random_gnp_reference(n, p, 1)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(ref.value))}$"):
+            random_gnp(n, p, 1)
 
     def test_connected_corpus_counts(self):
         # labeled connected graph counts (OEIS A001187)

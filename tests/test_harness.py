@@ -276,7 +276,7 @@ class TestClassMemo:
     @staticmethod
     def _assert_relabel_reference(h):
         _, reports = check_all_detailed(h)
-        _, canonical, _, order = harness._check(h)
+        _, canonical, _, order, _ = harness._check(h)
         assert reports == {key: relabel_report_reference(rep, h, order)
                            for key, rep in canonical.items()}, h.edges
 
@@ -429,12 +429,19 @@ class TestSurvey:
         assert survey_random(n, p, 40, 2) == rec
 
     def test_kappa_only_when_complement_min_degree_reaches_4(self, monkeypatch):
-        calls = []
-        real = graphs.vertex_connectivity
-        monkeypatch.setattr(
-            graphs, "vertex_connectivity", lambda g: calls.append(g) or real(g)
-        )
+        calls, built = [], []
+        real = graphs._kappa
+
+        def counted(adj, cap):
+            if cap == 4:
+                calls.append(adj)
+            return real(adj, cap)
+
+        monkeypatch.setattr(graphs, "_kappa", counted)
+        # the certificate flows the complement rows; no complement Graph is built
+        monkeypatch.setattr(graphs, "complement", lambda g: built.append(g))
         rec = survey_random(12, 0.5, 200, 1)
+        assert built == []
         needed = sum(
             is_connected(g) and min(complement(g).degrees()) >= 4
             for g in _survey_samples(12, 0.5, 200, 1)
