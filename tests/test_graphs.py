@@ -2,6 +2,7 @@ import hashlib
 import random
 import re
 import time
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import networkx as nx
+import numpy as np
 
 from monoconn.graphs import (
     GraphFormatError,
@@ -75,6 +77,19 @@ class TestFromEdgeList:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             from_edge_list(3, [(0, 3)])
+
+    @pytest.mark.parametrize("pair", [(0, 1, 2), (0,), (0.0, 1), ("0", 1), 5])
+    def test_malformed_pair_named(self, pair):
+        message = f"^edge must be a pair of integer vertices: pair {re.escape(repr(pair))}$"
+        with pytest.raises(ValueError, match=message):
+            from_edge_list(3, [pair])
+
+    @pytest.mark.parametrize("pair,edge", [
+        ((True, 2), (1, 2)), ((np.int64(2), np.uint8(0)), (0, 2)),
+    ])
+    def test_index_endpoints_read_as_int(self, pair, edge):
+        g = from_edge_list(3, [pair])
+        assert g.edges == (edge,) and all(type(x) is int for x in g.edges[0])
 
 
 class TestGraph6:
@@ -555,8 +570,30 @@ class TestGenerators:
             1, 1, 4, 38, 728, 26704,
         ]
 
-    @pytest.mark.parametrize("n", range(1, 6))
+    def test_connected_corpus_count_n7(self):
+        # the 10/11-pair split of the half-mask join (OEIS A001187)
+        assert sum(1 for _ in connected_labeled_graphs(7)) == 1866256
+
+    @pytest.mark.parametrize("n", range(1, 7))
     def test_connected_corpus_matches_reference(self, n):
         def fields(graphs):
             return [(g.n, g.edges, g.adj) for g in graphs]
         assert fields(connected_labeled_graphs(n)) == fields(labeled_connected_reference(n))
+
+    def test_connected_corpus_is_lazy(self):
+        tracemalloc.start()
+        try:
+            next(connected_labeled_graphs(7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+
+    @pytest.mark.parametrize("n", [8, 30])
+    def test_connected_corpus_refuses_past_cap(self, n):
+        graphs = connected_labeled_graphs(n)
+        start = time.perf_counter()
+        message = f"^labelled connected graphs are capped at n <= 7, got n={n}$"
+        with pytest.raises(ValueError, match=message):
+            next(graphs)
+        assert time.perf_counter() - start < 0.5
